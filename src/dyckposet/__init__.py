@@ -15,11 +15,11 @@ from .paths import (CellStats, DyckPath, Partition, PathStats, catalan_closed,
                     enumerate_paths, is_below, partition_to_path, path_stats,
                     path_to_partition)
 from .polynomials import BiPoly, UniPoly
-from .poset import (AntichainCensus, DyckPoset, PointPoset, antichain_census,
-                    antichain_ideal_bijection_check, build_poset, ideal_path,
-                    jp_isomorphism_check, maximal_chains, min_antichain_cover,
-                    min_chain_cover, mobius_direct, order_ideals, path_ideal,
-                    point_poset, rank_sizes)
+from .poset import (AntichainCensus, DyckPoset, antichain_census,
+                    antichain_ideal_bijection_check, build_poset,
+                    cell_down_masks, jp_isomorphism_check, maximal_chains,
+                    min_antichain_cover, min_chain_cover, mobius_direct,
+                    order_ideals, path_ideal, rank_sizes)
 from .incidence import (ExactMatrix, chain_polynomial, chains_of_length,
                         delta_matrix, eta_matrix, interval_count,
                         invert_unitriangular, maximal_chain_count,

@@ -89,14 +89,15 @@ def cmd_antichains(args: argparse.Namespace) -> Result:
 def cmd_qt(args: argparse.Namespace) -> Result:
     limits = _limits(args)
     n = args.n
+    poly = qt.qt_catalan(n, limits)
     return [
         ("order", n),
-        ("qt_catalan", qt.qt_catalan(n, limits)),
+        ("qt_catalan", poly),
         ("area_analog", qt.cn_area(n, limits)),
         ("inv_analog", qt.cn_inv(n, limits)),
         ("maj_analog", qt.cn_maj(n, limits)),
-        ("symmetric", int(qt.symmetry_check(n, limits))),
-        ("count_specialization", qt.qt_specialize(n, "count", limits)),
+        ("symmetric", int(poly.swap_variables() == poly)),
+        ("count_specialization", poly(1, 1)),
     ]
 
 
@@ -195,6 +196,13 @@ def emit(result, fmt: str, stream) -> None:
             stream.write(f"{key},{_render_csv_value(value)}\n")
 
 
+def _order(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"order must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyckposet",
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str, needs_n: bool = True):
         p = sub.add_parser(name, help=help_text)
         if needs_n:
-            p.add_argument("--n", type=int, required=True,
+            p.add_argument("--n", type=_order, required=True,
                            help="path order (half-length)")
         p.add_argument("--max-n", type=int, default=None,
                        help="override the enumeration cap")
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
               needs_n=False)
     ver.add_argument("--sequence", required=True,
                      choices=sorted(oeis.REGISTRY))
-    ver.add_argument("--n", type=int, default=None,
+    ver.add_argument("--n", type=_order, default=None,
                      help="largest order to verify (defaults per sequence)")
     return parser
 

@@ -40,9 +40,6 @@ class ExactMatrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.rows[i][j]
@@ -77,9 +74,6 @@ class ExactMatrix:
 
     def entry_sum(self) -> int:
         return sum(sum(row) for row in self.rows)
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)

@@ -118,13 +118,16 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(line.ok for line in self.lines)
+        """True iff at least one line was checked and every line matched."""
+        return bool(self.lines) and all(line.ok for line in self.lines)
 
 
 def verify_sequence(sequence_id: str, max_n: int) -> VerificationReport:
     if sequence_id not in REGISTRY:
         raise UnknownSequenceError(sequence_id)
     entry = REGISTRY[sequence_id]
+    if max_n < 0:
+        raise ValueError(f"order must be non-negative: {max_n}")
     if max_n > entry.max_order:
         raise ValueError(
             f"{sequence_id} is only computable up to n = {entry.max_order}")

@@ -251,7 +251,7 @@ class BiPoly:
     def q_part(self) -> UniPoly:
         """View as a univariate polynomial in q; raises if t occurs."""
         if any(te != 0 for (_qe, te) in self.coeffs):
-            return _raise_not_univariate()
+            raise ArithmeticError("polynomial involves t; not univariate in q")
         return UniPoly({qe: c for (qe, _te), c in self.coeffs.items()})
 
     def __repr__(self) -> str:
@@ -266,7 +266,3 @@ class BiPoly:
             ))
             parts.append(body or str(c))
         return " + ".join(parts)
-
-
-def _raise_not_univariate():
-    raise ArithmeticError("polynomial involves t; not univariate in q")

@@ -1,13 +1,21 @@
 """The poset D_n of Dyck paths ordered by inclusion.
 
-Relations are stored as per-element bitmasks over the canonical element
-order, which is a linear extension (area is the rank function), so zeta-type
-matrices built from it are automatically upper triangular.
+D_n is the distributive lattice J(P_n), and each element is stored once, as
+its order ideal of P_n: the bitmask of its area cells.  An area cell is
+(column j, row y) with j < y <= h_j, h_j being the path's height at its j-th
+east step; the cells with 1 <= j < y <= n are the points of P_n, where (j, y)
+lies above (j', y') iff j' >= j and y' <= y.  Bits are numbered by distance
+y - j from the diagonal, then by column: a linear extension of P_n.
+
+Inclusion is mask inclusion, a cover adds one cell and the rank (area) is the
+popcount.  Elements are listed in the canonical order, a linear extension of
+D_n, so zeta-type matrices built on it are upper triangular; up- and
+down-sets are bitmasks over that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .config import Limits, LimitExceededError, check_order
@@ -18,18 +26,18 @@ from .paths import DyckPath, enumerate_paths, is_below
 class DyckPoset:
     n: int
     elements: tuple[DyckPath, ...]
-    up: tuple[int, ...]      # up[i] = bitmask of j with i <= j
-    down: tuple[int, ...]    # down[i] = bitmask of j with j <= i
+    ideals: tuple[int, ...]    # ideals[i] = area-cell mask of element i
+    up: tuple[int, ...]        # up[i] = bitmask of j with i <= j
+    down: tuple[int, ...]      # down[i] = bitmask of j with j <= i
     cover_up: tuple[int, ...]  # bitmask of j covering i
     rank: tuple[int, ...]
-    index: dict[DyckPath, int] = field(compare=False)
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
+        return self.ideals[i] & ~self.ideals[j] == 0
 
     def covers(self, i: int, j: int) -> bool:
         """True iff element j covers element i."""
@@ -51,29 +59,65 @@ def _bits(mask: int):
         mask ^= low
 
 
+# ---------------------------------------------------------------------------
+# area cells: the points of P_n
+
+
+def _cell_bit(n: int, j: int, y: int) -> int:
+    """Bit of the area cell in column j, row y: the n - e cells at each
+    distance e < y - j from the diagonal come first."""
+    d = y - j
+    return (d - 1) * n - d * (d - 1) // 2 + j - 1
+
+
+def path_ideal(d: DyckPath) -> int:
+    """The order ideal of P_n formed by the area cells of the path."""
+    n = d.order
+    mask = 0
+    for j, h in enumerate(d.column_heights(), start=1):
+        for y in range(j + 1, h + 1):
+            mask |= 1 << _cell_bit(n, j, y)
+    return mask
+
+
+def cell_down_masks(n: int) -> tuple[int, ...]:
+    """Down-set mask of each point of P_n, indexed by its bit."""
+    cells = [(j, y) for y in range(2, n + 1) for j in range(1, y)]
+    down = [0] * len(cells)
+    for j, y in cells:
+        for a, b in cells:
+            if a >= j and b <= y:
+                down[_cell_bit(n, j, y)] |= 1 << _cell_bit(n, a, b)
+    return tuple(down)
+
+
 def build_poset(n: int, limits: Limits | None = None) -> DyckPoset:
     check_order(n, limits)
     elements = tuple(enumerate_paths(n, limits))
     size = len(elements)
-    heights = [e.column_heights() for e in elements]
-    up = [0] * size
-    down = [0] * size
-    for i in range(size):
-        for j in range(size):
-            if all(a <= b for a, b in zip(heights[i], heights[j])):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    ideals = tuple(path_ideal(e) for e in elements)
+    index = {mask: i for i, mask in enumerate(ideals)}
     cover_up = [0] * size
+    for i, e in enumerate(elements):
+        h = e.column_heights()
+        # column j can grow by cell (j, h_j + 1) while it stays below h_{j+1}
+        for j in range(1, n):
+            if h[j - 1] < h[j]:
+                grown = ideals[i] | 1 << _cell_bit(n, j, h[j - 1] + 1)
+                cover_up[i] |= 1 << index[grown]
+    # covers raise the area by one, so they point forward in element order:
+    # one pass each way closes them into down- and up-sets
+    down = [1 << i for i in range(size)]
     for i in range(size):
-        strict = up[i] & ~(1 << i)
-        for j in _bits(strict):
-            between = strict & down[j] & ~(1 << j)
-            if between == 0:
-                cover_up[i] |= 1 << j
-    rank = tuple(e.area for e in elements)
-    return DyckPoset(n=n, elements=elements, up=tuple(up), down=tuple(down),
-                     cover_up=tuple(cover_up), rank=rank,
-                     index={e: i for i, e in enumerate(elements)})
+        for j in _bits(cover_up[i]):
+            down[j] |= down[i]
+    up = [1 << i for i in range(size)]
+    for i in reversed(range(size)):
+        for j in _bits(cover_up[i]):
+            up[i] |= up[j]
+    return DyckPoset(n=n, elements=elements, ideals=ideals, up=tuple(up),
+                     down=tuple(down), cover_up=tuple(cover_up),
+                     rank=tuple(mask.bit_count() for mask in ideals))
 
 
 # ---------------------------------------------------------------------------
@@ -154,102 +198,33 @@ def antichain_ideal_bijection_check(p: DyckPoset,
                                     limits: Limits | None = None) -> bool:
     """Downward closure maps antichains bijectively onto order ideals."""
     ideals = {frozenset(s) for s in order_ideals(p, limits)}
+    antichains = _antichain_masks(p)
     closures = set()
-    for mask in _antichain_masks(p):
+    for mask in antichains:
         closure = 0
         for i in _bits(mask):
             closure |= p.down[i]
         closures.add(frozenset(_bits(closure)))
-    return closures == ideals and len(closures) == len(_antichain_masks(p))
+    return closures == ideals and len(closures) == len(antichains)
 
 
 # ---------------------------------------------------------------------------
-# the point poset P_n and the J(P_n) isomorphism
-
-
-@dataclass(frozen=True)
-class PointPoset:
-    """Points (a, b) with a + b <= n - 2, ordered by (a,b) <= (c,d) iff
-    a >= c and b >= d.  Its order ideals are in bijection with D_n."""
-
-    n: int
-    points: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def build(n: int) -> "PointPoset":
-        pts = sorted((a, b) for a in range(max(n - 1, 0))
-                     for b in range(max(n - 1, 0)) if a + b <= n - 2)
-        # order by decreasing a + b so the listing is a linear extension
-        pts.sort(key=lambda p: (-(p[0] + p[1]), p))
-        return PointPoset(n=n, points=tuple(pts))
-
-    def leq(self, p: tuple[int, int], q: tuple[int, int]) -> bool:
-        return p[0] >= q[0] and p[1] >= q[1]
-
-    def down_masks(self) -> tuple[int, ...]:
-        size = len(self.points)
-        down = [0] * size
-        for i, p in enumerate(self.points):
-            for j, q in enumerate(self.points):
-                if self.leq(q, p):
-                    down[i] |= 1 << j
-        return tuple(down)
-
-    def ideals(self, budget: int = 10 ** 6) -> list[frozenset[tuple[int, int]]]:
-        masks = _downset_masks(len(self.points), self.down_masks(), budget)
-        return [frozenset(self.points[i] for i in _bits(m)) for m in masks]
-
-
-def point_poset(n: int) -> PointPoset:
-    return PointPoset.build(n)
-
-
-def path_ideal(d: DyckPath) -> frozenset[tuple[int, int]]:
-    """The order ideal of P_n whose cells lie between the path and the
-    staircase: the area cell in column j at height y maps to (j-1, n-y)."""
-    n = d.order
-    cells = set()
-    for j, h in enumerate(d.column_heights(), start=1):
-        for y in range(j + 1, h + 1):
-            cells.add((j - 1, n - y))
-    return frozenset(cells)
-
-
-def ideal_path(ideal: frozenset[tuple[int, int]], n: int) -> DyckPath:
-    """Inverse of path_ideal."""
-    heights = []
-    prev = 0
-    for j in range(1, n + 1):
-        h = j + sum(1 for (a, _b) in ideal if a == j - 1)
-        heights.append(h)
-    offsets = []
-    # rebuild the step word from column heights
-    word = []
-    prev = 0
-    for h in heights:
-        word.append("N" * (h - prev))
-        word.append("E")
-        prev = h
-    del offsets
-    return DyckPath("".join(word))
+# the J(P_n) isomorphism and the Mobius function
 
 
 def jp_isomorphism_check(n: int, limits: Limits | None = None) -> bool:
-    """The ideal -> path map is an order isomorphism J(P_n) -> D_n."""
-    p = build_poset(n, limits)
-    ideals = point_poset(n).ideals()
-    mapped = [ideal_path(ideal, n) for ideal in ideals]
-    if sorted(mapped, key=DyckPath.sort_key) != list(p.elements):
+    """The path -> ideal map is an order isomorphism D_n -> J(P_n): the
+    order ideals of P_n are exactly the path masks, and mask inclusion is
+    the column-height order."""
+    down = cell_down_masks(n)
+    budget = (limits or Limits()).ideal_budget
+    ideals = _downset_masks(len(down), down, budget)
+    paths = enumerate_paths(n, limits)
+    masks = [path_ideal(d) for d in paths]
+    if sorted(masks) != sorted(ideals):
         return False
-    if len(set(mapped)) != len(mapped):
-        return False
-    for i, ideal_i in enumerate(ideals):
-        for j, ideal_j in enumerate(ideals):
-            subset = ideal_i <= ideal_j
-            below = is_below(mapped[i], mapped[j])
-            if subset != below:
-                return False
-    return True
+    return all((a & ~b == 0) == is_below(x, y)
+               for x, a in zip(paths, masks) for y, b in zip(paths, masks))
 
 
 def mobius_direct(p: DyckPoset, x: int, y: int) -> int:
@@ -257,14 +232,11 @@ def mobius_direct(p: DyckPoset, x: int, y: int) -> int:
     the ideal difference is an antichain of P_n, else 0."""
     if not p.leq(x, y):
         return 0
-    diff = path_ideal(p.elements[y]) - path_ideal(p.elements[x])
-    pts = sorted(diff)
-    pn = PointPoset.build(p.n)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            if pn.leq(a, b) or pn.leq(b, a):
-                return 0
-    return (-1) ** len(diff) if len(diff) % 2 else 1
+    diff = p.ideals[y] & ~p.ideals[x]
+    down = cell_down_masks(p.n)
+    if any(down[k] & diff != 1 << k for k in _bits(diff)):
+        return 0
+    return -1 if diff.bit_count() % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,22 @@ class TestExitCodes:
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--sequence", "A000108", "--n", "-3"),
+        ("catalan", "--n", "-1"),
+        ("poset", "--n", "-1"),
+        ("chains", "--n", "-1"),
+        ("antichains", "--n", "-1"),
+        ("qt", "--n", "-2"),
+        ("chromatic", "--n", "-1"),
+        ("parking", "--n", "-1"),
+    ])
+    def test_negative_order_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_verify_pass_and_fail(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "verify", "--sequence", "A000108")
         assert code == EXIT_OK

@@ -1,7 +1,8 @@
 import pytest
 
 from dyckposet import (REGISTRY, SnapshotParseError, UnknownSequenceError,
-                       load_snapshot, parse_snapshot, verify_sequence)
+                       VerificationReport, load_snapshot, parse_snapshot,
+                       verify_sequence)
 
 SEQUENCE_IDS = sorted(REGISTRY)
 
@@ -63,3 +64,8 @@ class TestReport:
         assert not report.passed
         bad = [l for l in report.lines if not l.ok]
         assert [(l.index, l.expected, l.computed) for l in bad] == [(2, 2, 3)]
+
+    def test_nothing_checked_does_not_pass(self):
+        assert not VerificationReport("A000108", ()).passed
+        with pytest.raises(ValueError):
+            verify_sequence("A000108", -3)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dyckposet import (DyckPath, antichain_census,
                        antichain_ideal_bijection_check, catalan_closed,
-                       enumerate_paths, is_below, jp_isomorphism_check,
-                       maximal_chains, min_antichain_cover, min_chain_cover,
-                       mobius_direct, mobius_matrix, order_ideals, path_ideal,
-                       point_poset, rank_sizes)
+                       cell_down_masks, enumerate_paths, is_below,
+                       jp_isomorphism_check, maximal_chains,
+                       min_antichain_cover, min_chain_cover, mobius_direct,
+                       mobius_matrix, order_ideals, path_ideal, rank_sizes)
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 MAXIMAL_TOTALS = [1, 1, 2, 4, 17, 379]
@@ -27,6 +27,8 @@ class TestStructure:
             for i, x in enumerate(p.elements):
                 for j, y in enumerate(p.elements):
                     assert p.leq(i, j) == is_below(x, y)
+                    assert p.leq(i, j) == bool(p.up[i] >> j & 1) \
+                        == bool(p.down[j] >> i & 1)
 
     def test_covers_match_definition(self, posets):
         # oracle: j covers i iff i < j with no strictly intermediate element
@@ -45,6 +47,13 @@ class TestStructure:
             p = posets(n)
             for i, j in p.cover_edges():
                 assert p.rank[j] == p.rank[i] + 1
+        # and, D_n being graded by area, the covers are exactly the
+        # relations that raise the rank by one
+        for n in range(8):
+            p = posets(n)
+            assert set(p.cover_edges()) == {
+                (i, j) for i in range(p.size) for j in range(p.size)
+                if p.rank[j] == p.rank[i] + 1 and p.leq(i, j)}
 
     def test_bounds(self, posets):
         for n in range(1, 6):
@@ -118,12 +127,12 @@ class TestPointPosetIsomorphism:
 
     def test_point_count(self):
         for n in range(7):
-            assert len(point_poset(n).points) == comb(n, 2)
+            assert len(cell_down_masks(n)) == comb(n, 2)
 
     def test_ideal_size_is_area(self):
         for n in range(6):
             for d in enumerate_paths(n):
-                assert len(path_ideal(d)) == d.area
+                assert path_ideal(d).bit_count() == d.area
 
     def test_mobius_direct_matches_matrix(self, posets):
         for n in range(6):
