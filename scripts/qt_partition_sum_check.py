@@ -10,6 +10,7 @@ import argparse
 
 from dyckposet import (GH_POINT_SEED, gh_evaluate, gh_sample_points,
                        qt_catalan)
+from dyckposet.config import LimitExceededError, check_order
 
 
 def main() -> None:
@@ -18,6 +19,10 @@ def main() -> None:
     parser.add_argument("--points", type=int, default=5)
     parser.add_argument("--seed-offset", type=int, default=0)
     args = parser.parse_args()
+    try:
+        check_order(args.max_n, "paths")
+    except LimitExceededError as exc:
+        parser.error(str(exc))
 
     for n in range(args.max_n + 1):
         poly = qt_catalan(n)

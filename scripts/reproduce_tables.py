@@ -3,7 +3,7 @@
 
 Prints, per order: element count, interval count, total chains, maximal
 chains, antichain censuses, width and Dilworth cover, rank sizes, and the
-chromatic polynomial where the gate allows it.
+chromatic polynomial where the order-limit table allows it.
 """
 
 import argparse
@@ -12,17 +12,21 @@ from dyckposet import (antichain_census, build_poset, catalan_closed,
                        chain_polynomial, hasse_chromatic, interval_count,
                        maximal_chain_count, min_chain_cover, rank_sizes,
                        total_chains)
-from dyckposet.config import Limits
+from dyckposet.config import MAX_ORDER, LimitExceededError, check_order
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
-    limits = Limits(max_order=max(args.max_n, Limits().max_order))
+    try:
+        check_order(args.max_n, "paths", "chains", "antichains",
+                    "maximal_antichains")
+    except LimitExceededError as exc:
+        parser.error(str(exc))
 
     for n in range(args.max_n + 1):
-        p = build_poset(n, limits)
+        p = build_poset(n)
         print(f"== order {n} ==")
         print(f"  elements            {p.size} (Catalan {catalan_closed(n)})")
         print(f"  intervals           {interval_count(p)}")
@@ -37,7 +41,7 @@ def main() -> None:
               f"attained {maximum.total}x)")
         print(f"  Dilworth cover      {min_chain_cover(p)}")
         print(f"  rank sizes          {rank_sizes(n)}")
-        if n <= Limits().chromatic_order:
+        if n <= MAX_ORDER["chromatic"]:
             print(f"  chromatic           {hasse_chromatic(p)}")
         print()
 

@@ -8,8 +8,7 @@ distributive-lattice criterion), and the q,t-Catalan polynomial (path
 statistics vs exact rational evaluation of the partition sum).
 """
 
-from .config import (DEFAULT_LIMITS, ENV_MAX_ORDER, LimitExceededError,
-                     Limits, check_order)
+from .config import MAX_ORDER, LimitExceededError, check_order
 from .paths import (CellStats, DyckPath, Partition, PathStats, catalan_closed,
                     catalan_recurrence, cell_stats, count_bad_paths,
                     enumerate_paths, is_below, partition_to_path, path_stats,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Limits, LimitExceededError
+from .config import check_order
 from .polynomials import UniPoly
 from .poset import DyckPoset
 
@@ -128,15 +128,9 @@ def chromatic_polynomial(g: SimpleGraph) -> UniPoly:
     return rec(g.vertex_count, g.edges)
 
 
-def hasse_chromatic(p: DyckPoset, limits: Limits | None = None,
-                    allow_large: bool = False) -> UniPoly:
-    """Chromatic polynomial of the Hasse diagram of D_n; orders above the
-    configured gate need allow_large."""
-    gate = (limits or Limits()).chromatic_order
-    if p.n > gate and not allow_large:
-        raise LimitExceededError(
-            f"chromatic polynomial for n = {p.n} exceeds the default gate "
-            f"({gate}); this is slow, pass allow_large to force it")
+def hasse_chromatic(p: DyckPoset) -> UniPoly:
+    """Chromatic polynomial of the Hasse diagram of D_n."""
+    check_order(p.n, "chromatic")
     return chromatic_polynomial(hasse_graph(p))
 
 

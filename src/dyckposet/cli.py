@@ -3,7 +3,9 @@
 Every subcommand prints a flat mapping of quantity names to values; integers
 are rendered as decimal strings (they routinely exceed 2^53, so JSON numbers
 would be lossy downstream), polynomials as ordered term lists.  Output is
-byte-deterministic for a given invocation.
+byte-deterministic for a given invocation.  Each subcommand first checks its
+order against config.MAX_ORDER for every job it runs, and the output is
+rendered in full before it is written, so a failed call prints nothing.
 """
 
 from __future__ import annotations
@@ -15,26 +17,22 @@ from typing import Callable
 
 from . import incidence, oeis, parking, paths, poset, qt, tableaux
 from .chromatic import hasse_chromatic
-from .config import ENV_MAX_ORDER, Limits, LimitExceededError
+from .config import MAX_ORDER, LimitExceededError, check_order
 from .polynomials import BiPoly, UniPoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 Value = "int | UniPoly | BiPoly | str"
 Result = "list[tuple[str, Value]]"
 
 
-def _limits(args: argparse.Namespace) -> Limits:
-    if args.max_n is not None:
-        return Limits(max_order=args.max_n)
-    return Limits.from_env()
-
-
 def cmd_catalan(args: argparse.Namespace) -> Result:
     n = args.n
+    check_order(n, "counts")
     out = [
         ("order", n),
         ("catalan_closed", paths.catalan_closed(n)),
@@ -46,8 +44,8 @@ def cmd_catalan(args: argparse.Namespace) -> Result:
 
 
 def cmd_poset(args: argparse.Namespace) -> Result:
-    limits = _limits(args)
-    p = poset.build_poset(args.n, limits)
+    check_order(args.n, "paths", "antichains", "order_ideals")
+    p = poset.build_poset(args.n)
     census = poset.antichain_census(p, "maximum")
     return [
         ("order", p.n),
@@ -55,7 +53,7 @@ def cmd_poset(args: argparse.Namespace) -> Result:
         ("interval_count", incidence.interval_count(p)),
         ("cover_edge_count", len(p.cover_edges())),
         ("rank_sizes", ";".join(map(str, poset.rank_sizes(p.n)))),
-        ("order_ideal_count", len(poset.order_ideals(p, limits))),
+        ("order_ideal_count", len(poset.order_ideals(p))),
         ("width", census.width),
         ("min_chain_cover", poset.min_chain_cover(p)),
         ("min_antichain_cover", poset.min_antichain_cover(p)),
@@ -63,7 +61,8 @@ def cmd_poset(args: argparse.Namespace) -> Result:
 
 
 def cmd_chains(args: argparse.Namespace) -> Result:
-    p = poset.build_poset(args.n, _limits(args))
+    check_order(args.n, "paths", "chains")
+    p = poset.build_poset(args.n)
     return [
         ("order", p.n),
         ("total_chains", incidence.total_chains(p)),
@@ -75,7 +74,9 @@ def cmd_chains(args: argparse.Namespace) -> Result:
 
 
 def cmd_antichains(args: argparse.Namespace) -> Result:
-    p = poset.build_poset(args.n, _limits(args))
+    job = "maximal_antichains" if args.mode == "maximal" else "antichains"
+    check_order(args.n, "paths", job)
+    p = poset.build_poset(args.n)
     census = poset.antichain_census(p, args.mode)
     out: Result = [("order", p.n), ("mode", args.mode),
                    ("total", census.total)]
@@ -87,23 +88,24 @@ def cmd_antichains(args: argparse.Namespace) -> Result:
 
 
 def cmd_qt(args: argparse.Namespace) -> Result:
-    limits = _limits(args)
     n = args.n
-    poly = qt.qt_catalan(n, limits)
+    check_order(n, "paths")
+    poly = qt.qt_catalan(n)
     return [
         ("order", n),
         ("qt_catalan", poly),
-        ("area_analog", qt.cn_area(n, limits)),
-        ("inv_analog", qt.cn_inv(n, limits)),
-        ("maj_analog", qt.cn_maj(n, limits)),
+        ("area_analog", qt.cn_area(n)),
+        ("inv_analog", qt.cn_inv(n)),
+        ("maj_analog", qt.cn_maj(n)),
         ("symmetric", int(poly.swap_variables() == poly)),
         ("count_specialization", poly(1, 1)),
     ]
 
 
 def cmd_chromatic(args: argparse.Namespace) -> Result:
-    p = poset.build_poset(args.n, _limits(args))
-    poly = hasse_chromatic(p, allow_large=args.allow_large)
+    check_order(args.n, "paths", "chromatic")
+    p = poset.build_poset(args.n)
+    poly = hasse_chromatic(p)
     return [
         ("order", p.n),
         ("vertex_count", p.size),
@@ -115,11 +117,12 @@ def cmd_chromatic(args: argparse.Namespace) -> Result:
 
 def cmd_parking(args: argparse.Namespace) -> Result:
     n = args.n
+    check_order(n, "counts")
     out: Result = [
         ("order", n),
         ("count_closed", parking.count_parking_functions(n)),
     ]
-    if n <= parking.ENUMERATION_GATE:
+    if n <= MAX_ORDER["parking"]:
         functions = parking.enumerate_parking_functions(n)
         labelled = parking.enumerate_labelled_paths(n)
         out.append(("count_enumerated", len(functions)))
@@ -130,6 +133,8 @@ def cmd_parking(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    # bounded by the snapshot's extent: verify_sequence refuses a larger
+    # order (exit 2) before computing anything
     entry = oeis.REGISTRY[args.sequence]
     max_n = args.n if args.n is not None else entry.max_order
     report = oeis.verify_sequence(args.sequence, max_n)
@@ -186,14 +191,12 @@ def _render_csv_value(value) -> str:
     return str(rendered)
 
 
-def emit(result, fmt: str, stream) -> None:
+def render(result, fmt: str) -> str:
     if fmt == "json":
         payload = {key: _render_value(value) for key, value in result}
-        stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        stream.write("quantity,value\n")
-        for key, value in result:
-            stream.write(f"{key},{_render_csv_value(value)}\n")
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    return "".join(["quantity,value\n"] + [
+        f"{key},{_render_csv_value(value)}\n" for key, value in result])
 
 
 def _order(text: str) -> int:
@@ -206,9 +209,7 @@ def _order(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyckposet",
-        description="Exact enumeration in the lattice of Dyck paths.",
-        epilog=f"The {ENV_MAX_ORDER} environment variable caps the order "
-               "when --max-n is not given.")
+        description="Exact enumeration in the lattice of Dyck paths.")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -217,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_n:
             p.add_argument("--n", type=_order, required=True,
                            help="path order (half-length)")
-        p.add_argument("--max-n", type=int, default=None,
-                       help="override the enumeration cap")
         return p
 
     add("catalan", "Catalan counts by independent routes")
@@ -228,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     anti.add_argument("--mode", choices=("all", "maximal", "maximum"),
                       default="all")
     add("qt", "q- and q,t-analogs of the Catalan numbers")
-    chrom = add("chromatic", "chromatic polynomial of the Hasse diagram")
-    chrom.add_argument("--allow-large", action="store_true",
-                       help="permit orders above the chromatic gate")
+    add("chromatic", "chromatic polynomial of the Hasse diagram")
     add("parking", "parking-function counts and bijection censuses")
     ver = add("verify", "check computed values against bundled snapshots",
               needs_n=False)
@@ -242,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result = COMMANDS[args.command](args)
+        text = render(result, args.format)
     except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -253,7 +250,12 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    emit(result, args.format, sys.stdout)
+    except Exception as exc:  # a fault in the program, not in the input
+        import traceback  # here, to keep it off the start-up path
+        traceback.print_exc()
+        print(f"error: internal fault: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(text)
     if args.command == "verify":
         passed = dict(result)["passed"] == "yes"
         return EXIT_OK if passed else EXIT_MISMATCH

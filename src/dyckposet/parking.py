@@ -10,10 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import LimitExceededError
+from .config import check_order
 from .paths import DyckPath, enumerate_paths, path_stats
-
-ENUMERATION_GATE = 6
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,8 @@ def count_parking_functions(n: int) -> int:
 
 
 def enumerate_parking_functions(n: int) -> list[ParkingFunction]:
-    """Filter all n^n preference vectors; gated against blowup."""
-    if n > ENUMERATION_GATE:
-        raise LimitExceededError(
-            f"parking enumeration gated to n <= {ENUMERATION_GATE}")
+    """Filter all n^n preference vectors."""
+    check_order(n, "parking")
     found = [ParkingFunction(prefs)
              for prefs in itertools.product(range(1, n + 1), repeat=n)
              if _sorted_prefix_ok(prefs)]
@@ -159,9 +155,7 @@ def vector_conditions_ok(g: tuple[int, ...], p: tuple[int, ...]) -> bool:
 
 
 def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
-    if n > ENUMERATION_GATE:
-        raise LimitExceededError(
-            f"labelled path enumeration gated to n <= {ENUMERATION_GATE}")
+    check_order(n, "parking")
     results = []
     for d in enumerate_paths(n):
         for perm in itertools.permutations(range(1, n + 1)):
@@ -175,9 +169,7 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
 def content_group_representatives(n: int) -> list[tuple[int, ...]]:
     """One minimal-order column label vector per content group: the sorted
     column multiset of each unlabelled path."""
-    if n > ENUMERATION_GATE:
-        raise LimitExceededError(
-            f"content group enumeration gated to n <= {ENUMERATION_GATE}")
+    check_order(n, "parking")
     reps = []
     for d in enumerate_paths(n):
         reps.append(tuple(sorted(e + 1 for e in d.north_offsets())))

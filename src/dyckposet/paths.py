@@ -9,10 +9,9 @@ ascending area with lexicographic tie-break taking N < E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .config import Limits, check_order
+from .config import check_order
 
 NORTH = "N"
 EAST = "E"
@@ -164,13 +163,13 @@ def catalan_closed(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
 def catalan_recurrence(n: int) -> int:
-    """E_0 = 1, E_n = sum_{k=1..n} E_{k-1} E_{n-k}."""
-    if n == 0:
-        return 1
-    return sum(catalan_recurrence(k - 1) * catalan_recurrence(n - k)
-               for k in range(1, n + 1))
+    """E_0 = 1, E_n = sum_{k=1..n} E_{k-1} E_{n-k}, built bottom-up."""
+    values = [1]
+    for m in range(1, n + 1):
+        values.append(sum(values[k - 1] * values[m - k]
+                          for k in range(1, m + 1)))
+    return values[n]
 
 
 def count_bad_paths(n: int) -> int:
@@ -181,9 +180,9 @@ def count_bad_paths(n: int) -> int:
     return comb(2 * n, n - 1)
 
 
-def enumerate_paths(n: int, limits: Limits | None = None) -> list[DyckPath]:
+def enumerate_paths(n: int) -> list[DyckPath]:
     """All Dyck paths of order n in canonical order."""
-    check_order(n, limits)
+    check_order(n, "paths")
     words: list[str] = []
 
     def extend(prefix: list[str], norths: int, easts: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .config import Limits, LimitExceededError, check_order
+from .config import check_order
 from .paths import DyckPath, enumerate_paths, is_below
 
 
@@ -91,9 +91,8 @@ def cell_down_masks(n: int) -> tuple[int, ...]:
     return tuple(down)
 
 
-def build_poset(n: int, limits: Limits | None = None) -> DyckPoset:
-    check_order(n, limits)
-    elements = tuple(enumerate_paths(n, limits))
+def build_poset(n: int) -> DyckPoset:
+    elements = tuple(enumerate_paths(n))
     size = len(elements)
     ideals = tuple(path_ideal(e) for e in elements)
     index = {mask: i for i, mask in enumerate(ideals)}
@@ -124,24 +123,20 @@ def build_poset(n: int, limits: Limits | None = None) -> DyckPoset:
 # order ideals and antichains
 
 
-def _downset_masks(size: int, down: tuple[int, ...],
-                   budget: int) -> list[int]:
+def _downset_masks(size: int, down: tuple[int, ...]) -> list[int]:
     # elements must be listed in a linear extension; both D_n and P_n are.
     ideals = [0]
     for k in range(size):
         required = down[k] & ~(1 << k)
         grown = [mask | (1 << k) for mask in ideals if required & ~mask == 0]
         ideals.extend(grown)
-        if len(ideals) > budget:
-            raise LimitExceededError("order-ideal count exceeds budget")
     return ideals
 
 
-def order_ideals(p: DyckPoset, limits: Limits | None = None) -> list[frozenset[int]]:
+def order_ideals(p: DyckPoset) -> list[frozenset[int]]:
     """All downward-closed element subsets, as index sets."""
-    budget = (limits or Limits()).ideal_budget
-    masks = _downset_masks(p.size, p.down, budget)
-    return [frozenset(_bits(mask)) for mask in masks]
+    check_order(p.n, "order_ideals")
+    return [frozenset(_bits(mask)) for mask in _downset_masks(p.size, p.down)]
 
 
 @dataclass(frozen=True)
@@ -194,10 +189,9 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     raise ValueError(f"unknown census mode {mode!r}")
 
 
-def antichain_ideal_bijection_check(p: DyckPoset,
-                                    limits: Limits | None = None) -> bool:
+def antichain_ideal_bijection_check(p: DyckPoset) -> bool:
     """Downward closure maps antichains bijectively onto order ideals."""
-    ideals = {frozenset(s) for s in order_ideals(p, limits)}
+    ideals = {frozenset(s) for s in order_ideals(p)}
     antichains = _antichain_masks(p)
     closures = set()
     for mask in antichains:
@@ -212,14 +206,13 @@ def antichain_ideal_bijection_check(p: DyckPoset,
 # the J(P_n) isomorphism and the Mobius function
 
 
-def jp_isomorphism_check(n: int, limits: Limits | None = None) -> bool:
+def jp_isomorphism_check(n: int) -> bool:
     """The path -> ideal map is an order isomorphism D_n -> J(P_n): the
     order ideals of P_n are exactly the path masks, and mask inclusion is
     the column-height order."""
+    paths = enumerate_paths(n)
     down = cell_down_masks(n)
-    budget = (limits or Limits()).ideal_budget
-    ideals = _downset_masks(len(down), down, budget)
-    paths = enumerate_paths(n, limits)
+    ideals = _downset_masks(len(down), down)
     masks = [path_ideal(d) for d in paths]
     if sorted(masks) != sorted(ideals):
         return False

@@ -7,7 +7,6 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .config import Limits
 from .paths import Partition, cell_stats, enumerate_paths, path_stats
 from .polynomials import BiPoly, UniPoly
 
@@ -62,11 +61,11 @@ def _partitions(n: int) -> list[Partition]:
     return results
 
 
-def cn_area(n: int, limits: Limits | None = None) -> BiPoly:
+def cn_area(n: int) -> BiPoly:
     """Sum of q^{area(D)}, computed both by path summation and by the
     area recurrence; the two must agree."""
     by_paths: dict[tuple[int, int], int] = {}
-    for d in enumerate_paths(n, limits):
+    for d in enumerate_paths(n):
         key = (d.area, 0)
         by_paths[key] = by_paths.get(key, 0) + 1
     direct = BiPoly(by_paths)
@@ -96,21 +95,21 @@ def _cn_inv_recurrence(n: int) -> BiPoly:
     return polys[n]
 
 
-def cn_inv(n: int, limits: Limits | None = None) -> BiPoly:
-    """Sum of q^{inv(D)}: the exponent reversal of cn_area about C(n,2)."""
-    area = cn_area(n, limits)
+def cn_inv(n: int) -> BiPoly:
+    """Sum of q^{inv(D)}: the area recurrence reversed about C(n,2), checked
+    against the inversion recurrence."""
     top = comb(n, 2)
-    reversed_poly = BiPoly({(top - qe, 0): c
-                            for (qe, _te), c in area.coeffs.items()})
+    reversed_poly = BiPoly({(top - qe, 0): c for (qe, _te), c
+                            in _cn_area_recurrence(n).coeffs.items()})
     if reversed_poly != _cn_inv_recurrence(n):
         raise AssertionError("inv q-analog: reversal disagrees with recurrence")
     return reversed_poly
 
 
-def cn_maj(n: int, limits: Limits | None = None) -> BiPoly:
+def cn_maj(n: int) -> BiPoly:
     """Sum of q^{maj(D)}, cross-checked against [2n choose n]_q / [n+1]_q."""
     by_paths: dict[tuple[int, int], int] = {}
-    for d in enumerate_paths(n, limits):
+    for d in enumerate_paths(n):
         key = (path_stats(d).maj, 0)
         by_paths[key] = by_paths.get(key, 0) + 1
     direct = BiPoly(by_paths)
@@ -121,20 +120,20 @@ def cn_maj(n: int, limits: Limits | None = None) -> BiPoly:
     return direct
 
 
-def qt_catalan(n: int, limits: Limits | None = None) -> BiPoly:
+def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
     coeffs: dict[tuple[int, int], int] = {}
-    for d in enumerate_paths(n, limits):
+    for d in enumerate_paths(n):
         stats = path_stats(d)
         key = (stats.area, stats.bounce)
         coeffs[key] = coeffs.get(key, 0) + 1
     return BiPoly(coeffs)
 
 
-def qt_specialize(n: int, mode: str, limits: Limits | None = None):
+def qt_specialize(n: int, mode: str):
     """Specializations of the q,t-Catalan polynomial: t -> 1 gives the area
     analog, q^{C(n,2)} P(q, 1/q) gives the maj analog, (1,1) the count."""
-    poly = qt_catalan(n, limits)
+    poly = qt_catalan(n)
     if mode == "area":
         return poly.substitute_t_one()
     if mode == "maj":
@@ -144,8 +143,8 @@ def qt_specialize(n: int, mode: str, limits: Limits | None = None):
     raise ValueError(f"unknown specialization mode {mode!r}")
 
 
-def symmetry_check(n: int, limits: Limits | None = None) -> bool:
-    poly = qt_catalan(n, limits)
+def symmetry_check(n: int) -> bool:
+    poly = qt_catalan(n)
     return poly.swap_variables() == poly
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .config import Limits
 from .paths import Partition, cell_stats, path_to_partition
 from .poset import DyckPoset, build_poset, maximal_chains
 
@@ -86,11 +85,10 @@ def _is_standard(filling: dict[tuple[int, int], int],
     return True
 
 
-def maxchain_tableau_bijection_check(n: int,
-                                     limits: Limits | None = None) -> bool:
+def maxchain_tableau_bijection_check(n: int) -> bool:
     """Numbering the cells in chain order turns each maximal chain of D_n
     into a distinct standard staircase tableau, and every tableau arises."""
-    p = build_poset(n, limits)
+    p = build_poset(n)
     chains = maximal_chains(p)
     shape = Partition.staircase(n)
     fillings = set()

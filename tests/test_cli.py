@@ -1,9 +1,33 @@
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from dyckposet.cli import (COMMANDS, EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK,
-                           EXIT_USAGE, GUARANTEED_KEYS, main)
+from dyckposet import paths, qt
+from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
+                           EXIT_OK, EXIT_USAGE, GUARANTEED_KEYS, main)
+from dyckposet.config import MAX_ORDER
+from dyckposet.oeis import REGISTRY
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every subcommand that takes an order, with the jobs it runs
+JOBS = {
+    ("catalan",): ("counts",),
+    ("poset",): ("paths", "antichains", "order_ideals"),
+    ("chains",): ("paths", "chains"),
+    ("antichains", "--mode", "all"): ("paths", "antichains"),
+    ("antichains", "--mode", "maximal"): ("paths", "maximal_antichains"),
+    ("antichains", "--mode", "maximum"): ("paths", "antichains"),
+    ("qt",): ("paths",),
+    ("chromatic",): ("paths", "chromatic"),
+    ("parking",): ("counts",),
+}
+REFUSED = [(command, n) for command, jobs in JOBS.items()
+           for n in list(range(10)) + [1001]
+           if n > min(MAX_ORDER[job] for job in jobs)]
 
 
 def run_cli(capsys, *argv):
@@ -24,14 +48,31 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
-    def test_limit_override_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "poset", "--n", "3", "--max-n", "3")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("argv", [
+        ("poset", "--n", "3", "--max-n", "3"),
+        ("chromatic", "--n", "5", "--allow-large"),
+    ])
+    def test_removed_limit_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DYCKPOSET_MAX_N", "2")
-        code, _, _ = run_cli(capsys, "poset", "--n", "3")
-        assert code == EXIT_LIMIT
+    def test_internal_fault(self, capsys, monkeypatch):
+        def fault(args):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(COMMANDS, "catalan", fault)
+        code, out, err = run_cli(capsys, "catalan", "--n", "3")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "error:" in err
+
+    def test_render_fault_prints_nothing(self, capsys, monkeypatch):
+        monkeypatch.setitem(COMMANDS, "catalan",
+                            lambda args: [("order", 1), ("bad", object())])
+        code, out, _ = run_cli(capsys, "catalan", "--n", "1")
+        assert code == EXIT_INTERNAL
+        assert out == ""
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -70,6 +111,68 @@ class TestExitCodes:
                                "--n", "2")
         assert code == EXIT_MISMATCH
         assert json.loads(out)["passed"] == "no"
+
+
+def _forbid_path_enumeration(monkeypatch):
+    """Make every binding of enumerate_paths raise."""
+    def refuse(n):
+        raise AssertionError(f"paths of order {n} enumerated")
+    original = paths.enumerate_paths
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "dyckposet":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, refuse)
+
+
+class TestOrderLimits:
+    @pytest.mark.parametrize("command, n", REFUSED)
+    def test_refused_before_any_work(self, capsys, monkeypatch, command, n):
+        _forbid_path_enumeration(monkeypatch)
+        code, out, err = run_cli(capsys, command[0], "--n", str(n),
+                                 *command[1:])
+        assert code == EXIT_LIMIT
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize("sequence", sorted(REGISTRY))
+    def test_verify_refuses_past_snapshot(self, capsys, monkeypatch,
+                                          sequence):
+        _forbid_path_enumeration(monkeypatch)
+        n = REGISTRY[sequence].max_order + 1
+        code, out, _ = run_cli(capsys, "verify", "--sequence", sequence,
+                               "--n", str(n))
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_counts_at_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "catalan", "--n", "1000")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["catalan_recurrence"] == payload["catalan_closed"]
+
+    def test_parking_census_stops_at_limit(self, capsys):
+        _, out, _ = run_cli(capsys, "parking", "--n", "7")
+        assert json.loads(out) == {"order": "7", "count_closed": "262144"}
+
+    def test_qt_enumerates_paths_three_times(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return paths.enumerate_paths(n)
+        monkeypatch.setattr(qt, "enumerate_paths", counted)
+        assert run_cli(capsys, "qt", "--n", "5")[0] == EXIT_OK
+        assert calls == [5, 5, 5]
+
+    def test_readme_table_matches(self):
+        text = README.read_text().split("## Order limits", 1)[1]
+        section = text.split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \|.*\| (\d+) \|[^|]*\|$", section,
+                          re.MULTILINE)
+        assert {job: int(n) for job, n in rows} == MAX_ORDER
+        assert len(rows) == len(MAX_ORDER)
 
 
 class TestDeterminism:

@@ -3,9 +3,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from dyckposet import (DyckPath, Partition, catalan_closed, catalan_recurrence,
-                       cell_stats, count_bad_paths, enumerate_paths, is_below,
-                       path_stats, path_to_partition, partition_to_path)
+from dyckposet import (DyckPath, LimitExceededError, Partition,
+                       catalan_closed, catalan_recurrence, cell_stats,
+                       count_bad_paths, enumerate_paths, is_below, path_stats,
+                       path_to_partition, partition_to_path)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -33,6 +34,14 @@ class TestCatalanCounts:
         assert catalan_closed(n) == CATALAN[n]
         assert catalan_recurrence(n) == CATALAN[n]
         assert len(enumerate_paths(n)) == CATALAN[n]
+
+    def test_recurrence_has_no_recursion_depth(self):
+        # a recursive recurrence overflows the stack near n = 333
+        assert catalan_recurrence(1000) == catalan_closed(1000)
+
+    def test_enumeration_refuses_past_limit(self):
+        with pytest.raises(LimitExceededError):
+            enumerate_paths(9)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_bad_path_count_against_exhaustion(self, n):

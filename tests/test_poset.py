@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import (DyckPath, antichain_census,
+from dyckposet import (DyckPath, LimitExceededError, antichain_census,
                        antichain_ideal_bijection_check, catalan_closed,
                        cell_down_masks, enumerate_paths, is_below,
                        jp_isomorphism_check, maximal_chains,
@@ -66,6 +66,10 @@ class TestIdealsAndAntichains:
     def test_antichain_totals(self, posets):
         for n in range(6):
             assert antichain_census(posets(n)).total == ANTICHAIN_TOTALS[n]
+
+    def test_order_ideals_refuse_past_limit(self, posets):
+        with pytest.raises(LimitExceededError):
+            order_ideals(posets(6))
 
     def test_maximal_totals(self, posets):
         for n in range(6):
