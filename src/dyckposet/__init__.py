@@ -19,11 +19,10 @@ from .poset import (AntichainCensus, DyckPoset, antichain_census,
                     cell_down_masks, jp_isomorphism_check, maximal_chains,
                     min_antichain_cover, min_chain_cover, mobius_direct,
                     order_ideals, path_ideal, rank_sizes)
-from .incidence import (ExactMatrix, chain_polynomial, chains_of_length,
-                        delta_matrix, eta_matrix, interval_count,
-                        invert_unitriangular, maximal_chain_count,
-                        mobius_matrix, total_chain_matrix, total_chains,
-                        zeta_matrix)
+from .incidence import (ExactMatrix, chain_polynomial, delta_matrix,
+                        eta_matrix, interval_count, invert_unitriangular,
+                        maximal_chain_count, mobius_matrix,
+                        total_chain_matrix, total_chains, zeta_matrix)
 from .tableaux import (HookDiagram, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)
@@ -40,8 +39,9 @@ from .parking import (AreaLabelPair, LabelledDyckPath, ParkingFunction,
                       labelled_from_vectors, labelled_to_parking,
                       parking_to_labelled, representative_leq,
                       representative_path, vector_conditions_ok, vectors_of)
-from .oeis import (REGISTRY, SequenceEntry, SnapshotParseError,
-                   UnknownSequenceError, VerificationReport, load_snapshot,
-                   parse_snapshot, verify_sequence)
+from .oeis import (REGISTRY, OrderOutOfRangeError, SequenceEntry,
+                   SnapshotParseError, UnknownSequenceError,
+                   VerificationReport, load_snapshot, parse_snapshot,
+                   verify_sequence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

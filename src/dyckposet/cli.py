@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (oeis.UnknownSequenceError, oeis.SnapshotParseError,
-            ValueError) as exc:
+            oeis.OrderOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault in the program, not in the input

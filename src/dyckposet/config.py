@@ -16,7 +16,9 @@ class LimitExceededError(Exception):
 #                       count (n+1)^(n-1) has 2998 digits at n = 1000)
 #   paths               qt --n 9 takes 0.3 s; 8 is the former default cap,
 #                       below budget, and the base of every poset job
-#   chains              chains --n 7 takes 136 s (dense 429 x 429 matrices)
+#   chains              chains --n 8 takes 95 s and 95 MB, nearly all in the
+#                       two O(N^3) inversions (N = 1430) that check the
+#                       0.5 s chain DP; too close to the budget to allow
 #   antichains          antichains --n 7 exhausts memory; n = 6 already
 #                       holds 37,620,704 masks (2.0 GB, 58 s)
 #   maximal_antichains  antichains --n 6 --mode maximal takes 298 s
@@ -24,7 +26,7 @@ class LimitExceededError(Exception):
 #   chromatic           hasse_chromatic at n = 5 runs past 600 s
 #   parking             the census at n = 7 takes 12.8 s and 66 MB, below
 #                       budget; 6 keeps parking --n 7 to the closed count
-MAX_ORDER = {"counts": 1000, "paths": 8, "chains": 6, "antichains": 6,
+MAX_ORDER = {"counts": 1000, "paths": 8, "chains": 7, "antichains": 6,
              "maximal_antichains": 5, "order_ideals": 5, "chromatic": 4,
              "parking": 6}
 

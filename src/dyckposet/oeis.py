@@ -23,6 +23,10 @@ class SnapshotParseError(Exception):
     pass
 
 
+class OrderOutOfRangeError(ValueError):
+    """An order that is negative or past the snapshot's extent."""
+
+
 def parse_snapshot(text: str) -> list[tuple[int, int]]:
     terms: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -127,9 +131,9 @@ def verify_sequence(sequence_id: str, max_n: int) -> VerificationReport:
         raise UnknownSequenceError(sequence_id)
     entry = REGISTRY[sequence_id]
     if max_n < 0:
-        raise ValueError(f"order must be non-negative: {max_n}")
+        raise OrderOutOfRangeError(f"order must be non-negative: {max_n}")
     if max_n > entry.max_order:
-        raise ValueError(
+        raise OrderOutOfRangeError(
             f"{sequence_id} is only computable up to n = {entry.max_order}")
     snapshot = dict(load_snapshot(sequence_id))
     lines: list[VerificationLine] = []

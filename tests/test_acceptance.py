@@ -75,7 +75,7 @@ def test_criterion_05_maximal_chains(posets):
     expected = [1, 1, 1, 2, 16, 768]
     for n in range(6):
         p = posets(n)
-        count = maximal_chain_count(p)  # also checks the power route
+        count = maximal_chain_count(p)  # also checks the chain DP
         assert count == expected[n]
         assert chain_polynomial(p).coeffs[comb(n, 2) + 1] == count
         if n >= 1:

@@ -17,13 +17,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 JOBS = {
     ("catalan",): ("counts",),
     ("poset",): ("paths", "antichains", "order_ideals"),
+    ("parking",): ("counts",),
     ("chains",): ("paths", "chains"),
     ("antichains", "--mode", "all"): ("paths", "antichains"),
     ("antichains", "--mode", "maximal"): ("paths", "maximal_antichains"),
     ("antichains", "--mode", "maximum"): ("paths", "antichains"),
     ("qt",): ("paths",),
     ("chromatic",): ("paths", "chromatic"),
-    ("parking",): ("counts",),
 }
 REFUSED = [(command, n) for command, jobs in JOBS.items()
            for n in list(range(10)) + [1001]
@@ -61,6 +61,16 @@ class TestExitCodes:
     def test_internal_fault(self, capsys, monkeypatch):
         def fault(args):
             raise RuntimeError("boom")
+        monkeypatch.setitem(COMMANDS, "catalan", fault)
+        code, out, err = run_cli(capsys, "catalan", "--n", "3")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "error:" in err
+
+    def test_value_error_fault_is_internal(self, capsys, monkeypatch):
+        # only the input checks map to exit 2, not any ValueError
+        def fault(args):
+            raise ValueError("boom")
         monkeypatch.setitem(COMMANDS, "catalan", fault)
         code, out, err = run_cli(capsys, "catalan", "--n", "3")
         assert code == EXIT_INTERNAL

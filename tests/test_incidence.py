@@ -2,11 +2,12 @@ from math import comb
 
 import pytest
 
-from dyckposet import (ExactMatrix, chain_polynomial, chains_of_length,
-                       delta_matrix, eta_matrix, interval_count,
+from dyckposet import (ExactMatrix, build_poset, chain_polynomial,
+                       delta_matrix, eta_matrix, incidence, interval_count,
                        invert_unitriangular, maximal_chain_count,
                        mobius_matrix, staircase_maxchain, total_chain_matrix,
                        total_chains, zeta_matrix)
+from dyckposet.cli import EXIT_INTERNAL, main
 from dyckposet.polynomials import UniPoly
 
 ZETA_D3 = [
@@ -49,11 +50,6 @@ class TestExactMatrix:
         with pytest.raises(ValueError):
             invert_unitriangular(ExactMatrix([[1, 0], [1, 1]]))
 
-    def test_power(self):
-        m = ExactMatrix([[1, 1], [0, 1]])
-        assert m.power(0) == ExactMatrix.identity(2)
-        assert m.power(5)[0, 1] == 5
-
 
 class TestAgainstPrintedMatrices:
     def test_zeta_d3(self, posets):
@@ -76,25 +72,46 @@ class TestChainCounts:
             assert total_chains(posets(n)) == TOTAL_CHAINS[n]
 
     def test_total_chain_matrix_is_geometric_series(self, posets):
-        # (2*delta - zeta)^{-1} must equal sum of (zeta - delta)^k
+        # (2*delta - zeta)^{-1} must equal sum of (zeta - delta)^k, and the
+        # entry sum of the k-th power counts the k-edge chains, which the
+        # chain polynomial holds at t^{k+1}
         for n in range(5):
             p = posets(n)
             strict = zeta_matrix(p) - delta_matrix(p)
-            series = ExactMatrix.zero(p.size)
+            zero = series = ExactMatrix.zero(p.size)
             k = 0
             power = ExactMatrix.identity(p.size)
-            while not power.is_zero():
+            poly = chain_polynomial(p)
+            while power != zero:
                 series = series + power
+                assert power.entry_sum() == poly.coeffs[k + 1]
                 power = power @ strict
                 k += 1
+            assert k == poly.degree
             assert total_chain_matrix(p) == series
 
-    def test_strict_matrix_nilpotent(self, posets):
+    def test_chain_polynomial_degree(self, posets):
+        # a longest chain has C(n,2) edges, so C(n,2) + 1 elements
         for n in range(6):
-            p = posets(n)
-            assert chains_of_length(p, comb(n, 2) + 1).is_zero()
-            if n >= 2:
-                assert not chains_of_length(p, comb(n, 2)).is_zero()
+            assert chain_polynomial(posets(n)).degree == comb(n, 2) + 1
+
+    def test_total_chains_routes_must_agree(self, posets, monkeypatch,
+                                            capsys):
+        dp = incidence.chain_polynomial
+        monkeypatch.setattr(incidence, "chain_polynomial",
+                            lambda p: dp(p) + 1)
+        with pytest.raises(AssertionError):
+            total_chains(posets(3))
+        assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
+
+    def test_order_seven(self):
+        # past every bundled snapshot; the two routes inside each count must
+        # agree, and the maximal count also matches the hook-length formula
+        p = build_poset(7)
+        assert total_chains(p) == 38_764_383_658_368
+        assert maximal_chain_count(p) == 1_100_742_656
+        assert staircase_maxchain(7) == 1_100_742_656
 
     def test_chain_polynomials(self, posets):
         assert chain_polynomial(posets(3)) == CHAIN_POLY_3
