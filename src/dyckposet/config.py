@@ -19,10 +19,12 @@ class LimitExceededError(Exception):
 #   chains              chains --n 8 takes 95 s and 95 MB, nearly all in the
 #                       two O(N^3) inversions (N = 1430) that check the
 #                       0.5 s chain DP; too close to the budget to allow
-#   antichains          antichains --n 7 exhausts memory; n = 6 already
-#                       holds 37,620,704 masks (2.0 GB, 58 s)
+#   antichains          antichains --n 7 exhausts memory: the size-polynomial
+#                       memo hits a 4 GB address limit after 47 s (3.5 GB
+#                       RSS); n = 6 takes 0.3 s and 38 MB
 #   maximal_antichains  antichains --n 6 --mode maximal takes 298 s
-#   order_ideals        poset --n 6 lists 37,620,704 ideals (2.0 GB, 47 s)
+#   order_ideals        poset --n 6 exhausts memory listing its 37,620,704
+#                       ideals: a 4 GB address limit is hit after 264 s
 #   chromatic           hasse_chromatic at n = 5 runs past 600 s
 #   parking             the census at n = 7 takes 12.8 s and 66 MB, below
 #                       budget; 6 keeps parking --n 7 to the closed count

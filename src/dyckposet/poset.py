@@ -11,6 +11,12 @@ Inclusion is mask inclusion, a cover adds one cell and the rank (area) is the
 popcount.  Elements are listed in the canonical order, a linear extension of
 D_n, so zeta-type matrices built on it are upper triangular; up- and
 down-sets are bitmasks over that order.
+
+Antichains are counted by size without listing them: a memoised split on
+bitmasks of candidate elements, whose states number 94,012 at n = 6 against
+37,620,704 antichains.  The enumerator _antichain_masks remains for the
+maximal census, the antichain-ideal bijection and, in the tests, as the
+oracle for the counts at n <= 5.
 """
 
 from __future__ import annotations
@@ -160,33 +166,70 @@ def _antichain_masks(p: DyckPoset) -> list[int]:
     return results
 
 
+def _antichain_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
+    """c[k] = number of k-element antichains of a poset on elements
+    0..size-1, where inc[i] is the bitmask of elements incomparable to i.
+
+    A(S), the size polynomial of the antichains inside the candidate set S,
+    splits on the highest element v of S into those without v and those
+    with it: A(S) = A(S - v) + x A(S & inc[v]).  Both sets lose v, so the
+    recursion is at most size deep; the memo is keyed by S."""
+    memo: dict[int, tuple[int, ...]] = {0: (1,)}
+
+    def count(cand: int) -> tuple[int, ...]:
+        found = memo.get(cand)
+        if found is not None:
+            return found
+        v = cand.bit_length() - 1
+        rest = cand ^ (1 << v)
+        without = count(rest)
+        with_v = count(rest & inc[v])
+        c = list(without) + [0] * (len(with_v) + 1 - len(without))
+        for k, a in enumerate(with_v, start=1):
+            c[k] += a
+        memo[cand] = result = tuple(c)
+        return result
+
+    return count((1 << size) - 1)
+
+
 def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     """Census of antichains: every one, the inclusion-maximal ones, or only
-    those of maximum size (the width)."""
-    masks = _antichain_masks(p)
-    if mode == "all":
-        by_size: dict[int, int] = {}
-        for mask in masks:
-            k = mask.bit_count()
-            by_size[k] = by_size.get(k, 0) + 1
-        return AntichainCensus(by_size=by_size, total=len(masks))
+    those of maximum size (the width).
+
+    "all" and "maximum" read the size polynomial of _antichain_sizes and
+    check it against three independent counts: its degree (the width)
+    against Dilworth's minimum chain cover, its x coefficient against the
+    element count, and its x^2 coefficient against the incomparable pairs
+    counted from the up-sets.  "maximal" filters the enumerated antichains."""
+    if mode not in ("all", "maximal", "maximum"):
+        raise ValueError(f"unknown census mode {mode!r}")
+    inc = [p.incomparable(i) for i in range(p.size)]
     if mode == "maximal":
-        by_size = {}
-        for mask in masks:
+        by_size: dict[int, int] = {}
+        for mask in _antichain_masks(p):
             extension = (1 << p.size) - 1
             for i in _bits(mask):
-                extension &= p.incomparable(i)
-            if mask == 0:
-                extension = (1 << p.size) - 1 if p.size else 0
-            if extension & ~mask == 0:
+                extension &= inc[i]
+            if extension == 0:  # no element is incomparable to all of mask
                 k = mask.bit_count()
                 by_size[k] = by_size.get(k, 0) + 1
         return AntichainCensus(by_size=by_size, total=sum(by_size.values()))
-    if mode == "maximum":
-        width = max(mask.bit_count() for mask in masks)
-        count = sum(1 for mask in masks if mask.bit_count() == width)
-        return AntichainCensus(by_size={width: count}, total=count, width=width)
-    raise ValueError(f"unknown census mode {mode!r}")
+    c = _antichain_sizes(p.size, inc)
+    width = len(c) - 1
+    padded = c + (0, 0)
+    pairs = comb(p.size, 2) - sum(mask.bit_count() - 1 for mask in p.up)
+    checks = (("widths", width, min_chain_cover(p)),
+              ("1-element antichain counts", padded[1], p.size),
+              ("2-element antichain counts", padded[2], pairs))
+    for name, via_memo, via_check in checks:
+        if via_memo != via_check:
+            raise AssertionError(
+                f"{name} disagree: {via_memo} vs {via_check}")
+    if mode == "all":
+        return AntichainCensus(by_size=dict(enumerate(c)), total=sum(c))
+    return AntichainCensus(by_size={width: c[width]}, total=c[width],
+                           width=width)
 
 
 def antichain_ideal_bijection_check(p: DyckPoset) -> bool:

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
 from dyckposet.config import MAX_ORDER
 from dyckposet.oeis import REGISTRY
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+GOLDEN = ROOT / "bench" / "golden" / "stdout.json"
 
 # every subcommand that takes an order, with the jobs it runs
 JOBS = {
@@ -175,6 +178,21 @@ class TestOrderLimits:
         monkeypatch.setattr(qt, "enumerate_paths", counted)
         assert run_cli(capsys, "qt", "--n", "5")[0] == EXIT_OK
         assert calls == [5, 5, 5]
+
+    def test_antichains_at_limit_fit_in_memory(self, capsys):
+        # every order the table allows must run without exhausting memory;
+        # listing the 37,620,704 antichains of D_6 took 2 GB
+        golden = json.loads(GOLDEN.read_text())["ops"]["antichains --n 6"]
+        assert MAX_ORDER["antichains"] == 6
+        tracemalloc.start()
+        try:
+            code = main(["antichains", "--n", "6"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == golden["exit"] == EXIT_OK
+        assert capsys.readouterr().out == golden["stdout"]
+        assert peak < 256 * 2**20
 
     def test_readme_table_matches(self):
         text = README.read_text().split("## Order limits", 1)[1]

@@ -10,8 +10,14 @@ from dyckposet import (DyckPath, LimitExceededError, antichain_census,
                        jp_isomorphism_check, maximal_chains,
                        min_antichain_cover, min_chain_cover, mobius_direct,
                        mobius_matrix, order_ideals, path_ideal, rank_sizes)
+from dyckposet import poset
+from dyckposet.cli import EXIT_INTERNAL, main
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
+# k-element antichains of D_6 (A143673), as _antichain_masks counted them
+ANTICHAINS_6 = (1, 132, 4059, 54706, 390885, 1648100, 4380095, 7682096,
+                9172750, 7585779, 4370731, 1749626, 481189, 89055, 10676,
+                785, 38, 1)
 MAXIMAL_TOTALS = [1, 1, 2, 4, 17, 379]
 MAXIMUM_SIZE_COUNT = [(1, 1), (1, 1), (1, 2), (2, 1), (3, 6), (7, 2)]
 
@@ -93,6 +99,54 @@ class TestIdealsAndAntichains:
                         count += 1
             assert count == antichain_census(p).total
 
+    def test_memo_matches_enumeration(self, posets):
+        for n in range(6):
+            p = posets(n)
+            by_size: dict[int, int] = {}
+            for mask in poset._antichain_masks(p):
+                k = mask.bit_count()
+                by_size[k] = by_size.get(k, 0) + 1
+            assert antichain_census(p).by_size == by_size
+
+    def test_order_six_without_enumeration(self, posets, monkeypatch):
+        def refuse(p):
+            raise AssertionError("antichains enumerated")
+        monkeypatch.setattr(poset, "_antichain_masks", refuse)
+        census = antichain_census(posets(6))
+        assert census.by_size == dict(enumerate(ANTICHAINS_6))
+        assert census.total == sum(ANTICHAINS_6) == 37_620_704
+        census = antichain_census(posets(6), "maximum")
+        assert (census.width, census.total) == (17, 1)
+
+    def test_unknown_mode_refused_before_work(self, posets, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("census computed")
+        monkeypatch.setattr(poset, "_antichain_masks", refuse)
+        monkeypatch.setattr(poset, "_antichain_sizes", refuse)
+        with pytest.raises(ValueError):
+            antichain_census(posets(6), "bogus")
+
+    @pytest.mark.parametrize("fault", ["width", 1, 2])
+    def test_census_checks_must_agree(self, posets, monkeypatch, capsys,
+                                      fault):
+        if fault == "width":
+            cover = poset.min_chain_cover
+            monkeypatch.setattr(poset, "min_chain_cover",
+                                lambda p: cover(p) + 1)
+        else:
+            sizes = poset._antichain_sizes
+
+            def off_by_one(size, inc):
+                c = list(sizes(size, inc))
+                c[fault] += 1
+                return tuple(c)
+            monkeypatch.setattr(poset, "_antichain_sizes", off_by_one)
+        for mode in ("all", "maximum"):
+            with pytest.raises(AssertionError):
+                antichain_census(posets(3), mode)
+        assert main(["antichains", "--n", "3"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
+
     def test_ideal_count_equals_antichain_count(self, posets):
         for n in range(6):
             p = posets(n)
@@ -113,7 +167,7 @@ class TestIdealsAndAntichains:
 
 class TestDilworth:
     def test_min_chain_cover_equals_width(self, posets):
-        for n in range(6):
+        for n in range(7):
             p = posets(n)
             width = antichain_census(p, "maximum").width
             assert min_chain_cover(p) == width
@@ -178,6 +232,30 @@ class TestMaximalChains:
             assert len(chain) == comb(4, 2) + 1
             for a, b in zip(chain, chain[1:]):
                 assert p.covers(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_antichain_sizes_by_brute_force(data):
+    # a random upper-triangular relation on at most 12 elements, closed
+    # transitively into up-sets; oracle: test every subset
+    size = data.draw(st.integers(0, 12))
+    up = [1 << i for i in range(size)]
+    for i in reversed(range(size)):
+        for j in range(i + 1, size):
+            if data.draw(st.booleans()):
+                up[i] |= up[j]
+    down = [sum(1 << j for j in range(size) if up[j] >> i & 1)
+            for i in range(size)]
+    full = (1 << size) - 1
+    inc = [full & ~(up[i] | down[i]) for i in range(size)]
+    counts = [0] * (size + 1)
+    for sub in range(full + 1):
+        if all(inc[i] >> j & 1 for i, j in combinations(poset._bits(sub), 2)):
+            counts[sub.bit_count()] += 1
+    while counts[-1] == 0:
+        counts.pop()
+    assert poset._antichain_sizes(size, inc) == tuple(counts)
 
 
 @settings(max_examples=25, deadline=None)
