@@ -9,9 +9,8 @@ chromatic polynomial where the order-limit table allows it.
 import argparse
 
 from dyckposet import (antichain_census, build_poset, catalan_closed,
-                       chain_polynomial, hasse_chromatic, interval_count,
-                       maximal_chain_count, min_chain_cover, rank_sizes,
-                       total_chains)
+                       chain_census, hasse_chromatic, interval_count,
+                       min_chain_cover, rank_sizes)
 from dyckposet.config import MAX_ORDER, LimitExceededError, check_order
 
 
@@ -29,10 +28,11 @@ def main() -> None:
         p = build_poset(n)
         print(f"== order {n} ==")
         print(f"  elements            {p.size} (Catalan {catalan_closed(n)})")
+        chains = chain_census(p)
         print(f"  intervals           {interval_count(p)}")
-        print(f"  total chains        {total_chains(p)}")
-        print(f"  maximal chains      {maximal_chain_count(p)}")
-        print(f"  chain polynomial    {chain_polynomial(p)}")
+        print(f"  total chains        {chains.total}")
+        print(f"  maximal chains      {chains.maximal}")
+        print(f"  chain polynomial    {chains.polynomial}")
         every = antichain_census(p)
         maximal = antichain_census(p, "maximal")
         maximum = antichain_census(p, "maximum")

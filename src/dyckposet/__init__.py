@@ -19,10 +19,12 @@ from .poset import (AntichainCensus, DyckPoset, antichain_census,
                     cell_down_masks, jp_isomorphism_check, maximal_chains,
                     min_antichain_cover, min_chain_cover, mobius_direct,
                     order_ideals, path_ideal, rank_sizes)
-from .incidence import (ExactMatrix, chain_polynomial, delta_matrix,
-                        eta_matrix, interval_count, invert_unitriangular,
-                        maximal_chain_count, mobius_matrix,
-                        total_chain_matrix, total_chains, zeta_matrix)
+from .incidence import (ChainCensus, ExactMatrix, chain_census,
+                        chain_polynomial, delta_matrix, eta_matrix,
+                        interval_count, invert_unitriangular,
+                        maximal_chain_count, maximal_chain_solve,
+                        mobius_matrix, total_chain_matrix,
+                        total_chain_solve, total_chains, zeta_matrix)
 from .tableaux import (HookDiagram, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)

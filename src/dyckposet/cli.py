@@ -63,13 +63,14 @@ def cmd_poset(args: argparse.Namespace) -> Result:
 def cmd_chains(args: argparse.Namespace) -> Result:
     check_order(args.n, "paths", "chains")
     p = poset.build_poset(args.n)
+    census = incidence.chain_census(p)
     return [
         ("order", p.n),
-        ("total_chains", incidence.total_chains(p)),
-        ("maximal_chains", incidence.maximal_chain_count(p)),
+        ("total_chains", census.total),
+        ("maximal_chains", census.maximal),
         ("maximal_chains_hook", tableaux.staircase_maxchain(p.n)
          if p.n >= 1 else 1),
-        ("chain_polynomial", incidence.chain_polynomial(p)),
+        ("chain_polynomial", census.polynomial),
     ]
 
 

@@ -16,9 +16,9 @@ class LimitExceededError(Exception):
 #                       count (n+1)^(n-1) has 2998 digits at n = 1000)
 #   paths               qt --n 9 takes 0.3 s; 8 is the former default cap,
 #                       below budget, and the base of every poset job
-#   chains              chains --n 8 takes 95 s and 95 MB, nearly all in the
-#                       two O(N^3) inversions (N = 1430) that check the
-#                       0.5 s chain DP; too close to the budget to allow
+#   chains              chains --n 8 takes 0.7 s and 19 MB, nearly all in the
+#                       0.5 s chain DP; the entry is raised together with a
+#                       chains --n 8 benchmark workload
 #   antichains          antichains --n 7 exhausts memory: the size-polynomial
 #                       memo hits a 4 GB address limit after 47 s (3.5 GB
 #                       RSS); n = 6 takes 0.3 s and 38 MB

@@ -4,15 +4,23 @@ Rows and columns are indexed by the canonical element order, under which
 zeta, delta, eta and (2*delta - zeta) are upper triangular, so Mobius and
 total-chain matrices come from unit-triangular back substitution with no
 division by non-units.  The same order is a linear extension of D_n, so the
-chain polynomial is one pass over it that builds no matrix; the two
-inversions (2*delta - zeta)^{-1} and (delta - eta)^{-1} are the independent
-routes it must agree with for the total and the maximal chain counts.
+chain polynomial is one pass over it that builds no matrix.
+
+The chain counts are the paper's two inversions, each taken as one
+triangular solve that reads only its matrix's nonzero entries: the entry sum
+of (2*delta - zeta)^{-1} is the sum of x with (2*delta - zeta) x = 1, read
+from area-cell mask inclusion, and the (min, max) entry of (delta - eta)^{-1}
+is the first entry of the last column, solved over the covers.  chain_census
+checks the chain polynomial against both.  The dense matrices and
+invert_unitriangular remain as library functions and test oracles.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 
+from .paths import catalan_closed
 from .polynomials import UniPoly
 from .poset import DyckPoset, _bits
 
@@ -131,35 +139,89 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
     return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
 
 
-def total_chains(p: DyckPoset) -> int:
-    """All chains in the poset, the empty chain included.
+def total_chain_solve(p: DyckPoset) -> list[int]:
+    """x with (2*delta - zeta) x = 1: x_i is the sum of row i of
+    (2*delta - zeta)^{-1}, the number of chains whose least element is i.
 
-    Computed two independent ways, which must agree: the entry sum of
-    (2*delta - zeta)^{-1} plus the empty chain, and the chain polynomial at
-    t = 1.  Both give 2 for the one-element order-0 poset, but the published
-    count table gives it a single chain; we mirror that convention so the
-    bundled-sequence verification is meaningful.
+    Back substitution gives x_i = 1 + sum of x_k over k > i with i <= k.  The
+    relation is read from area-cell mask inclusion, as in zeta_matrix, so this
+    route shares nothing with the up- and down-sets the chain DP walks.
     """
-    via_inverse = total_chain_matrix(p).entry_sum() + 1
-    via_polynomial = chain_polynomial(p)(1)
-    if via_inverse != via_polynomial:
+    ideals = p.ideals
+    x = [0] * p.size
+    for i in reversed(range(p.size)):
+        cells = ideals[i]
+        x[i] = 1 + sum(x[k] for k in range(i + 1, p.size)
+                       if cells & ~ideals[k] == 0)
+    return x
+
+
+def maximal_chain_solve(p: DyckPoset) -> list[int]:
+    """x with (delta - eta) x = e_top: the last column of (delta - eta)^{-1},
+    whose entry x_i counts the saturated chains from i to the maximum.
+
+    Back substitution gives x_i = [i = top] + sum of x_k over the k covering i.
+    """
+    top = p.size - 1
+    x = [0] * p.size
+    for i in reversed(range(p.size)):
+        x[i] = int(i == top) + sum(x[k] for k in _bits(p.cover_up[i]))
+    return x
+
+
+@dataclass(frozen=True)
+class ChainCensus:
+    polynomial: UniPoly  # 1 + sum_k c_k t^{k+1}, c_k the k-edge chains
+    total: int           # all chains, the empty chain included
+    maximal: int
+
+
+def chain_census(p: DyckPoset) -> ChainCensus:
+    """The chain polynomial and the total and maximal chain counts.
+
+    The chain DP runs once.  Its value at t = 1 must equal the entry sum of
+    (2*delta - zeta)^{-1} plus the empty chain, and its top coefficient the
+    (min, max) entry of (delta - eta)^{-1}; each inversion is one triangular
+    solve.  A disagreement raises AssertionError.  Both totals give 2 for
+    the one-element order-0 poset, but the published count table gives it a
+    single chain; we mirror that convention so the bundled-sequence
+    verification is meaningful.
+    """
+    polynomial = chain_polynomial(p)
+    via_solve = sum(total_chain_solve(p)) + 1
+    via_polynomial = polynomial(1)
+    if via_solve != via_polynomial:
         raise AssertionError(
-            f"total chain counts disagree: {via_inverse} vs {via_polynomial}")
-    return 1 if p.n == 0 else via_inverse
+            f"total chain counts disagree: {via_solve} vs {via_polynomial}")
+    maximal = maximal_chain_solve(p)[0]
+    top_coefficient = polynomial.coeffs.get(comb(p.n, 2) + 1, 0)
+    if maximal != top_coefficient:
+        raise AssertionError(f"maximal chain counts disagree: {maximal} vs "
+                             f"{top_coefficient}")
+    return ChainCensus(polynomial=polynomial,
+                       total=1 if p.n == 0 else via_solve, maximal=maximal)
+
+
+def total_chains(p: DyckPoset) -> int:
+    """All chains in the poset, the empty chain included; see chain_census."""
+    return chain_census(p).total
 
 
 def maximal_chain_count(p: DyckPoset) -> int:
-    """Computed two independent ways, which must agree: the (min, max) entry
-    of (delta - eta)^{-1} and the top chain-polynomial coefficient."""
-    via_eta = invert_unitriangular(
-        delta_matrix(p) - eta_matrix(p))[0, p.size - 1]
-    via_polynomial = chain_polynomial(p).coeffs.get(comb(p.n, 2) + 1, 0)
-    if via_eta != via_polynomial:
-        raise AssertionError(
-            f"maximal chain counts disagree: {via_eta} vs {via_polynomial}")
-    return via_eta
+    """Maximal chains of the poset; see chain_census."""
+    return chain_census(p).maximal
 
 
 def interval_count(p: DyckPoset) -> int:
-    """Number of pairs x <= y: the dimension of the incidence algebra."""
-    return zeta_matrix(p).entry_sum()
+    """Number of pairs x <= y: the dimension of the incidence algebra.
+
+    Counted from the up-sets, and checked against C_n C_{n+2} - C_{n+1}^2,
+    the closed form OEIS A005700 gives for it.
+    """
+    counted = sum(mask.bit_count() for mask in p.up)
+    closed = (catalan_closed(p.n) * catalan_closed(p.n + 2)
+              - catalan_closed(p.n + 1) ** 2)
+    if counted != closed:
+        raise AssertionError(
+            f"interval counts disagree: {counted} vs {closed}")
+    return counted

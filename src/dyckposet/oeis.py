@@ -56,6 +56,15 @@ def load_snapshot(sequence_id: str) -> list[tuple[int, int]]:
     return parse_snapshot(text)
 
 
+def _maximal_chains(n: int) -> int:
+    count = incidence.maximal_chain_count(poset.build_poset(n))
+    hook = tableaux.staircase_maxchain(n) if n >= 1 else 1
+    if count != hook:
+        raise AssertionError(f"maximal chains of D_{n}: {count} disagrees "
+                             f"with the hook-length formula {hook}")
+    return count
+
+
 def _chromatic_row(n: int) -> list[int]:
     poly = chromatic.hasse_chromatic(poset.build_poset(n))
     return [abs(poly.coeffs.get(e, 0))
@@ -83,8 +92,7 @@ REGISTRY: dict[str, SequenceEntry] = {
         lambda n: incidence.total_chains(poset.build_poset(n)), 5),
     "A005118": SequenceEntry(
         "maximal chain counts of D_n", "values", lambda n: n,
-        lambda n: (incidence.maximal_chain_count(poset.build_poset(n))
-                   if n <= 5 else tableaux.staircase_maxchain(n)), 6),
+        _maximal_chains, 6),
     "A143673": SequenceEntry(
         "antichain counts of D_n", "values", lambda n: n,
         lambda n: poset.antichain_census(poset.build_poset(n)).total, 5),

@@ -1,13 +1,16 @@
+import dataclasses
 from math import comb
 
 import pytest
 
-from dyckposet import (ExactMatrix, build_poset, chain_polynomial,
-                       delta_matrix, eta_matrix, incidence, interval_count,
-                       invert_unitriangular, maximal_chain_count,
-                       mobius_matrix, staircase_maxchain, total_chain_matrix,
-                       total_chains, zeta_matrix)
-from dyckposet.cli import EXIT_INTERNAL, main
+from dyckposet import (ExactMatrix, build_poset, chain_census,
+                       chain_polynomial, delta_matrix, eta_matrix, incidence,
+                       interval_count, invert_unitriangular,
+                       maximal_chain_count, maximal_chain_solve,
+                       mobius_matrix, poset, staircase_maxchain,
+                       total_chain_matrix, total_chain_solve, total_chains,
+                       zeta_matrix)
+from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from dyckposet.polynomials import UniPoly
 
 ZETA_D3 = [
@@ -26,7 +29,7 @@ MOBIUS_D3 = [
 ]
 
 TOTAL_CHAINS = [1, 2, 4, 24, 816, 239968]
-INTERVALS = [1, 1, 3, 14, 84, 594]
+INTERVALS = [1, 1, 3, 14, 84, 594, 4719, 40898, 379236]
 MAXIMAL = [1, 1, 1, 2, 16, 768]
 
 CHAIN_POLY_3 = UniPoly.from_list([1, 5, 9, 7, 2])
@@ -108,10 +111,25 @@ class TestChainCounts:
     def test_order_seven(self):
         # past every bundled snapshot; the two routes inside each count must
         # agree, and the maximal count also matches the hook-length formula
-        p = build_poset(7)
-        assert total_chains(p) == 38_764_383_658_368
-        assert maximal_chain_count(p) == 1_100_742_656
+        census = chain_census(build_poset(7))
+        assert census.total == 38_764_383_658_368
+        assert census.maximal == 1_100_742_656
         assert staircase_maxchain(7) == 1_100_742_656
+
+    def test_order_eight(self):
+        # one order past the CLI's table entry; neither value is a snapshot
+        census = chain_census(build_poset(8))
+        assert census.total == 31_491_961_129_357_837_056
+        assert census.maximal == 48_608_795_688_960
+        assert staircase_maxchain(8) == 48_608_795_688_960
+
+    def test_chain_polynomial_runs_once_per_call(self, monkeypatch, capsys):
+        calls = []
+        dp = incidence.chain_polynomial
+        monkeypatch.setattr(incidence, "chain_polynomial",
+                            lambda p: calls.append(p.n) or dp(p))
+        assert main(["chains", "--n", "4"]) == EXIT_OK
+        assert calls == [4]
 
     def test_chain_polynomials(self, posets):
         assert chain_polynomial(posets(3)) == CHAIN_POLY_3
@@ -133,6 +151,69 @@ class TestChainCounts:
                 assert poly.coeffs.get(size, 0) == direct
 
 
+class TestSolves:
+    def test_total_solve_is_row_sums_of_inverse(self, posets):
+        # x solves (2*delta - zeta) x = 1, so it holds the row sums of
+        # (2*delta - zeta)^{-1}, and its sum is that matrix's entry sum
+        for n in range(6):
+            p = posets(n)
+            inverse = total_chain_matrix(p)
+            x = total_chain_solve(p)
+            assert x == [sum(row) for row in inverse.rows]
+            assert sum(x) == inverse.entry_sum()
+
+    def test_maximal_solve_is_last_column_of_inverse(self, posets):
+        for n in range(6):
+            p = posets(n)
+            inverse = invert_unitriangular(delta_matrix(p) - eta_matrix(p))
+            x = maximal_chain_solve(p)
+            assert x == [inverse[i, p.size - 1] for i in range(p.size)]
+            assert x[0] == MAXIMAL[n]
+
+    @pytest.mark.parametrize("solve", ["total_chain_solve",
+                                       "maximal_chain_solve"])
+    def test_corrupted_solve_must_agree(self, posets, monkeypatch, capsys,
+                                        solve):
+        original = getattr(incidence, solve)
+        monkeypatch.setattr(incidence, solve,
+                            lambda p: [original(p)[0] + 1] + original(p)[1:])
+        with pytest.raises(AssertionError):
+            chain_census(posets(3))
+        assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
+
+    def test_total_solve_reads_the_ideals(self, posets, monkeypatch, capsys):
+        # the solve reads the order from the area-cell masks alone, never
+        # from the up- and down-sets the chain DP walks
+        p = posets(3)
+        no_closure = dataclasses.replace(p, up=(0,) * p.size,
+                                         down=(0,) * p.size)
+        assert total_chain_solve(no_closure) == total_chain_solve(p)
+        # an empty ideal for the maximum puts it above the minimum alone
+        corrupted = dataclasses.replace(p, ideals=p.ideals[:-1] + (0,))
+        assert total_chain_solve(corrupted) != total_chain_solve(p)
+        with pytest.raises(AssertionError):
+            chain_census(corrupted)
+        monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)
+        assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
+
+    def test_dense_matrices_off_the_cli_path(self, monkeypatch, capsys):
+        def dense(*args, **kwargs):
+            raise RuntimeError("dense matrix on the CLI path")
+
+        monkeypatch.setattr(ExactMatrix, "__init__", dense)
+        monkeypatch.setattr(ExactMatrix, "__matmul__", dense)
+        monkeypatch.setattr(incidence, "invert_unitriangular", dense)
+        argvs = ([["chains", "--n", str(n)] for n in range(8)]
+                 + [["poset", "--n", str(n)] for n in range(6)]
+                 + [["verify", "--sequence", s]
+                    for s in ("A005700", "A143672", "A005118")])
+        for argv in argvs:
+            assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()
+
+
 class TestMaximalChains:
     def test_two_routes_and_hook_formula(self, posets):
         for n in range(6):
@@ -149,8 +230,17 @@ class TestMaximalChains:
 
 class TestIntervalCounts:
     def test_values(self, posets):
-        for n in range(6):
+        for n in range(9):
             assert interval_count(posets(n)) == INTERVALS[n]
+
+    def test_routes_must_agree(self, posets, monkeypatch, capsys):
+        p = posets(3)
+        corrupted = dataclasses.replace(p, up=p.up[:-1] + (0,))
+        with pytest.raises(AssertionError):
+            interval_count(corrupted)
+        monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)
+        assert main(["poset", "--n", "3"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
 
     def test_equals_pairwise_comparison(self, posets):
         for n in range(5):

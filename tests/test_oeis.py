@@ -1,8 +1,9 @@
 import pytest
 
 from dyckposet import (REGISTRY, SnapshotParseError, UnknownSequenceError,
-                       VerificationReport, load_snapshot, parse_snapshot,
-                       verify_sequence)
+                       VerificationReport, incidence, load_snapshot,
+                       parse_snapshot, tableaux, verify_sequence)
+from dyckposet.cli import EXIT_INTERNAL, main
 
 SEQUENCE_IDS = sorted(REGISTRY)
 
@@ -45,6 +46,24 @@ class TestSnapshots:
         assert report.passed, [
             (l.index, l.expected, l.computed)
             for l in report.lines if not l.ok]
+
+    def test_maximal_chains_by_inversion_at_every_order(self, monkeypatch):
+        orders = []
+        count = incidence.maximal_chain_count
+        monkeypatch.setattr(incidence, "maximal_chain_count",
+                            lambda p: orders.append(p.n) or count(p))
+        assert verify_sequence("A005118", 6).passed
+        assert orders == list(range(7))
+
+    def test_maximal_chains_checked_against_hook_formula(self, monkeypatch,
+                                                         capsys):
+        hook = tableaux.staircase_maxchain
+        monkeypatch.setattr(tableaux, "staircase_maxchain",
+                            lambda n: hook(n) + (n == 6))
+        with pytest.raises(AssertionError):
+            verify_sequence("A005118", 6)
+        assert main(["verify", "--sequence", "A005118"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
 
     def test_range_cap_enforced(self):
         with pytest.raises(ValueError):
