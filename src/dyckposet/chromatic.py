@@ -1,4 +1,5 @@
-"""Chromatic polynomials of Hasse diagrams by memoized deletion-contraction."""
+"""Chromatic polynomials of graphs by a vertex-frontier DP, and of the Hasse
+diagram of D_n in particular; exhaustive colour counting is the oracle."""
 
 from __future__ import annotations
 
@@ -33,99 +34,50 @@ def hasse_graph(p: DyckPoset) -> SimpleGraph:
     return SimpleGraph.from_edges(p.size, p.cover_edges())
 
 
-def _components(vcount: int, edges: frozenset[Edge]) -> list[set[int]]:
-    parent = list(range(vcount))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    groups: dict[int, set[int]] = {}
-    for x in range(vcount):
-        groups.setdefault(find(x), set()).add(x)
-    return list(groups.values())
-
-
-def _canonical_key(vcount: int, edges: frozenset[Edge]):
-    # deterministic relabeling via degree refinement; equal keys imply equal
-    # relabeled graphs, so memo hits are always sound
-    degree = [0] * vcount
-    neighbors: list[list[int]] = [[] for _ in range(vcount)]
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    label = [(degree[x],) for x in range(vcount)]
-    for _ in range(2):
-        label = [(degree[x], tuple(sorted(label[y] for y in neighbors[x])))
-                 for x in range(vcount)]
-    order = sorted(range(vcount), key=lambda x: (label[x], x))
-    relabel = {old: new for new, old in enumerate(order)}
-    canon = tuple(sorted(tuple(sorted((relabel[u], relabel[v])))
-                         for u, v in edges))
-    return (vcount, canon)
-
-
-def _contract(vcount: int, edges: frozenset[Edge], e: Edge) -> tuple[int, frozenset[Edge]]:
-    u, v = e
-    # merge v into u, relabel to 0..vcount-2, dropping loops and duplicates
-    def rename(x: int) -> int:
-        if x == v:
-            x = u
-        return x if x < v else x - 1
-
-    new_edges = set()
-    for a, b in edges:
-        ra, rb = rename(a), rename(b)
-        if ra != rb:
-            new_edges.add((min(ra, rb), max(ra, rb)))
-    return vcount - 1, frozenset(new_edges)
-
-
 def chromatic_polynomial(g: SimpleGraph) -> UniPoly:
-    """Deletion-contraction with canonical-form memoization; forests and
-    disconnected remnants short-circuit to closed forms."""
-    memo: dict = {}
-    t = UniPoly.x()
-    t_minus_1 = t - 1
+    """Count proper k-colourings in one pass over the vertices in index
+    order: the frontier method of Sekine, Imai and Tani (ISAAC 1995).
 
-    def rec(vcount: int, edges: frozenset[Edge]) -> UniPoly:
-        if not edges:
-            return t ** vcount
-        comps = _components(vcount, edges)
-        if len(edges) == vcount - len(comps):  # forest
-            return (t ** len(comps)) * t_minus_1 ** len(edges)
-        if len(comps) > 1:
-            poly = UniPoly.one()
-            for comp in comps:
-                order = {x: i for i, x in enumerate(sorted(comp))}
-                sub = frozenset((order[u], order[v]) for u, v in edges
-                                if u in comp)
-                poly = poly * rec(len(comp), sub)
-            return poly
-        key = _canonical_key(vcount, edges)
-        if key in memo:
-            return memo[key]
-        degree: dict[int, int] = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        pivot = max(degree, key=lambda x: (degree[x], -x))
-        edge = max((e for e in edges if pivot in e),
-                   key=lambda e: degree[e[0]] + degree[e[1]])
-        deleted = rec(vcount, edges - {edge})
-        cv, ce = _contract(vcount, edges, edge)
-        contracted = rec(cv, ce)
-        result = deleted - contracted
-        memo[key] = result
-        return result
-
-    return rec(g.vertex_count, g.edges)
+    The frontier is the placed vertices that still have a later neighbour.
+    A state is the partition of the frontier into colour classes, as a
+    restricted-growth tuple in frontier order.  Its value is the coefficient
+    list, ascending in k, of the number of colourings of the placed vertices
+    that induce it.  Vertex v joins a class holding none of its earlier
+    neighbours (factor 1) or opens a new one (factor k - #classes); then the
+    vertices whose last neighbour is v leave the frontier and equal states
+    merge.  One state, the empty partition, remains at the end.
+    """
+    earlier: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    last = list(range(g.vertex_count))  # last neighbour, or the vertex itself
+    for u, v in g.edges:
+        earlier[v].add(u)
+        last[u] = max(last[u], v)
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], list[int]] = {(): [1]}
+    for v in range(g.vertex_count):
+        blocked_at = [i for i, u in enumerate(frontier) if u in earlier[v]]
+        frontier.append(v)
+        keep = [i for i, u in enumerate(frontier) if last[u] > v]
+        frontier = [frontier[i] for i in keep]
+        placed: dict[tuple[int, ...], list[int]] = {}
+        for labels, coeffs in states.items():
+            classes = max(labels, default=-1) + 1
+            blocked = {labels[i] for i in blocked_at}
+            joined = coeffs + [0]
+            opened = [a - classes * b for a, b in zip([0] + coeffs, joined)]
+            for c in range(classes + 1):
+                if c in blocked:
+                    continue
+                full = labels + (c,)
+                seen: dict[int, int] = {}
+                key = tuple(seen.setdefault(full[i], len(seen)) for i in keep)
+                value = opened if c == classes else joined
+                old = placed.get(key)
+                placed[key] = value if old is None else [
+                    a + b for a, b in zip(old, value)]
+        states = placed
+    (coeffs,) = states.values()
+    return UniPoly.from_list(coeffs)
 
 
 def hasse_chromatic(p: DyckPoset) -> UniPoly:

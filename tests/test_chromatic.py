@@ -28,6 +28,30 @@ def _random_graphs(count, max_vertices, seed):
     return graphs
 
 
+# fixed inputs beside the random ones: the 0-vertex graph (polynomial 1),
+# isolated vertices next to one edge, a 7-vertex star with its centre last
+# (6 leaves on the frontier, 203 states) and K_{3,3} with interleaved labels
+EDGE_CASE_GRAPHS = [
+    SimpleGraph.from_edges(0, []),
+    SimpleGraph.from_edges(4, [(1, 2)]),
+    SimpleGraph.from_edges(7, [(leaf, 6) for leaf in range(6)]),
+    SimpleGraph.from_edges(6, [(a, b) for a in (0, 2, 4) for b in (1, 3, 5)]),
+]
+
+
+def _relabelled(g, order):
+    """g with vertex order[i] renamed to i."""
+    rename = {old: new for new, old in enumerate(order)}
+    return SimpleGraph.from_edges(
+        g.vertex_count, [(rename[u], rename[v]) for u, v in g.edges])
+
+
+def _assert_signs_alternate(poly):
+    for e, c in poly.terms():
+        assert c != 0
+        assert (c > 0) == ((poly.degree - e) % 2 == 0)
+
+
 class TestSimpleGraph:
     def test_rejects_loops_and_bad_edges(self):
         with pytest.raises(ValueError):
@@ -70,7 +94,7 @@ class TestClosedForms:
 
 class TestBruteForceOracle:
     def test_random_graphs_small_k(self):
-        for g in _random_graphs(30, 8, seed=11):
+        for g in _random_graphs(30, 8, seed=11) + EDGE_CASE_GRAPHS:
             poly = chromatic_polynomial(g)
             for k in range(4):
                 assert poly(k) == count_colourings_brute(g, k)
@@ -99,7 +123,25 @@ class TestHasseChromatic:
             hasse_chromatic(posets(5))
 
     def test_coefficient_signs_alternate(self, posets):
-        poly = hasse_chromatic(posets(4))
-        for e, c in poly.terms():
-            assert c != 0
-            assert (c > 0) == ((poly.degree - e) % 2 == 0)
+        _assert_signs_alternate(hasse_chromatic(posets(4)))
+
+    def test_vertex_order_does_not_matter(self, posets):
+        # the order sets only how many states the frontier DP carries
+        g = hasse_graph(posets(4))
+        shuffled = list(range(g.vertex_count))
+        random.Random(3).shuffle(shuffled)
+        for order in (shuffled, list(reversed(range(g.vertex_count)))):
+            assert chromatic_polynomial(_relabelled(g, order)) == \
+                CHROMATIC_TABLE[4]
+
+    def test_order_five_past_the_gate(self, posets):
+        # no independent source gives this row, so it is checked by what the
+        # graph forces: 42 vertices, 84 cover edges, connected and bipartite
+        g = hasse_graph(posets(5))
+        poly = chromatic_polynomial(g)
+        assert poly.degree == g.vertex_count == 42
+        assert poly.coeffs[42] == 1
+        assert poly.coeffs[41] == -len(g.edges) == -84
+        assert poly(1) == 0
+        assert poly(2) == 2
+        _assert_signs_alternate(poly)
