@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Callable
 
 from . import incidence, oeis, parking, paths, poset, qt, tableaux
@@ -47,12 +48,17 @@ def cmd_poset(args: argparse.Namespace) -> Result:
     check_order(args.n, "paths", "antichains", "order_ideals")
     p = poset.build_poset(args.n)
     census = poset.antichain_census(p, "maximum")
+    sizes = poset.rank_sizes(p.n)
+    by_rank = Counter(p.rank)
+    if sizes != tuple(by_rank[r] for r in range(max(p.rank), -1, -1)):
+        raise AssertionError("rank sizes: recurrence disagrees with the "
+                             "poset's rank histogram")
     return [
         ("order", p.n),
         ("size", p.size),
         ("interval_count", incidence.interval_count(p)),
         ("cover_edge_count", len(p.cover_edges())),
-        ("rank_sizes", ";".join(map(str, poset.rank_sizes(p.n)))),
+        ("rank_sizes", ";".join(map(str, sizes))),
         ("order_ideal_count", len(poset.order_ideals(p))),
         ("width", census.width),
         ("min_chain_cover", poset.min_chain_cover(p)),
@@ -64,12 +70,15 @@ def cmd_chains(args: argparse.Namespace) -> Result:
     check_order(args.n, "paths", "chains")
     p = poset.build_poset(args.n)
     census = incidence.chain_census(p)
+    hook = tableaux.staircase_maxchain(p.n)
+    if census.maximal != hook:
+        raise AssertionError("maximal chains: incidence algebra disagrees "
+                             "with the hook-length formula")
     return [
         ("order", p.n),
         ("total_chains", census.total),
         ("maximal_chains", census.maximal),
-        ("maximal_chains_hook", tableaux.staircase_maxchain(p.n)
-         if p.n >= 1 else 1),
+        ("maximal_chains_hook", hook),
         ("chain_polynomial", census.polynomial),
     ]
 
@@ -119,13 +128,14 @@ def cmd_chromatic(args: argparse.Namespace) -> Result:
 def cmd_parking(args: argparse.Namespace) -> Result:
     n = args.n
     check_order(n, "counts")
-    out: Result = [
-        ("order", n),
-        ("count_closed", parking.count_parking_functions(n)),
-    ]
+    closed = parking.count_parking_functions(n)
+    out: Result = [("order", n), ("count_closed", closed)]
     if n <= MAX_ORDER["parking"]:
         functions = parking.enumerate_parking_functions(n)
         labelled = parking.enumerate_labelled_paths(n)
+        if not len(functions) == len(labelled) == closed:
+            raise AssertionError("parking counts: closed form, enumeration "
+                                 "and labelled paths disagree")
         out.append(("count_enumerated", len(functions)))
         out.append(("labelled_path_count", len(labelled)))
         out.append(("content_group_count",
@@ -176,10 +186,8 @@ GUARANTEED_KEYS: dict[str, tuple[str, ...]] = {
 
 
 def _render_value(value):
-    if isinstance(value, UniPoly):
-        return [[e, str(c)] for e, c in value.terms()]
-    if isinstance(value, BiPoly):
-        return [[qe, te, str(c)] for qe, te, c in value.terms()]
+    if isinstance(value, (UniPoly, BiPoly)):
+        return [[*exponents, str(c)] for *exponents, c in value.terms()]
     if isinstance(value, int):
         return str(value)
     return value

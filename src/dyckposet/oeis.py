@@ -58,7 +58,7 @@ def load_snapshot(sequence_id: str) -> list[tuple[int, int]]:
 
 def _maximal_chains(n: int) -> int:
     count = incidence.maximal_chain_count(poset.build_poset(n))
-    hook = tableaux.staircase_maxchain(n) if n >= 1 else 1
+    hook = tableaux.staircase_maxchain(n)
     if count != hook:
         raise AssertionError(f"maximal chains of D_{n}: {count} disagrees "
                              f"with the hook-length formula {hook}")

@@ -80,12 +80,9 @@ def count_parking_functions(n: int) -> int:
 def enumerate_parking_functions(n: int) -> list[ParkingFunction]:
     """Filter all n^n preference vectors."""
     check_order(n, "parking")
-    found = [ParkingFunction(prefs)
-             for prefs in itertools.product(range(1, n + 1), repeat=n)
-             if _sorted_prefix_ok(prefs)]
-    if n == 0:
-        found = [ParkingFunction(())]
-    return found
+    return [ParkingFunction(prefs)
+            for prefs in itertools.product(range(1, n + 1), repeat=n)
+            if _sorted_prefix_ok(prefs)]
 
 
 def parking_to_labelled(f: ParkingFunction) -> LabelledDyckPath:
@@ -167,13 +164,11 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
 
 
 def content_group_representatives(n: int) -> list[tuple[int, ...]]:
-    """One minimal-order column label vector per content group: the sorted
-    column multiset of each unlabelled path."""
+    """One minimal-order column label vector per content group: the column
+    of each north step of each unlabelled path, weakly increasing."""
     check_order(n, "parking")
-    reps = []
-    for d in enumerate_paths(n):
-        reps.append(tuple(sorted(e + 1 for e in d.north_offsets())))
-    return reps
+    return [tuple(e + 1 for e in d.north_offsets())
+            for d in enumerate_paths(n)]
 
 
 def representative_leq(rep_low: tuple[int, ...], rep_high: tuple[int, ...]) -> bool:

@@ -1,7 +1,11 @@
 """Sparse integer-coefficient polynomials in one variable and in (q, t).
 
-Zero coefficients are never stored; term iteration is in a fixed canonical
-order so serialized output is deterministic.
+A polynomial is a dict from exponent keys to nonzero integer coefficients:
+int keys for UniPoly, (q, t) pairs for BiPoly.  _SparsePoly holds the dict
+and every operation that does not look inside a key; each class adds the
+key-dependent parts (multiplication, terms, evaluation, printing) and its
+own conversions.  Zero coefficients are never stored, and term iteration is
+in a fixed canonical order so serialized output is deterministic.
 """
 
 from __future__ import annotations
@@ -10,21 +14,63 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
-class UniPoly:
-    """Sparse univariate polynomial with integer coefficients."""
+class _SparsePoly:
+    """The coefficient dict and the arithmetic that does not look inside a
+    key; _CONST is the key of the constant term, used to coerce ints."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
+    def __init__(self, coeffs: Mapping | None = None):
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
 
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
+    @classmethod
+    def zero(cls):
+        return cls()
 
-    @staticmethod
-    def one() -> "UniPoly":
-        return UniPoly({0: 1})
+    @classmethod
+    def one(cls):
+        return cls({cls._CONST: 1})
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return type(self)({self._CONST: other})
+        return other
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in self._coerce(other).coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other: int):
+        return self._coerce(other) - self
+
+
+class UniPoly(_SparsePoly):
+    """Sparse univariate polynomial with integer coefficients."""
+
+    __slots__ = ()
+    _CONST = 0
 
     @staticmethod
     def x() -> "UniPoly":
@@ -41,43 +87,8 @@ class UniPoly:
     def degree(self) -> int:
         return max(self.coeffs, default=-1)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = UniPoly({0: other})
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly({0: other})
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "UniPoly":
-        return UniPoly({0: other}) - self
-
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly({0: other})
+        other = self._coerce(other)
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -96,9 +107,6 @@ class UniPoly:
             base = base * base
             k >>= 1
         return result
-
-    def shift(self, k: int) -> "UniPoly":
-        return UniPoly({e + k: c for e, c in self.coeffs.items()})
 
     def __call__(self, x):
         return sum(c * x ** e for e, c in self.coeffs.items())
@@ -141,21 +149,11 @@ class UniPoly:
         return " + ".join(parts)
 
 
-class BiPoly:
+class BiPoly(_SparsePoly):
     """Sparse polynomial in q and t with integer coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
-
-    @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def one() -> "BiPoly":
-        return BiPoly({(0, 0): 1})
+    __slots__ = ()
+    _CONST = (0, 0)
 
     @staticmethod
     def monomial(qe: int, te: int, coeff: int = 1) -> "BiPoly":
@@ -169,40 +167,8 @@ class BiPoly:
         """(q-exponent, t-exponent, coefficient) in canonical order."""
         return [(qe, te, c) for (qe, te), c in sorted(self.coeffs.items())]
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "BiPoly | int") -> "BiPoly":
-        if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "BiPoly | int") -> "BiPoly":
-        if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
-        return self + (-other)
-
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":
-        if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
+        other = self._coerce(other)
         out: dict[tuple[int, int], int] = {}
         for (q1, t1), c1 in self.coeffs.items():
             for (q2, t2), c2 in other.coeffs.items():
@@ -223,13 +189,6 @@ class BiPoly:
         out: dict[tuple[int, int], int] = {}
         for (qe, _te), c in self.coeffs.items():
             key = (qe, 0)
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-
-    def substitute_q_one(self) -> "BiPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (_qe, te), c in self.coeffs.items():
-            key = (0, te)
             out[key] = out.get(key, 0) + c
         return BiPoly(out)
 

@@ -26,6 +26,7 @@ from math import comb
 
 from .config import check_order
 from .paths import DyckPath, enumerate_paths, is_below
+from .qt import cn_inv
 
 
 @dataclass(frozen=True)
@@ -280,20 +281,10 @@ def mobius_direct(p: DyckPoset, x: int, y: int) -> int:
 
 
 def rank_sizes(n: int) -> tuple[int, ...]:
-    """Element counts by decreasing rank, via the inversion-statistic
-    recurrence C_{n+1}(q) = sum_k q^{(k+1)(n-k)} C_k(q) C_{n-k}(q)."""
-    polys: list[list[int]] = [[1]]
-    for m in range(n):
-        new = [0] * (comb(m + 1, 2) + 1)
-        for k in range(m + 1):
-            shift = (k + 1) * (m - k)
-            for i, a in enumerate(polys[k]):
-                if a == 0:
-                    continue
-                for j, b in enumerate(polys[m - k]):
-                    new[shift + i + j] += a * b
-        polys.append(new)
-    return tuple(polys[n])
+    """Element counts by decreasing rank: the coefficients of the inversion
+    recurrence (qt.cn_inv), since inv(D) = C(n,2) - area(D)."""
+    inv = cn_inv(n)
+    return tuple(inv.coeffs.get((e, 0), 0) for e in range(comb(n, 2) + 1))
 
 
 def min_chain_cover(p: DyckPoset) -> int:

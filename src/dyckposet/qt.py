@@ -4,10 +4,13 @@ validation of the Garsia-Haiman partition sum."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
-from .paths import Partition, cell_stats, enumerate_paths, path_stats
+from .paths import (DyckPath, Partition, cell_stats, enumerate_paths,
+                    path_stats)
 from .polynomials import BiPoly, UniPoly
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
@@ -61,58 +64,50 @@ def _partitions(n: int) -> list[Partition]:
     return results
 
 
-def cn_area(n: int) -> BiPoly:
-    """Sum of q^{area(D)}, computed both by path summation and by the
-    area recurrence; the two must agree."""
-    by_paths: dict[tuple[int, int], int] = {}
-    for d in enumerate_paths(n):
-        key = (d.area, 0)
-        by_paths[key] = by_paths.get(key, 0) + 1
-    direct = BiPoly(by_paths)
-    if direct != _cn_area_recurrence(n):
-        raise AssertionError("area q-analog: path sum disagrees with recurrence")
-    return direct
+def _path_sum(n: int,
+              key: Callable[[DyckPath], tuple[int, int]]) -> BiPoly:
+    """Sum of q^qe t^te over the paths of order n, (qe, te) = key(path)."""
+    return BiPoly(Counter(map(key, enumerate_paths(n))))
 
 
-def _cn_area_recurrence(n: int) -> BiPoly:
+def _carlitz(n: int, shift: Callable[[int, int], int]) -> BiPoly:
+    """C_n(q) by the Carlitz-Riordan recurrence C_0 = 1,
+    C_{m+1}(q) = sum_k q^{shift(k, m)} C_k(q) C_{m-k}(q): the shift k gives
+    the area analog, (k + 1)(m - k) the inv analog."""
     polys = [BiPoly.one()]
     for m in range(n):
         total = BiPoly.zero()
         for k in range(m + 1):
-            total = total + BiPoly.monomial(k, 0) * polys[k] * polys[m - k]
-        polys.append(total)
-    return polys[n]
-
-
-def _cn_inv_recurrence(n: int) -> BiPoly:
-    polys = [BiPoly.one()]
-    for m in range(n):
-        total = BiPoly.zero()
-        for k in range(m + 1):
-            total = total + BiPoly.monomial((k + 1) * (m - k), 0) \
+            total = total + BiPoly.monomial(shift(k, m), 0) \
                 * polys[k] * polys[m - k]
         polys.append(total)
     return polys[n]
 
 
+def cn_area(n: int) -> BiPoly:
+    """Sum of q^{area(D)}, computed both by path summation and by the
+    area recurrence; the two must agree."""
+    direct = _path_sum(n, lambda d: (d.area, 0))
+    if direct != _carlitz(n, lambda k, m: k):
+        raise AssertionError("area q-analog: path sum disagrees with recurrence")
+    return direct
+
+
 def cn_inv(n: int) -> BiPoly:
-    """Sum of q^{inv(D)}: the area recurrence reversed about C(n,2), checked
-    against the inversion recurrence."""
+    """Sum of q^{inv(D)} by the inversion recurrence, checked against the
+    area recurrence reversed about C(n,2)."""
     top = comb(n, 2)
     reversed_poly = BiPoly({(top - qe, 0): c for (qe, _te), c
-                            in _cn_area_recurrence(n).coeffs.items()})
-    if reversed_poly != _cn_inv_recurrence(n):
+                            in _carlitz(n, lambda k, m: k).coeffs.items()})
+    inv = _carlitz(n, lambda k, m: (k + 1) * (m - k))
+    if inv != reversed_poly:
         raise AssertionError("inv q-analog: reversal disagrees with recurrence")
-    return reversed_poly
+    return inv
 
 
 def cn_maj(n: int) -> BiPoly:
     """Sum of q^{maj(D)}, cross-checked against [2n choose n]_q / [n+1]_q."""
-    by_paths: dict[tuple[int, int], int] = {}
-    for d in enumerate_paths(n):
-        key = (path_stats(d).maj, 0)
-        by_paths[key] = by_paths.get(key, 0) + 1
-    direct = BiPoly(by_paths)
+    direct = _path_sum(n, lambda d: (path_stats(d).maj, 0))
     quotient = BiPoly.from_q(
         q_binomial(2 * n, n).q_part().divide_exact(_q_int_uni(n + 1)))
     if direct != quotient:
@@ -122,12 +117,7 @@ def cn_maj(n: int) -> BiPoly:
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    coeffs: dict[tuple[int, int], int] = {}
-    for d in enumerate_paths(n):
-        stats = path_stats(d)
-        key = (stats.area, stats.bounce)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return BiPoly(coeffs)
+    return _path_sum(n, lambda d: ((s := path_stats(d)).area, s.bounce))
 
 
 def qt_specialize(n: int, mode: str):

@@ -40,9 +40,7 @@ def syt_count(partition: Partition) -> int:
 
 def staircase_maxchain(n: int) -> int:
     """C(n,2)! / prod_{i=1..n-1} (2i-1)^{n-i}: maximal chains of D_n counted
-    as staircase tableaux."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    as staircase tableaux; 1 at n = 0 (an empty product)."""
     denom = 1
     for i in range(1, n):
         denom *= (2 * i - 1) ** (n - i)

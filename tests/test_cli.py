@@ -126,6 +126,41 @@ class TestExitCodes:
         assert json.loads(out)["passed"] == "no"
 
 
+class TestCrossChecks:
+    """Each two-route check a command makes exits 4 with empty stdout when
+    one route is broken."""
+
+    def _assert_internal(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "disagree" in err
+
+    def test_parking_counts_must_agree(self, capsys, monkeypatch):
+        from dyckposet import parking
+        enumerate_labelled = parking.enumerate_labelled_paths
+        monkeypatch.setattr(parking, "enumerate_labelled_paths",
+                            lambda n: enumerate_labelled(n)[1:])
+        self._assert_internal(capsys, "parking", "--n", "3")
+
+    def test_rank_sizes_must_match_the_poset(self, capsys, monkeypatch):
+        from dyckposet import poset
+        rank_sizes = poset.rank_sizes
+        # D_3 has rank sizes 1;1;2;1 from the top: read upside down, they
+        # keep the right total
+        monkeypatch.setattr(poset, "rank_sizes",
+                            lambda n: rank_sizes(n)[::-1])
+        self._assert_internal(capsys, "poset", "--n", "3")
+
+    def test_maximal_chains_must_match_the_hook_formula(self, capsys,
+                                                        monkeypatch):
+        from dyckposet import tableaux
+        hook = tableaux.staircase_maxchain
+        monkeypatch.setattr(tableaux, "staircase_maxchain",
+                            lambda n: hook(n) + 1)
+        self._assert_internal(capsys, "chains", "--n", "3")
+
+
 def _forbid_path_enumeration(monkeypatch):
     """Make every binding of enumerate_paths raise."""
     def refuse(n):

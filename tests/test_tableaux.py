@@ -67,6 +67,12 @@ class TestSytCounts:
         assert [staircase_maxchain(n) for n in range(1, 7)] == \
             [1, 1, 2, 16, 768, 292864]
 
+    def test_staircase_order_zero_and_negative(self):
+        # C(0,2)! over an empty product; a negative order has no staircase
+        assert staircase_maxchain(0) == 1
+        with pytest.raises(ValueError):
+            staircase_maxchain(-1)
+
 
 class TestMaxchainBijection:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
