@@ -11,6 +11,7 @@ rendered in full before it is written, so a failed call prints nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -215,7 +216,9 @@ def _order(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="dyckposet",
         description="Exact enumeration in the lattice of Dyck paths.")

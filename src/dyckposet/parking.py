@@ -8,6 +8,7 @@ left to right.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .config import check_order
@@ -40,9 +41,9 @@ class LabelledDyckPath:
         n = self.path.order
         if sorted(self.labels) != list(range(1, n + 1)):
             raise ValueError("labels must be a permutation of 1..n")
-        columns = self.columns()
+        offsets = self.path.north_offsets()
         for i in range(n - 1):
-            if columns[i] == columns[i + 1] and \
+            if offsets[i] == offsets[i + 1] and \
                     self.labels[i] >= self.labels[i + 1]:
                 raise ValueError("labels must increase up each column")
 
@@ -58,7 +59,7 @@ class AreaLabelPair:
 
 
 def _sorted_prefix_ok(prefs: tuple[int, ...]) -> bool:
-    return all(v <= i for i, v in enumerate(sorted(prefs), start=1))
+    return all(map(operator.le, sorted(prefs), range(1, len(prefs) + 1)))
 
 
 def is_parking_function(prefs) -> bool:
@@ -151,15 +152,30 @@ def vector_conditions_ok(g: tuple[int, ...], p: tuple[int, ...]) -> bool:
     return True
 
 
+def _increasing_fillings(runs: tuple[int, ...],
+                         labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every ordered partition of `labels` into increasing blocks of the
+    sizes in `runs`, concatenated, in lexicographic order."""
+    fillings = [((), labels)]  # (blocks so far, labels still unused)
+    for size in runs:
+        fillings = [(head + block, tuple(x for x in rest if x not in block))
+                    for head, rest in fillings
+                    for block in itertools.combinations(rest, size)]
+    return [head for head, _rest in fillings]
+
+
 def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
+    """Each path with every labelling that increases up its columns: the
+    rows of one column take an increasing block of labels.  Paths come in
+    canonical order, the labellings of a path in lexicographic order."""
     check_order(n, "parking")
+    labels = tuple(range(1, n + 1))
     results = []
     for d in enumerate_paths(n):
-        for perm in itertools.permutations(range(1, n + 1)):
-            try:
-                results.append(LabelledDyckPath(path=d, labels=perm))
-            except ValueError:
-                continue
+        runs = tuple(len(list(rows))
+                     for _col, rows in itertools.groupby(d.north_offsets()))
+        results.extend(LabelledDyckPath(path=d, labels=filling)
+                       for filling in _increasing_fillings(runs, labels))
     return results
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from dyckposet import paths, qt
 from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
-                           EXIT_OK, EXIT_USAGE, GUARANTEED_KEYS, main)
+                           EXIT_OK, EXIT_USAGE, GUARANTEED_KEYS, build_parser,
+                           main)
 from dyckposet.config import MAX_ORDER
 from dyckposet.oeis import REGISTRY
 
@@ -124,6 +125,40 @@ class TestExitCodes:
                                "--n", "2")
         assert code == EXIT_MISMATCH
         assert json.loads(out)["passed"] == "no"
+
+
+class TestParserReuse:
+    """Every main call parses with the one cached parser; no call may leave
+    a value behind for the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_mode_falls_back_to_its_default(self, capsys):
+        run_cli(capsys, "antichains", "--n", "2", "--mode", "maximal")
+        code, out, _ = run_cli(capsys, "antichains", "--n", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["mode"] == "all"
+
+    def test_verify_order_falls_back_to_the_snapshot(self, capsys):
+        run_cli(capsys, "verify", "--sequence", "A000108", "--n", "2")
+        code, out, _ = run_cli(capsys, "verify", "--sequence", "A000108")
+        assert code == EXIT_OK
+        # indices 0..max_order
+        assert json.loads(out)["checked"] == \
+            str(REGISTRY["A000108"].max_order + 1)
+
+    def test_format_falls_back_to_json(self, capsys):
+        run_cli(capsys, "--format", "csv", "catalan", "--n", "2")
+        _, out, _ = run_cli(capsys, "catalan", "--n", "2")
+        assert json.loads(out)["order"] == "2"
+
+    def test_usage_error_leaves_the_next_call_intact(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["antichains", "--n", "2", "--mode", "bogus"])
+        code, out, _ = run_cli(capsys, "antichains", "--n", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["mode"] == "all"
 
 
 class TestCrossChecks:

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,10 @@ from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        ParkingFunction, area_from_parking, build_poset,
                        content_group_representatives, count_parking_functions,
                        enumerate_labelled_paths, enumerate_parking_functions,
-                       is_parking_function, labelled_from_vectors,
-                       labelled_to_parking, parking_to_labelled,
-                       representative_leq, representative_path,
-                       vector_conditions_ok, vectors_of)
+                       enumerate_paths, is_parking_function,
+                       labelled_from_vectors, labelled_to_parking,
+                       parking_to_labelled, representative_leq,
+                       representative_path, vector_conditions_ok, vectors_of)
 
 
 def _parks_by_simulation(prefs):
@@ -25,6 +27,24 @@ def _parks_by_simulation(prefs):
             return False
         taken[spot] = True
     return True
+
+
+def _labelled_by_filtering(n):
+    """Oracle: try every permutation on every path and keep those the
+    validating constructor accepts."""
+    results = []
+    for d in enumerate_paths(n):
+        for perm in itertools.permutations(range(1, n + 1)):
+            try:
+                results.append(LabelledDyckPath(path=d, labels=perm))
+            except ValueError:
+                continue
+    return results
+
+
+def _column_runs(d):
+    return [len(list(rows)) for _col, rows in
+            itertools.groupby(d.north_offsets())]
 
 
 class TestParkingFunctions:
@@ -81,6 +101,30 @@ class TestBijection:
             for f in enumerate_parking_functions(n):
                 assert area_from_parking(f) == \
                     parking_to_labelled(f).path.area
+
+    def test_labelled_paths_equal_the_permutation_filter(self):
+        for n in range(6):
+            assert enumerate_labelled_paths(n) == _labelled_by_filtering(n)
+
+    def test_labellings_per_path_are_multinomial(self):
+        for n in range(7):
+            per_path = Counter(lp.path for lp in enumerate_labelled_paths(n))
+            for d in enumerate_paths(n):
+                assert per_path[d] == math.factorial(n) // math.prod(
+                    map(math.factorial, _column_runs(d)))
+
+    def test_each_labelled_path_is_validated_once(self, monkeypatch):
+        calls = 0
+        validate = LabelledDyckPath.__post_init__
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            validate(self)
+
+        monkeypatch.setattr(LabelledDyckPath, "__post_init__", counted)
+        labelled = enumerate_labelled_paths(6)
+        assert calls == len(labelled) == count_parking_functions(6) == 16_807
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
