@@ -48,20 +48,25 @@ def cmd_catalan(args: argparse.Namespace) -> Result:
 def cmd_poset(args: argparse.Namespace) -> Result:
     check_order(args.n, "paths", "antichains", "order_ideals")
     p = poset.build_poset(args.n)
-    census = poset.antichain_census(p, "maximum")
+    census = poset.antichain_census(p, "all")
     sizes = poset.rank_sizes(p.n)
     by_rank = Counter(p.rank)
     if sizes != tuple(by_rank[r] for r in range(max(p.rank), -1, -1)):
         raise AssertionError("rank sizes: recurrence disagrees with the "
                              "poset's rank histogram")
+    # downward closure maps the antichains one to one onto the order ideals
+    ideal_count = len(poset.order_ideals(p))
+    if ideal_count != census.total:
+        raise AssertionError(f"order ideal counts disagree: {ideal_count} "
+                             f"ideals vs {census.total} antichains")
     return [
         ("order", p.n),
         ("size", p.size),
         ("interval_count", incidence.interval_count(p)),
         ("cover_edge_count", len(p.cover_edges())),
         ("rank_sizes", ";".join(map(str, sizes))),
-        ("order_ideal_count", len(poset.order_ideals(p))),
-        ("width", census.width),
+        ("order_ideal_count", ideal_count),
+        ("width", max(census.by_size)),
         ("min_chain_cover", poset.min_chain_cover(p)),
         ("min_antichain_cover", poset.min_antichain_cover(p)),
     ]

@@ -16,12 +16,14 @@ class LimitExceededError(Exception):
 #                       count (n+1)^(n-1) has 2998 digits at n = 1000)
 #   paths               qt --n 9 takes 0.3 s; 8 is the former default cap,
 #                       below budget, and the base of every poset job
-#   chains              chains --n 8 takes 0.7 s and 19 MB, nearly all in the
-#                       0.5 s chain DP; the entry is raised together with a
+#   chains              chains --n 8 takes 0.2 s and 18 MB, split between the
+#                       packed chain DP (0.1-0.2 s) and the total-chain solve
+#                       (0.1 s); the entry is raised together with a
 #                       chains --n 8 benchmark workload
-#   antichains          antichains --n 7 exhausts memory: the size-polynomial
-#                       memo hits a 4 GB address limit after 47 s (3.5 GB
-#                       RSS); n = 6 takes 0.3 s and 38 MB
+#   antichains          antichains --n 7 exhausted memory with the
+#                       tuple-valued size-polynomial memo: a 4 GB address
+#                       limit after 47 s (3.5 GB RSS); not re-run with the
+#                       packed memo.  n = 6 takes 0.15 s and 34 MB
 #   maximal_antichains  antichains --n 6 --mode maximal takes 298 s
 #   order_ideals        poset --n 6 exhausts memory listing its 37,620,704
 #                       ideals: a 4 GB address limit is hit after 264 s

@@ -4,7 +4,9 @@ Rows and columns are indexed by the canonical element order, under which
 zeta, delta, eta and (2*delta - zeta) are upper triangular, so Mobius and
 total-chain matrices come from unit-triangular back substitution with no
 division by non-units.  The same order is a linear extension of D_n, so the
-chain polynomial is one pass over it that builds no matrix.
+chain polynomial is one pass over it that builds no matrix; it keeps each
+element's chain counts by length packed in one integer, at a bit width that
+the rank levels bound (137 bits at n = 8).
 
 The chain counts are the paper's two inversions, each taken as one
 triangular solve that reads only its matrix's nonzero entries: the entry sum
@@ -17,12 +19,13 @@ invert_unitriangular remain as library functions and test oracles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .paths import catalan_closed
 from .polynomials import UniPoly
-from .poset import DyckPoset, _bits
+from .poset import DyckPoset, _bits, _unpack
 
 
 class ExactMatrix:
@@ -120,22 +123,21 @@ def total_chain_matrix(p: DyckPoset) -> ExactMatrix:
 def chain_polynomial(p: DyckPoset) -> UniPoly:
     """1 + sum_k c_k t^{k+1} with c_k the number of k-edge chains.
 
-    ends[j][k] counts the k-edge chains whose top is j.  The element order
-    is a linear extension, so each strict predecessor i of j comes first and
-    ends[j] = [1] + sum of ends[i] over them, one edge longer.  A chain
-    ending at j has at most rank(j) edges.
+    ends[j] = sum_k e_k 2^{Bk}, e_k the number of k-edge chains whose top is
+    j, packs B bits per coefficient.  The element order is a linear
+    extension, so each strict predecessor i of j comes first and ends[j] is
+    1 + (sum of ends[i] over them << B), one edge longer.  A chain meets each
+    rank level at most once, so there are at most as many chains, the empty
+    one included, as the product of (level size + 1).  B is that product's
+    bit length, so every coefficient of every sum is below 2^B and none
+    carries into the next.
     """
-    ends: list[list[int]] = []
-    totals = [0] * (comb(p.n, 2) + 1)
+    width = prod(size + 1 for size in Counter(p.rank).values()).bit_length()
+    ends: list[int] = []
     for j in range(p.size):
-        below = [0] * p.rank[j]
-        for i in _bits(p.down[j] & ~(1 << j)):
-            for k, c in enumerate(ends[i]):
-                below[k] += c
-        row = [1] + below
-        ends.append(row)
-        for k, c in enumerate(row):
-            totals[k] += c
+        below = sum(ends[i] for i in _bits(p.down[j] & ~(1 << j)))
+        ends.append(1 + (below << width))
+    totals = _unpack(sum(ends), width)
     return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
 
 

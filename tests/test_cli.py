@@ -187,6 +187,14 @@ class TestCrossChecks:
                             lambda n: rank_sizes(n)[::-1])
         self._assert_internal(capsys, "poset", "--n", "3")
 
+    def test_ideal_count_must_match_the_antichains(self, capsys,
+                                                   monkeypatch):
+        from dyckposet import poset
+        order_ideals = poset.order_ideals
+        monkeypatch.setattr(poset, "order_ideals",
+                            lambda p: order_ideals(p)[1:])
+        self._assert_internal(capsys, "poset", "--n", "3")
+
     def test_maximal_chains_must_match_the_hook_formula(self, capsys,
                                                         monkeypatch):
         from dyckposet import tableaux

@@ -1,5 +1,6 @@
 import dataclasses
-from math import comb
+from collections import Counter
+from math import comb, prod
 
 import pytest
 
@@ -34,6 +35,23 @@ MAXIMAL = [1, 1, 1, 2, 16, 768]
 
 CHAIN_POLY_3 = UniPoly.from_list([1, 5, 9, 7, 2])
 CHAIN_POLY_4 = UniPoly.from_list([1, 14, 70, 176, 249, 202, 88, 16])
+
+
+def _list_chain_polynomial(p):
+    # oracle: the same DP over the linear extension, with each element's
+    # chain counts a list indexed by edge count
+    ends = []
+    totals = [0] * (comb(p.n, 2) + 1)
+    for j in range(p.size):
+        below = [0] * p.rank[j]
+        for i in poset._bits(p.down[j] & ~(1 << j)):
+            for k, c in enumerate(ends[i]):
+                below[k] += c
+        row = [1] + below
+        ends.append(row)
+        for k, c in enumerate(row):
+            totals[k] += c
+    return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
 
 
 class TestExactMatrix:
@@ -134,6 +152,19 @@ class TestChainCounts:
     def test_chain_polynomials(self, posets):
         assert chain_polynomial(posets(3)) == CHAIN_POLY_3
         assert chain_polynomial(posets(4)) == CHAIN_POLY_4
+
+    def test_packed_dp_matches_list_dp(self, posets):
+        for n in range(8):
+            p = posets(n)
+            assert chain_polynomial(p) == _list_chain_polynomial(p)
+
+    def test_rank_level_bound_covers_every_chain(self, posets):
+        # a chain meets each rank level at most once
+        for n in range(9):
+            p = posets(n)
+            levels = Counter(p.rank).values()
+            assert prod(size + 1 for size in levels) >= \
+                chain_census(p).total
 
     def test_chain_polynomial_order_zero(self, posets):
         assert chain_polynomial(posets(0)) == UniPoly.from_list([1, 1])

@@ -1,5 +1,5 @@
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +66,66 @@ class TestStructure:
             p = posets(n)
             assert p.elements[0] == DyckPath.staircase(n)
             assert p.elements[-1] == DyckPath.full(n)
+
+
+def _tuple_antichain_sizes(size, inc):
+    # oracle: the same split, with each size polynomial a coefficient tuple
+    memo = {0: (1,)}
+
+    def count(cand):
+        if cand not in memo:
+            v = cand.bit_length() - 1
+            rest = cand ^ (1 << v)
+            without = count(rest)
+            with_v = count(rest & inc[v])
+            c = list(without) + [0] * (len(with_v) + 1 - len(without))
+            for k, a in enumerate(with_v, start=1):
+                c[k] += a
+            memo[cand] = tuple(c)
+        return memo[cand]
+
+    return count((1 << size) - 1)
+
+
+def _incomparable(p):
+    return [p.incomparable(i) for i in range(p.size)]
+
+
+class TestPackedAntichainSizes:
+    def test_matches_tuple_recursion(self, posets):
+        for n in range(7):
+            inc = _incomparable(posets(n))
+            assert poset._antichain_sizes(len(inc), inc) == \
+                _tuple_antichain_sizes(len(inc), inc)
+
+    def test_first_fit_chains_bound_the_antichains(self, posets):
+        # the blocks are chains partitioning the elements, and an antichain
+        # takes at most one element of each
+        for n in range(7):
+            p = posets(n)
+            chains = poset._first_fit_chains(p.size, _incomparable(p))
+            union = 0
+            for chain in chains:
+                assert chain & union == 0
+                union |= chain
+                for i, j in combinations(poset._bits(chain), 2):
+                    assert p.leq(i, j)
+            assert union == (1 << p.size) - 1
+            assert prod(chain.bit_count() + 1 for chain in chains) >= \
+                antichain_census(p).total
+
+    @pytest.mark.parametrize("inc, chains, sizes", [
+        # twelve incomparable elements: twelve singleton chains, 2^12
+        # antichains, C(12, k) of size k
+        ([4095 & ~(1 << i) for i in range(12)], [1 << i for i in range(12)],
+         tuple(comb(12, k) for k in range(13))),
+        # a twelve-element chain: one block, 13 antichains
+        ([0] * 12, [4095], (1, 12)),
+    ])
+    def test_bound_is_reached(self, inc, chains, sizes):
+        assert poset._first_fit_chains(12, inc) == chains
+        assert prod(chain.bit_count() + 1 for chain in chains) == sum(sizes)
+        assert poset._antichain_sizes(12, inc) == sizes
 
 
 class TestIdealsAndAntichains:
