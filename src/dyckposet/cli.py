@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from math import comb
 from typing import Callable
 
 from . import incidence, oeis, parking, paths, poset, qt, tableaux
@@ -35,10 +36,15 @@ Result = "list[tuple[str, Value]]"
 def cmd_catalan(args: argparse.Namespace) -> Result:
     n = args.n
     check_order(n, "counts")
+    closed = paths.catalan_closed(n)
+    recurrence = paths.catalan_recurrence(n)
+    if closed != recurrence:
+        raise AssertionError("Catalan numbers: closed form and recurrence "
+                             "disagree")
     out = [
         ("order", n),
-        ("catalan_closed", paths.catalan_closed(n)),
-        ("catalan_recurrence", paths.catalan_recurrence(n)),
+        ("catalan_closed", closed),
+        ("catalan_recurrence", recurrence),
     ]
     if n >= 1:
         out.append(("bad_path_count", paths.count_bad_paths(n)))
@@ -59,16 +65,27 @@ def cmd_poset(args: argparse.Namespace) -> Result:
     if ideal_count != census.total:
         raise AssertionError(f"order ideal counts disagree: {ideal_count} "
                              f"ideals vs {census.total} antichains")
+    # a cover adds one cell at a valley; the paths of order n have
+    # C(2n-1, n-2) valleys in all
+    cover_edges = len(p.cover_edges())
+    if cover_edges != (comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0):
+        raise AssertionError("cover edges: the Hasse diagram disagrees with "
+                             "the valley count C(2n-1, n-2)")
+    # the C(n, 2) + 1 rank levels are a minimum antichain cover
+    antichain_cover = poset.min_antichain_cover(p)
+    if antichain_cover != comb(p.n, 2) + 1:
+        raise AssertionError("minimum antichain cover: the longest chain "
+                             "disagrees with the C(n, 2) + 1 rank levels")
     return [
         ("order", p.n),
         ("size", p.size),
         ("interval_count", incidence.interval_count(p)),
-        ("cover_edge_count", len(p.cover_edges())),
+        ("cover_edge_count", cover_edges),
         ("rank_sizes", ";".join(map(str, sizes))),
         ("order_ideal_count", ideal_count),
         ("width", max(census.by_size)),
         ("min_chain_cover", poset.min_chain_cover(p)),
-        ("min_antichain_cover", poset.min_antichain_cover(p)),
+        ("min_antichain_cover", antichain_cover),
     ]
 
 
@@ -107,6 +124,10 @@ def cmd_qt(args: argparse.Namespace) -> Result:
     n = args.n
     check_order(n, "paths")
     poly = qt.qt_catalan(n)
+    count = poly(1, 1)
+    if count != paths.catalan_closed(n):
+        raise AssertionError("q,t-Catalan polynomial at (1, 1) disagrees "
+                             "with the Catalan number")
     return [
         ("order", n),
         ("qt_catalan", poly),
@@ -114,7 +135,7 @@ def cmd_qt(args: argparse.Namespace) -> Result:
         ("inv_analog", qt.cn_inv(n)),
         ("maj_analog", qt.cn_maj(n)),
         ("symmetric", int(poly.swap_variables() == poly)),
-        ("count_specialization", poly(1, 1)),
+        ("count_specialization", count),
     ]
 
 
@@ -137,12 +158,12 @@ def cmd_parking(args: argparse.Namespace) -> Result:
     closed = parking.count_parking_functions(n)
     out: Result = [("order", n), ("count_closed", closed)]
     if n <= MAX_ORDER["parking"]:
-        functions = parking.enumerate_parking_functions(n)
+        filtered = parking.count_parking_by_filter(n)
         labelled = parking.enumerate_labelled_paths(n)
-        if not len(functions) == len(labelled) == closed:
-            raise AssertionError("parking counts: closed form, enumeration "
+        if not filtered == len(labelled) == closed:
+            raise AssertionError("parking counts: closed form, filter "
                                  "and labelled paths disagree")
-        out.append(("count_enumerated", len(functions)))
+        out.append(("count_enumerated", filtered))
         out.append(("labelled_path_count", len(labelled)))
         out.append(("content_group_count",
                     len(parking.content_group_representatives(n))))

@@ -86,6 +86,14 @@ def enumerate_parking_functions(n: int) -> list[ParkingFunction]:
             if _sorted_prefix_ok(prefs)]
 
 
+def count_parking_by_filter(n: int) -> int:
+    """The number of the n^n preference vectors that park: the filter of
+    enumerate_parking_functions, counting instead of building."""
+    check_order(n, "parking")
+    return sum(map(_sorted_prefix_ok,
+                   itertools.product(range(1, n + 1), repeat=n)))
+
+
 def parking_to_labelled(f: ParkingFunction) -> LabelledDyckPath:
     """Cars preferring column j become increasing labels in column j,
     stacked bottom-up from the next empty row."""
@@ -157,11 +165,12 @@ def _increasing_fillings(runs: tuple[int, ...],
     """Every ordered partition of `labels` into increasing blocks of the
     sizes in `runs`, concatenated, in lexicographic order."""
     fillings = [((), labels)]  # (blocks so far, labels still unused)
-    for size in runs:
+    for size in runs[:-1]:
         fillings = [(head + block, tuple(x for x in rest if x not in block))
                     for head, rest in fillings
                     for block in itertools.combinations(rest, size)]
-    return [head for head, _rest in fillings]
+    # the last run takes the labels that are left
+    return [head + rest for head, rest in fillings]
 
 
 def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:

@@ -8,7 +8,7 @@ ascending area with lexicographic tie-break taking N < E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .config import check_order
@@ -23,25 +23,34 @@ _LEX = str.maketrans({NORTH: "0", EAST: "1"})
 @dataclass(frozen=True, order=False)
 class DyckPath:
     steps: str
+    # read off the step word by the one walk in __post_init__; equality,
+    # hashing and repr depend on steps alone
+    _heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    area: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         word = self.steps
         if len(word) % 2 != 0:
             raise ValueError("step word must have even length")
-        height = 0
-        norths = 0
+        heights: list[int] = []  # norths before each east step
+        offsets: list[int] = []  # easts before each north step
         for mark in word:
             if mark == NORTH:
-                height += 1
-                norths += 1
+                offsets.append(len(heights))
             elif mark == EAST:
-                height -= 1
+                heights.append(len(offsets))
+                if len(heights) > len(offsets):
+                    raise ValueError("path drops below the diagonal")
             else:
                 raise ValueError(f"invalid step mark {mark!r}")
-            if height < 0:
-                raise ValueError("path drops below the diagonal")
-        if 2 * norths != len(word):
+        if len(offsets) != len(heights):
             raise ValueError("unbalanced step word")
+        n = len(heights)
+        # area = sum over columns j of h[j] - j
+        object.__setattr__(self, "_heights", tuple(heights))
+        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "area", sum(heights) - n * (n + 1) // 2)
 
     @property
     def order(self) -> int:
@@ -49,29 +58,11 @@ class DyckPath:
 
     def column_heights(self) -> tuple[int, ...]:
         """Height of the path at each east step: h[j] = #N before the j-th E."""
-        heights = []
-        norths = 0
-        for mark in self.steps:
-            if mark == NORTH:
-                norths += 1
-            else:
-                heights.append(norths)
-        return tuple(heights)
+        return self._heights
 
     def north_offsets(self) -> tuple[int, ...]:
         """x-coordinate of each north step: e[i] = #E before the i-th N."""
-        offsets = []
-        easts = 0
-        for mark in self.steps:
-            if mark == EAST:
-                easts += 1
-            else:
-                offsets.append(easts)
-        return tuple(offsets)
-
-    @property
-    def area(self) -> int:
-        return sum(h - j for j, h in enumerate(self.column_heights(), start=1))
+        return self._offsets
 
     def sort_key(self) -> tuple[int, str]:
         return (self.area, self.steps.translate(_LEX))

@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .paths import (DyckPath, Partition, cell_stats, enumerate_paths,
-                    path_stats)
+from .paths import (DyckPath, Partition, _bounce, cell_stats,
+                    enumerate_paths, path_stats)
 from .polynomials import BiPoly, UniPoly
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
@@ -117,7 +117,7 @@ def cn_maj(n: int) -> BiPoly:
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    return _path_sum(n, lambda d: ((s := path_stats(d)).area, s.bounce))
+    return _path_sum(n, lambda d: (d.area, _bounce(d)))
 
 
 def qt_specialize(n: int, mode: str):

@@ -160,6 +160,23 @@ class TestParserReuse:
         assert code == EXIT_OK
         assert json.loads(out)["mode"] == "all"
 
+    def test_paths_are_built_anew_on_every_call(self, capsys, monkeypatch):
+        # a path memo shared between calls would build fewer the second time
+        built = 0
+        validate = paths.DyckPath.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            validate(self)
+
+        monkeypatch.setattr(paths.DyckPath, "__post_init__", counted)
+        assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK
+        once = built
+        assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK
+        assert once > 0
+        assert built == 2 * once
+
 
 class TestCrossChecks:
     """Each two-route check a command makes exits 4 with empty stdout when
@@ -177,6 +194,42 @@ class TestCrossChecks:
         monkeypatch.setattr(parking, "enumerate_labelled_paths",
                             lambda n: enumerate_labelled(n)[1:])
         self._assert_internal(capsys, "parking", "--n", "3")
+
+    def test_parking_filter_must_agree(self, capsys, monkeypatch):
+        from dyckposet import parking
+        count = parking.count_parking_by_filter
+        monkeypatch.setattr(parking, "count_parking_by_filter",
+                            lambda n: count(n) + 1)
+        self._assert_internal(capsys, "parking", "--n", "3")
+
+    def test_catalan_routes_must_agree(self, capsys, monkeypatch):
+        recurrence = paths.catalan_recurrence
+        monkeypatch.setattr(paths, "catalan_recurrence",
+                            lambda n: recurrence(n) + 1)
+        self._assert_internal(capsys, "catalan", "--n", "4")
+
+    def test_qt_count_must_match_catalan(self, capsys, monkeypatch):
+        from dyckposet.polynomials import BiPoly
+        qt_catalan = qt.qt_catalan
+        # one more path of area 1 and bounce 1: still symmetric
+        monkeypatch.setattr(qt, "qt_catalan",
+                            lambda n: qt_catalan(n) + BiPoly.monomial(1, 1))
+        self._assert_internal(capsys, "qt", "--n", "4")
+
+    def test_cover_edges_must_match_the_valleys(self, capsys, monkeypatch):
+        from dyckposet import poset
+        cover_edges = poset.DyckPoset.cover_edges
+        monkeypatch.setattr(poset.DyckPoset, "cover_edges",
+                            lambda p: cover_edges(p)[1:])
+        self._assert_internal(capsys, "poset", "--n", "3")
+
+    def test_antichain_cover_must_match_the_ranks(self, capsys,
+                                                  monkeypatch):
+        from dyckposet import poset
+        cover = poset.min_antichain_cover
+        monkeypatch.setattr(poset, "min_antichain_cover",
+                            lambda p: cover(p) + 1)
+        self._assert_internal(capsys, "poset", "--n", "3")
 
     def test_rank_sizes_must_match_the_poset(self, capsys, monkeypatch):
         from dyckposet import poset

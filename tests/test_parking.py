@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        ParkingFunction, area_from_parking, build_poset,
-                       content_group_representatives, count_parking_functions,
+                       content_group_representatives, count_parking_by_filter,
+                       count_parking_functions,
                        enumerate_labelled_paths, enumerate_parking_functions,
                        enumerate_paths, is_parking_function,
                        labelled_from_vectors, labelled_to_parking,
                        parking_to_labelled, representative_leq,
                        representative_path, vector_conditions_ok, vectors_of)
+from dyckposet.parking import _increasing_fillings
 
 
 def _parks_by_simulation(prefs):
@@ -42,6 +44,25 @@ def _labelled_by_filtering(n):
     return results
 
 
+def _fillings_by_rescan(runs, labels):
+    """Oracle: every run, the last one too, picks a block of the unused
+    labels and rescans them for the next run."""
+    fillings = [((), labels)]
+    for size in runs:
+        fillings = [(head + block, tuple(x for x in rest if x not in block))
+                    for head, rest in fillings
+                    for block in itertools.combinations(rest, size)]
+    return [head for head, _rest in fillings]
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
 def _column_runs(d):
     return [len(list(rows)) for _col, rows in
             itertools.groupby(d.north_offsets())]
@@ -63,6 +84,18 @@ class TestParkingFunctions:
             assert len(enumerate_parking_functions(n)) == \
                 count_parking_functions(n)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_filter_count_matches_the_enumeration(self, n):
+        assert count_parking_by_filter(n) == \
+            len(enumerate_parking_functions(n)) == (n + 1) ** (n - 1) \
+            == count_parking_functions(n)
+
+    def test_filter_count_builds_no_parking_function(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("parking function built")
+        monkeypatch.setattr(ParkingFunction, "__post_init__", refuse)
+        assert count_parking_by_filter(6) == 16_807
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             is_parking_function((1, 4, 2))
@@ -76,6 +109,8 @@ class TestParkingFunctions:
     def test_enumeration_gate(self):
         with pytest.raises(LimitExceededError):
             enumerate_parking_functions(7)
+        with pytest.raises(LimitExceededError):
+            count_parking_by_filter(7)
 
 
 class TestBijection:
@@ -105,6 +140,13 @@ class TestBijection:
     def test_labelled_paths_equal_the_permutation_filter(self):
         for n in range(6):
             assert enumerate_labelled_paths(n) == _labelled_by_filtering(n)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_fillings_equal_the_rescan(self, n):
+        labels = tuple(range(1, n + 1))
+        for runs in _compositions(n):
+            assert _increasing_fillings(runs, labels) == \
+                _fillings_by_rescan(runs, labels)
 
     def test_labellings_per_path_are_multinomial(self):
         for n in range(7):

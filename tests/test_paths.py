@@ -28,6 +28,21 @@ def _dips_below(word):
     return False
 
 
+def _walk(word):
+    """Oracle: column heights, north offsets and area by walking the word."""
+    heights, offsets = [], []
+    norths = easts = 0
+    for mark in word:
+        if mark == "N":
+            offsets.append(easts)
+            norths += 1
+        else:
+            heights.append(norths)
+            easts += 1
+    area = sum(h - j for j, h in enumerate(heights, start=1))
+    return tuple(heights), tuple(offsets), area
+
+
 class TestCatalanCounts:
     @pytest.mark.parametrize("n", range(9))
     def test_three_routes_agree(self, n):
@@ -72,6 +87,37 @@ class TestDyckPathValidation:
     def test_offset_roundtrip(self):
         for d in enumerate_paths(4):
             assert DyckPath.from_north_offsets(d.north_offsets()) == d
+
+    @pytest.mark.parametrize("word, message", [
+        ("NNE", "even length"),
+        ("NS", "invalid step mark"),
+        ("NEEN", "below the diagonal"),
+        ("NNNE", "unbalanced"),
+    ])
+    def test_each_fault_keeps_its_error(self, word, message):
+        with pytest.raises(ValueError, match=message):
+            DyckPath(word)
+
+
+class TestStoredWalk:
+    """The heights, offsets and area read off in the validating walk."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_stored_values_equal_a_word_walk(self, n):
+        for d in enumerate_paths(n):
+            assert (d.column_heights(), d.north_offsets(), d.area) == \
+                _walk(d.steps)
+
+    def test_equality_and_hash_follow_the_steps(self):
+        word = "NNENEE"
+        a, b = DyckPath(word), DyckPath("".join(list(word)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, DyckPath("NENNEE")}) == 2
+        assert DyckPath("NNEE") != DyckPath("NENE")
+
+    def test_repr_shows_the_steps_only(self):
+        assert repr(DyckPath("NNEE")) == "DyckPath('NNEE')"
+        assert repr(DyckPath("")) == "DyckPath('')"
 
 
 class TestStatistics:

@@ -61,6 +61,15 @@ class TestStructure:
                 (i, j) for i in range(p.size) for j in range(p.size)
                 if p.rank[j] == p.rank[i] + 1 and p.leq(i, j)}
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_cover_edges_and_rank_levels_closed_forms(self, posets, n):
+        # the covers add one cell at a valley, C(2n-1, n-2) valleys in all;
+        # the C(n, 2) + 1 rank levels are a minimum antichain cover
+        p = posets(n)
+        assert len(p.cover_edges()) == \
+            (comb(2 * n - 1, n - 2) if n >= 2 else 0)
+        assert min_antichain_cover(p) == comb(n, 2) + 1
+
     def test_bounds(self, posets):
         for n in range(1, 6):
             p = posets(n)
