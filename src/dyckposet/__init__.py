@@ -28,9 +28,9 @@ from .incidence import (ChainCensus, ExactMatrix, chain_census,
 from .tableaux import (HookDiagram, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)
-from .qt import (GH_POINT_SEED, PoleError, cn_area, cn_inv, cn_maj,
-                 gh_evaluate, gh_pole_check, gh_sample_points, q_binomial,
-                 q_factorial, q_int, qt_catalan, qt_specialize,
+from .qt import (GH_CHECK_POINT, GH_POINT_SEED, PoleError, cn_area, cn_inv,
+                 cn_maj, gh_evaluate, gh_pole_check, gh_sample_points,
+                 q_binomial, q_factorial, q_int, qt_catalan, qt_specialize,
                  symmetry_check)
 from .chromatic import (SimpleGraph, chromatic_polynomial,
                         count_colourings_brute, hasse_chromatic, hasse_graph)

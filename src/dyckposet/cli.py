@@ -128,6 +128,10 @@ def cmd_qt(args: argparse.Namespace) -> Result:
     if count != paths.catalan_closed(n):
         raise AssertionError("q,t-Catalan polynomial at (1, 1) disagrees "
                              "with the Catalan number")
+    q0, t0 = qt.GH_CHECK_POINT
+    if poly.evaluate_exact(q0, t0) != qt.gh_evaluate(n, q0, t0):
+        raise AssertionError(f"q,t-Catalan polynomial at ({q0}, {t0}) "
+                             "disagrees with the partition sum")
     return [
         ("order", n),
         ("qt_catalan", poly),

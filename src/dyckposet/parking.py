@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .config import check_order
-from .paths import DyckPath, enumerate_paths, path_stats
+from .paths import DyckPath, enumerate_paths
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def area_from_parking(f: ParkingFunction) -> int:
 
 def vectors_of(labelled: LabelledDyckPath) -> tuple[AreaLabelPair, tuple[int, ...]]:
     """The (area vector, row label vector) pair and the column label vector."""
-    g = path_stats(labelled.path).area_vector
+    g = tuple(i - e for i, e in enumerate(labelled.path.north_offsets()))
     p = labelled.labels
     n = labelled.path.order
     columns = labelled.columns()

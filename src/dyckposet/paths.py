@@ -216,12 +216,22 @@ def _bounce(d: DyckPath) -> int:
     return total
 
 
+def _maj(d: DyckPath) -> int:
+    """Sum of the 1-based positions i with step i east and step i + 1 north."""
+    steps = d.steps
+    total = 0
+    i = steps.find(EAST + NORTH)
+    while i >= 0:
+        total += i + 1
+        i = steps.find(EAST + NORTH, i + 2)
+    return total
+
+
 def path_stats(d: DyckPath) -> PathStats:
     n = d.order
     area = d.area
     inv = comb(n, 2) - area
-    maj = sum(i for i in range(1, 2 * n)
-              if d.steps[i - 1] == EAST and d.steps[i] == NORTH)
+    maj = _maj(d)
     offsets = d.north_offsets()
     area_vector = tuple(i - e for i, e in enumerate(offsets))
     return PathStats(area=area, inv=inv, maj=maj, bounce=_bounce(d),

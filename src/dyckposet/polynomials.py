@@ -14,6 +14,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
+def power_table(x: int, top: int) -> list[int]:
+    """[x^0, x^1, ..., x^top]."""
+    table = [1]
+    for _ in range(top):
+        table.append(table[-1] * x)
+    return table
+
+
 class _SparsePoly:
     """The coefficient dict and the arithmetic that does not look inside a
     key; _CONST is the key of the constant term, used to coerce ints."""
@@ -183,7 +191,19 @@ class BiPoly(_SparsePoly):
                    for (qe, te), c in self.coeffs.items())
 
     def evaluate_exact(self, q0: Fraction, t0: Fraction) -> Fraction:
-        return Fraction(self(q0, t0))
+        """The value at rational (q0, t0) = (a/b, c/d), homogenised to
+        sum coeff a^i b^(Q-i) c^j d^(T-j) / (b^Q d^T), with Q and T the top
+        exponents, in integers and one Fraction."""
+        if not self.coeffs:
+            return Fraction(0)
+        q0, t0 = Fraction(q0), Fraction(t0)
+        top_q = max(qe for qe, _te in self.coeffs)
+        top_t = max(te for _qe, te in self.coeffs)
+        qn, qd = (power_table(x, top_q) for x in (q0.numerator, q0.denominator))
+        tn, td = (power_table(x, top_t) for x in (t0.numerator, t0.denominator))
+        total = sum(c * qn[qe] * qd[top_q - qe] * tn[te] * td[top_t - te]
+                    for (qe, te), c in self.coeffs.items())
+        return Fraction(total, qd[top_q] * td[top_t])
 
     def substitute_t_one(self) -> "BiPoly":
         out: dict[tuple[int, int], int] = {}

@@ -9,11 +9,18 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .paths import (DyckPath, Partition, _bounce, cell_stats,
-                    enumerate_paths, path_stats)
-from .polynomials import BiPoly, UniPoly
+# path_stats is no longer called here, but stays bound as qt.path_stats:
+# bench/tests/test_harness.py checks that the tracer rebinds it by name
+from .paths import (DyckPath, Partition, _bounce, _maj, enumerate_paths,
+                    path_stats)  # noqa: F401
+from .polynomials import BiPoly, UniPoly, power_table
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
+# The point at which the qt command checks C_n(q, t) against the partition
+# sum.  2/3 and -5/7 are built from distinct primes, so q0^i = t0^j only for
+# i = j = 0: no denominator factor q^a - t^(l+1) or t^l - q^(a+1) vanishes
+# at any order.  Neither is 0 or +-1, where the check would test little.
+GH_CHECK_POINT = (Fraction(2, 3), Fraction(-5, 7))
 
 
 def q_int(n: int) -> BiPoly:
@@ -107,7 +114,7 @@ def cn_inv(n: int) -> BiPoly:
 
 def cn_maj(n: int) -> BiPoly:
     """Sum of q^{maj(D)}, cross-checked against [2n choose n]_q / [n+1]_q."""
-    direct = _path_sum(n, lambda d: (path_stats(d).maj, 0))
+    direct = _path_sum(n, lambda d: (_maj(d), 0))
     quotient = BiPoly.from_q(
         q_binomial(2 * n, n).q_part().divide_exact(_q_int_uni(n + 1)))
     if direct != quotient:
@@ -146,36 +153,77 @@ class PoleError(ArithmeticError):
     """A denominator factor of the partition sum vanishes at this point."""
 
 
-def _gh_term(partition: Partition, q0: Fraction, t0: Fraction) -> Fraction:
-    stats = cell_stats(partition)
-    sum_a = sum(s.arm for s in stats.values())
-    sum_l = sum(s.leg for s in stats.values())
-    numerator = t0 ** (2 * sum_l) * q0 ** (2 * sum_a) * (1 - t0) * (1 - q0)
-    coarm_sum = Fraction(0)
-    for s in stats.values():
-        coarm_sum += q0 ** s.coarm * t0 ** s.coleg
-        if (s.coarm, s.coleg) != (0, 0):
-            numerator *= 1 - q0 ** s.coarm * t0 ** s.coleg
-    numerator *= coarm_sum
-    denominator = Fraction(1)
-    for s in stats.values():
-        f1 = q0 ** s.arm - t0 ** (s.leg + 1)
-        f2 = t0 ** s.leg - q0 ** (s.arm + 1)
-        if f1 == 0 or f2 == 0:
-            raise PoleError("denominator factor vanishes")
-        denominator *= f1 * f2
-    return numerator / denominator
+def _cell_hooks(partition: Partition) -> list[tuple[int, int, int, int]]:
+    """(arm, leg, coarm, coleg) of every cell, read from the parts and
+    their conjugate in one pass."""
+    parts = partition.parts
+    cols = partition.conjugate().parts
+    return [(size - c - 1, cols[c] - r - 1, c, r)
+            for r, size in enumerate(parts) for c in range(size)]
+
+
+def _gh_cells(n: int, q0: Fraction, t0: Fraction):
+    """Power tables of qn, qd, tn, td (q0 = qn/qd, t0 = tn/td) up to n^2,
+    which bounds every exponent _gh_term reads, and for each partition of n
+    its cell hooks and den: the product over cells of
+    (q^a - t^(l+1))(t^l - q^(a+1)) with qd and td cleared, in integers.
+    den is zero iff one of its factors vanishes at (q0, t0)."""
+    powers = qn, qd, tn, td = tuple(
+        power_table(x, n * n) for x in (q0.numerator, q0.denominator,
+                                        t0.numerator, t0.denominator))
+    cells = []
+    for mu in _partitions(n):
+        hooks = _cell_hooks(mu)
+        den = 1
+        for a, l, _ca, _cl in hooks:
+            den *= ((qn[a] * td[l + 1] - tn[l + 1] * qd[a])
+                    * (tn[l] * qd[a + 1] - qn[a + 1] * td[l]))
+        cells.append((hooks, den))
+    return powers, cells
+
+
+def _gh_term(hooks: list[tuple[int, int, int, int]], den: int,
+             powers: tuple[list[int], ...]) -> Fraction:
+    """One partition's summand
+    t^(2 sum l) q^(2 sum a) (1-t)(1-q) prod'(1 - q^a' t^l') sum q^a' t^l'
+    / prod (q^a - t^(l+1))(t^l - q^(a+1)),
+    as integer products and one Fraction; the product prod' skips the
+    corner cell (a', l') = (0, 0), and den comes from _gh_cells."""
+    qn, qd, tn, td = powers
+    sum_a = sum(h[0] for h in hooks)
+    sum_l = sum(h[1] for h in hooks)
+    top_ca = max(h[2] for h in hooks)
+    top_cl = max(h[3] for h in hooks)
+    num = (tn[2 * sum_l] * qn[2 * sum_a]
+           * (td[1] - tn[1]) * (qd[1] - qn[1]))
+    # the power of qd dividing the term: 2 sum a + 1 from the leading
+    # factors, top_ca from the coarm sum and ca per factor of prod', less
+    # 2a + 1 per cell from clearing den; likewise for td
+    exp_b = 1 + top_ca - len(hooks)
+    exp_d = 1 + top_cl - len(hooks)
+    coarm_sum = 0
+    for _a, _l, ca, cl in hooks:
+        coarm_sum += qn[ca] * qd[top_ca - ca] * tn[cl] * td[top_cl - cl]
+        if ca or cl:
+            num *= qd[ca] * td[cl] - qn[ca] * tn[cl]
+            exp_b += ca
+            exp_d += cl
+    num *= coarm_sum
+    if exp_b < 0:
+        num *= qd[-exp_b]
+    else:
+        den *= qd[exp_b]
+    if exp_d < 0:
+        num *= td[-exp_d]
+    else:
+        den *= td[exp_d]
+    return Fraction(num, den)
 
 
 def gh_pole_check(n: int, q0: Fraction, t0: Fraction) -> bool:
     """True iff (q0, t0) avoids every denominator zero over partitions of n."""
-    for partition in _partitions(n):
-        for s in cell_stats(partition).values():
-            if q0 ** s.arm == t0 ** (s.leg + 1):
-                return False
-            if t0 ** s.leg == q0 ** (s.arm + 1):
-                return False
-    return True
+    _powers, cells = _gh_cells(n, Fraction(q0), Fraction(t0))
+    return all(den for _hooks, den in cells)
 
 
 def gh_evaluate(n: int, q0: Fraction, t0: Fraction) -> Fraction:
@@ -184,9 +232,11 @@ def gh_evaluate(n: int, q0: Fraction, t0: Fraction) -> Fraction:
     if n == 0:
         # empty sum convention: the single empty partition contributes 1
         return Fraction(1)
-    if not gh_pole_check(n, q0, t0):
+    powers, cells = _gh_cells(n, q0, t0)
+    if not all(den for _hooks, den in cells):
         raise PoleError(f"({q0}, {t0}) is a pole for n = {n}")
-    return sum((_gh_term(mu, q0, t0) for mu in _partitions(n)), Fraction(0))
+    return sum((_gh_term(hooks, den, powers) for hooks, den in cells),
+               Fraction(0))
 
 
 def gh_sample_points(n: int, count: int,

@@ -216,6 +216,12 @@ class TestCrossChecks:
                             lambda n: qt_catalan(n) + BiPoly.monomial(1, 1))
         self._assert_internal(capsys, "qt", "--n", "4")
 
+    def test_qt_partition_sum_must_agree(self, capsys, monkeypatch):
+        gh_evaluate = qt.gh_evaluate
+        monkeypatch.setattr(qt, "gh_evaluate",
+                            lambda n, q0, t0: gh_evaluate(n, q0, t0) + 1)
+        self._assert_internal(capsys, "qt", "--n", "4")
+
     def test_cover_edges_must_match_the_valleys(self, capsys, monkeypatch):
         from dyckposet import poset
         cover_edges = poset.DyckPoset.cover_edges

@@ -136,6 +136,14 @@ class TestStatistics:
         # NNEENE: east-before-north occurs at segment index 4
         assert path_stats(DyckPath("NNEENE")).maj == 4
 
+    def test_maj_matches_the_valley_definition(self):
+        # maj sums the 1-based positions i with step i east, step i + 1 north
+        for n in range(7):
+            for d in enumerate_paths(n):
+                w = d.steps
+                assert path_stats(d).maj == sum(
+                    i for i in range(1, 2 * n) if w[i - 1:i + 1] == "EN")
+
     def test_bounce_examples(self):
         assert path_stats(DyckPath("NENENE")).bounce == 3
         assert path_stats(DyckPath("NENNEENE")).bounce == 4

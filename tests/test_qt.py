@@ -4,10 +4,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import (BiPoly, PoleError, catalan_closed, cn_area, cn_inv,
-                       cn_maj, gh_evaluate, gh_pole_check, gh_sample_points,
-                       q_binomial, q_factorial, q_int, qt_catalan,
-                       qt_specialize, symmetry_check)
+from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
+                       cell_stats, cn_area, cn_inv, cn_maj, gh_evaluate,
+                       gh_pole_check, gh_sample_points, q_binomial,
+                       q_factorial, q_int, qt, qt_catalan, qt_specialize,
+                       symmetry_check)
+from dyckposet.qt import _partitions
 
 
 def _bipoly(coeffs):
@@ -102,12 +104,97 @@ class TestQtCatalan:
             assert qt_catalan(n)(1, 1) == catalan_closed(n)
 
 
+# Fraction oracles: the partition sum cell by cell, as written before the
+# integer kernel
+
+
+def _oracle_term(partition, q0, t0):
+    stats = cell_stats(partition)
+    sum_a = sum(s.arm for s in stats.values())
+    sum_l = sum(s.leg for s in stats.values())
+    numerator = t0 ** (2 * sum_l) * q0 ** (2 * sum_a) * (1 - t0) * (1 - q0)
+    coarm_sum = Fraction(0)
+    for s in stats.values():
+        coarm_sum += q0 ** s.coarm * t0 ** s.coleg
+        if (s.coarm, s.coleg) != (0, 0):
+            numerator *= 1 - q0 ** s.coarm * t0 ** s.coleg
+    numerator *= coarm_sum
+    denominator = Fraction(1)
+    for s in stats.values():
+        denominator *= (q0 ** s.arm - t0 ** (s.leg + 1)) \
+            * (t0 ** s.leg - q0 ** (s.arm + 1))
+    return numerator / denominator
+
+
+def _oracle_pole_free(n, q0, t0):
+    return all(q0 ** s.arm != t0 ** (s.leg + 1)
+               and t0 ** s.leg != q0 ** (s.arm + 1)
+               for mu in _partitions(n) for s in cell_stats(mu).values())
+
+
+def _oracle_sum(n, q0, t0):
+    if n == 0:
+        return Fraction(1)
+    return sum((_oracle_term(mu, q0, t0) for mu in _partitions(n)),
+               Fraction(0))
+
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
 class TestPartitionSum:
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(9))
     def test_matches_path_statistics_at_rational_points(self, n):
         poly = qt_catalan(n)
         for q0, t0 in gh_sample_points(n, 25):
             assert gh_evaluate(n, q0, t0) == poly.evaluate_exact(q0, t0)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_integer_kernel_matches_the_oracle(self, n):
+        for q0, t0 in gh_sample_points(n, 25):
+            assert gh_evaluate(n, q0, t0) == _oracle_sum(n, q0, t0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), _rationals, _rationals)
+    def test_integer_kernel_matches_the_oracle_anywhere(self, n, q0, t0):
+        # 0 and +-1 are drawn too; poles must be exactly the oracle's
+        pole_free = _oracle_pole_free(n, q0, t0)
+        assert gh_pole_check(n, q0, t0) == pole_free
+        if pole_free or n == 0:
+            assert gh_evaluate(n, q0, t0) == _oracle_sum(n, q0, t0)
+        else:
+            with pytest.raises(PoleError,
+                               match=rf"^\({q0}, {t0}\) is a pole for n = {n}$"):
+                gh_evaluate(n, q0, t0)
+
+    def test_pole_check_matches_the_oracle_on_a_grid(self):
+        grid = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
+        for n in range(1, 6):
+            for q0 in grid:
+                for t0 in grid:
+                    assert gh_pole_check(n, q0, t0) == \
+                        _oracle_pole_free(n, q0, t0)
+
+    def test_one_term_call_per_partition(self, monkeypatch):
+        # the benchmark tracer counts qt.gh_partitions by wrapping the
+        # module-global _gh_term
+        calls = []
+        term = qt._gh_term
+
+        def counted(*args):
+            calls.append(args)
+            return term(*args)
+        monkeypatch.setattr(qt, "_gh_term", counted)
+        for n in range(1, 8):
+            calls.clear()
+            gh_evaluate(n, Fraction(2, 3), Fraction(-5, 7))
+            assert len(calls) == len(_partitions(n))
+
+    def test_check_point_is_admissible_and_not_degenerate(self):
+        q0, t0 = GH_CHECK_POINT
+        assert not {q0, t0} & {0, 1, -1}
+        for n in range(12):
+            assert gh_pole_check(n, q0, t0)
 
     def test_pole_detected(self):
         # q = t makes the factor q^a - t^{l+1} vanish on single-row cells
@@ -130,3 +217,31 @@ def test_qt_degree_bound(n):
     for (qe, te), _c in poly.coeffs.items():
         assert qe + te <= comb(n, 2)
         assert qe >= 0 and te >= 0
+
+
+class TestEvaluateExact:
+    POINTS = [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(0), Fraction(3, 4)),
+              (Fraction(-9, 2), Fraction(0)), (Fraction(0), Fraction(0)),
+              (Fraction(1), Fraction(-1)), (Fraction(7), Fraction(1, 9))]
+
+    @pytest.mark.parametrize("poly", [
+        BiPoly.zero(), BiPoly.one(), BiPoly({(0, 0): -4}),
+        BiPoly({(3, 0): 2, (0, 2): -1}), BiPoly({(2, 5): 3, (1, 1): -7}),
+        qt_catalan(5)], ids=repr)
+    def test_matches_the_generic_call(self, poly):
+        for q0, t0 in self.POINTS:
+            value = poly.evaluate_exact(q0, t0)
+            assert type(value) is Fraction
+            assert value == poly(q0, t0)
+
+    def test_zero_polynomial_is_fraction_zero(self):
+        value = BiPoly.zero().evaluate_exact(Fraction(1, 2), Fraction(3))
+        assert type(value) is Fraction and value == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           st.integers(-5, 5), max_size=8),
+           _rationals, _rationals)
+    def test_matches_the_generic_call_anywhere(self, coeffs, q0, t0):
+        poly = BiPoly(coeffs)
+        assert poly.evaluate_exact(q0, t0) == poly(q0, t0)
