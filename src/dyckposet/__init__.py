@@ -36,12 +36,12 @@ from .chromatic import (SimpleGraph, chromatic_polynomial,
                         count_colourings_brute, hasse_chromatic, hasse_graph)
 from .parking import (AreaLabelPair, LabelledDyckPath, ParkingFunction,
                       area_from_parking, content_group_representatives,
-                      count_parking_by_filter, count_parking_functions,
-                      enumerate_labelled_paths, enumerate_parking_functions,
-                      is_parking_function, labelled_from_vectors,
-                      labelled_to_parking, parking_to_labelled,
-                      representative_leq, representative_path,
-                      vector_conditions_ok, vectors_of)
+                      count_labelled_paths, count_parking_by_filter,
+                      count_parking_functions, enumerate_labelled_paths,
+                      enumerate_parking_functions, is_parking_function,
+                      labelled_from_vectors, labelled_to_parking,
+                      parking_to_labelled, representative_leq,
+                      representative_path, vector_conditions_ok, vectors_of)
 from .oeis import (REGISTRY, OrderOutOfRangeError, SequenceEntry,
                    SnapshotParseError, UnknownSequenceError,
                    VerificationReport, load_snapshot, parse_snapshot,

@@ -163,14 +163,18 @@ def cmd_parking(args: argparse.Namespace) -> Result:
     out: Result = [("order", n), ("count_closed", closed)]
     if n <= MAX_ORDER["parking"]:
         filtered = parking.count_parking_by_filter(n)
-        labelled = parking.enumerate_labelled_paths(n)
-        if not filtered == len(labelled) == closed:
+        labelled = parking.count_labelled_paths(n)
+        if not filtered == labelled == closed:
             raise AssertionError("parking counts: closed form, filter "
                                  "and labelled paths disagree")
+        # one content group per unlabelled path
+        groups = len(parking.content_group_representatives(n))
+        if groups != paths.catalan_closed(n):
+            raise AssertionError("content groups: the group count disagrees "
+                                 "with the Catalan number")
         out.append(("count_enumerated", filtered))
-        out.append(("labelled_path_count", len(labelled)))
-        out.append(("content_group_count",
-                    len(parking.content_group_representatives(n))))
+        out.append(("labelled_path_count", labelled))
+        out.append(("content_group_count", groups))
     return out
 
 

@@ -31,9 +31,9 @@ class LimitExceededError(Exception):
 #                       frontier of 9, 9,089 states); the entry is raised
 #                       together with a chromatic --n 5 workload and a
 #                       second route at n = 5
-#   parking             the census at n = 7 takes 2.4-2.6 s and 68 MB peak
-#                       RSS, below budget; 6 keeps parking --n 7 to the
-#                       closed count
+#   parking             the census at n = 7 takes 0.09-0.10 s and 17 MB peak
+#                       RSS (n = 8: 1.7 s, 17.5 MB), below budget; 6 keeps
+#                       parking --n 7 to the closed count
 MAX_ORDER = {"counts": 1000, "paths": 8, "chains": 7, "antichains": 6,
              "maximal_antichains": 5, "order_ideals": 5, "chromatic": 4,
              "parking": 6}

@@ -8,6 +8,7 @@ left to right.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -87,11 +88,30 @@ def enumerate_parking_functions(n: int) -> list[ParkingFunction]:
 
 
 def count_parking_by_filter(n: int) -> int:
-    """The number of the n^n preference vectors that park: the filter of
-    enumerate_parking_functions, counting instead of building."""
+    """The number of the n^n preference vectors that park, counted without
+    building any object.  The sorted-prefix test depends only on a vector's
+    multiset, so it runs once per weakly increasing vector; each vector is
+    then tested by its content code, sum of 1 << (b*(p-1)) over its
+    entries p with b = n.bit_length() (a count of at most n fits in b
+    bits).  A vector's code is the sum of the codes of its two halves, so
+    the n^n codes are never held at once."""
     check_order(n, "parking")
-    return sum(map(_sorted_prefix_ok,
-                   itertools.product(range(1, n + 1), repeat=n)))
+    b = n.bit_length()
+    weights = [1 << (b * (p - 1)) for p in range(1, n + 1)]
+    good = {sum(weights[p - 1] for p in v)
+            for v in itertools.combinations_with_replacement(range(1, n + 1),
+                                                             n)
+            if _sorted_prefix_ok(v)}
+
+    def half_codes(length: int) -> list[int]:
+        codes = [0]
+        for _ in range(length):
+            codes = [c + w for c in codes for w in weights]
+        return codes
+
+    right = half_codes(n - n // 2)
+    return sum(sum(map(good.__contains__, map(a.__add__, right)))
+               for a in half_codes(n // 2))
 
 
 def parking_to_labelled(f: ParkingFunction) -> LabelledDyckPath:
@@ -173,6 +193,12 @@ def _increasing_fillings(runs: tuple[int, ...],
     return [head + rest for head, rest in fillings]
 
 
+def _column_runs(d: DyckPath) -> tuple[int, ...]:
+    """The number of north steps in each column the path climbs."""
+    return tuple(len(list(rows))
+                 for _col, rows in itertools.groupby(d.north_offsets()))
+
+
 def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     """Each path with every labelling that increases up its columns: the
     rows of one column take an increasing block of labels.  Paths come in
@@ -181,11 +207,20 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     labels = tuple(range(1, n + 1))
     results = []
     for d in enumerate_paths(n):
-        runs = tuple(len(list(rows))
-                     for _col, rows in itertools.groupby(d.north_offsets()))
         results.extend(LabelledDyckPath(path=d, labels=filling)
-                       for filling in _increasing_fillings(runs, labels))
+                       for filling in _increasing_fillings(_column_runs(d),
+                                                           labels))
     return results
+
+
+def count_labelled_paths(n: int) -> int:
+    """The number of labelled Dyck paths of order n, counted without
+    building them: a path whose column runs are r_1..r_k carries
+    n!/(r_1!...r_k!) labellings, one per choice of each column's block."""
+    check_order(n, "parking")
+    top = math.factorial(n)
+    return sum(top // math.prod(map(math.factorial, _column_runs(d)))
+               for d in enumerate_paths(n))
 
 
 def content_group_representatives(n: int) -> list[tuple[int, ...]]:

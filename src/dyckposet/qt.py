@@ -3,6 +3,7 @@ validation of the Garsia-Haiman partition sum."""
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -153,13 +154,23 @@ class PoleError(ArithmeticError):
     """A denominator factor of the partition sum vanishes at this point."""
 
 
-def _cell_hooks(partition: Partition) -> list[tuple[int, int, int, int]]:
+_Hooks = tuple[tuple[int, int, int, int], ...]
+
+
+def _cell_hooks(partition: Partition) -> _Hooks:
     """(arm, leg, coarm, coleg) of every cell, read from the parts and
     their conjugate in one pass."""
     parts = partition.parts
     cols = partition.conjugate().parts
-    return [(size - c - 1, cols[c] - r - 1, c, r)
-            for r, size in enumerate(parts) for c in range(size)]
+    return tuple((size - c - 1, cols[c] - r - 1, c, r)
+                 for r, size in enumerate(parts) for c in range(size))
+
+
+@functools.cache
+def _partition_hooks(n: int) -> tuple[_Hooks, ...]:
+    """The cell hooks of each partition of n; they depend on n alone, so
+    they are built once per order."""
+    return tuple(map(_cell_hooks, _partitions(n)))
 
 
 def _gh_cells(n: int, q0: Fraction, t0: Fraction):
@@ -172,8 +183,7 @@ def _gh_cells(n: int, q0: Fraction, t0: Fraction):
         power_table(x, n * n) for x in (q0.numerator, q0.denominator,
                                         t0.numerator, t0.denominator))
     cells = []
-    for mu in _partitions(n):
-        hooks = _cell_hooks(mu)
+    for hooks in _partition_hooks(n):
         den = 1
         for a, l, _ca, _cl in hooks:
             den *= ((qn[a] * td[l + 1] - tn[l + 1] * qd[a])
@@ -182,7 +192,7 @@ def _gh_cells(n: int, q0: Fraction, t0: Fraction):
     return powers, cells
 
 
-def _gh_term(hooks: list[tuple[int, int, int, int]], den: int,
+def _gh_term(hooks: _Hooks, den: int,
              powers: tuple[list[int], ...]) -> Fraction:
     """One partition's summand
     t^(2 sum l) q^(2 sum a) (1-t)(1-q) prod'(1 - q^a' t^l') sum q^a' t^l'

@@ -190,9 +190,16 @@ class TestCrossChecks:
 
     def test_parking_counts_must_agree(self, capsys, monkeypatch):
         from dyckposet import parking
-        enumerate_labelled = parking.enumerate_labelled_paths
-        monkeypatch.setattr(parking, "enumerate_labelled_paths",
-                            lambda n: enumerate_labelled(n)[1:])
+        count_labelled = parking.count_labelled_paths
+        monkeypatch.setattr(parking, "count_labelled_paths",
+                            lambda n: count_labelled(n) + 1)
+        self._assert_internal(capsys, "parking", "--n", "3")
+
+    def test_content_groups_must_match_catalan(self, capsys, monkeypatch):
+        from dyckposet import parking
+        representatives = parking.content_group_representatives
+        monkeypatch.setattr(parking, "content_group_representatives",
+                            lambda n: representatives(n)[1:])
         self._assert_internal(capsys, "parking", "--n", "3")
 
     def test_parking_filter_must_agree(self, capsys, monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        ParkingFunction, area_from_parking, build_poset,
-                       content_group_representatives, count_parking_by_filter,
-                       count_parking_functions,
+                       content_group_representatives, count_labelled_paths,
+                       count_parking_by_filter, count_parking_functions,
                        enumerate_labelled_paths, enumerate_parking_functions,
                        enumerate_paths, is_parking_function,
                        labelled_from_vectors, labelled_to_parking,
@@ -167,6 +167,20 @@ class TestBijection:
         monkeypatch.setattr(LabelledDyckPath, "__post_init__", counted)
         labelled = enumerate_labelled_paths(6)
         assert calls == len(labelled) == count_parking_functions(6) == 16_807
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_labelled_count_matches_the_enumeration(self, n):
+        assert count_labelled_paths(n) == len(enumerate_labelled_paths(n))
+
+    def test_labelled_count_builds_no_labelled_path(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("labelled path built")
+        monkeypatch.setattr(LabelledDyckPath, "__post_init__", refuse)
+        assert count_labelled_paths(6) == 16_807
+
+    def test_labelled_count_gate(self):
+        with pytest.raises(LimitExceededError):
+            count_labelled_paths(7)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
