@@ -13,12 +13,14 @@ D_n, so zeta-type matrices built on it are upper triangular; up- and
 down-sets are bitmasks over that order.
 
 Antichains are counted by size without listing them: a memoised split on
-bitmasks of candidate elements, whose states number 94,012 at n = 6 against
-37,620,704 antichains.  Each state's size polynomial is one integer, its
-coefficients packed at a bit width that a first-fit chain partition bounds
-(52 bits at n = 6).  The enumerator _antichain_masks remains for the
-maximal census, the antichain-ideal bijection and, in the tests, as the
-oracle for the counts at n <= 5.
+bitmasks of candidate elements, run chain by chain along a first-fit chain
+partition.  The elements of a chain incomparable to any one element form an
+interval of it, so each state meets each chain in an interval, and the
+states number 14,673 at n = 6 against 37,620,704 antichains.  Each state's
+size polynomial is one integer, its coefficients packed at a bit width that
+the same chain partition bounds (52 bits at n = 6).  The enumerator
+_antichain_masks remains for the maximal census, the antichain-ideal
+bijection and, in the tests, as the oracle for the counts at n <= 5.
 """
 
 from __future__ import annotations
@@ -148,6 +150,12 @@ def order_ideals(p: DyckPoset) -> list[frozenset[int]]:
     return [frozenset(_bits(mask)) for mask in _downset_masks(p.size, p.down)]
 
 
+def order_ideal_count(p: DyckPoset) -> int:
+    """The number of order ideals, without building their index sets."""
+    check_order(p.n, "order_ideals")
+    return len(_downset_masks(p.size, p.down))
+
+
 @dataclass(frozen=True)
 class AntichainCensus:
     by_size: dict[int, int]
@@ -155,7 +163,9 @@ class AntichainCensus:
     width: int | None = None
 
 
-def _antichain_masks(p: DyckPoset) -> list[int]:
+def _antichain_masks(size: int, inc: list[int]) -> list[int]:
+    """Every antichain of a poset on elements 0..size-1 as a bitmask, where
+    inc[i] is the bitmask of elements incomparable to i."""
     results = [0]
 
     def grow(mask: int, candidates: int, start: int) -> None:
@@ -163,9 +173,9 @@ def _antichain_masks(p: DyckPoset) -> list[int]:
         for i in _bits(cand):
             new_mask = mask | (1 << i)
             results.append(new_mask)
-            grow(new_mask, candidates & p.incomparable(i), i)
+            grow(new_mask, candidates & inc[i], i)
 
-    grow(0, (1 << p.size) - 1, -1)
+    grow(0, (1 << size) - 1, -1)
     return results
 
 
@@ -207,9 +217,23 @@ def _antichain_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
     partition at most once, so no set S holds more antichains than the
     product of (chain length + 1) over the first-fit chains.  B is that
     product's bit length, so every coefficient is below 2^B and none
-    carries into the next."""
-    width = prod(chain.bit_count() + 1
-                 for chain in _first_fit_chains(size, inc)).bit_length()
+    carries into the next.
+
+    The elements of a chain incomparable to any one element form an
+    interval of that chain.  The elements are relabelled chain by chain, so
+    that the highest element of S is always the bottom of its chain's part
+    of S; then every S meets every chain in an interval, and at n = 6 the
+    memo holds 14,673 states against 94,012 in the canonical order.  The
+    counts hold for any labelling; the interval bound needs elements given
+    in a linear extension, as D_n's are, so that label order is chain
+    order."""
+    chains = _first_fit_chains(size, inc)
+    width = prod(chain.bit_count() + 1 for chain in chains).bit_length()
+    # the chains in reverse order, each from its top element down
+    order = [v for chain in reversed(chains)
+             for v in sorted(_bits(chain), reverse=True)]
+    label = {v: k for k, v in enumerate(order)}
+    inc = [sum(1 << label[j] for j in _bits(inc[v])) for v in order]
     memo = {0: 1}
 
     def count(cand: int) -> int:
@@ -238,7 +262,7 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     inc = [p.incomparable(i) for i in range(p.size)]
     if mode == "maximal":
         by_size: dict[int, int] = {}
-        for mask in _antichain_masks(p):
+        for mask in _antichain_masks(p.size, inc):
             extension = (1 << p.size) - 1
             for i in _bits(mask):
                 extension &= inc[i]
@@ -266,7 +290,8 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
 def antichain_ideal_bijection_check(p: DyckPoset) -> bool:
     """Downward closure maps antichains bijectively onto order ideals."""
     ideals = {frozenset(s) for s in order_ideals(p)}
-    antichains = _antichain_masks(p)
+    antichains = _antichain_masks(p.size,
+                                  [p.incomparable(i) for i in range(p.size)])
     closures = set()
     for mask in antichains:
         closure = 0
