@@ -14,8 +14,9 @@ class LimitExceededError(Exception):
 #                       entry stops at 1000 so every printed integer stays
 #                       under Python's 4300-digit str limit (the parking
 #                       count (n+1)^(n-1) has 2998 digits at n = 1000)
-#   paths               qt --n 9 takes 0.3 s; 8 is the former default cap,
-#                       below budget, and the base of every poset job
+#   paths               qt --n 9 takes 0.05 s and 21 MB; 8 is the former
+#                       default cap, below budget, and the base of every
+#                       poset job
 #   chains              chains --n 8 takes 0.2 s and 18 MB, split between the
 #                       packed chain DP (0.1-0.2 s) and the total-chain solve
 #                       (0.1 s); the entry is raised together with a
@@ -23,7 +24,7 @@ class LimitExceededError(Exception):
 #   antichains          antichains --n 7 exhausted memory with the
 #                       tuple-valued size-polynomial memo: a 4 GB address
 #                       limit after 47 s (3.5 GB RSS); not re-run with the
-#                       packed memo.  n = 6 takes 0.15 s and 34 MB
+#                       packed memo.  n = 6 takes 0.02 s and 22 MB
 #   maximal_antichains  antichains --n 6 --mode maximal takes 298 s
 #   order_ideals        poset --n 6 exhausts memory listing its 37,620,704
 #                       ideals: a 4 GB address limit is hit after 264 s

@@ -3,28 +3,30 @@
 A path of order n is stored as its step word: a string of n 'N' and n 'E'
 marks whose every prefix has at least as many norths as easts.  The canonical
 ordering used throughout the package (and for all matrix indexing) is
-ascending area with lexicographic tie-break taking N < E.
+ascending area with lexicographic tie-break taking N < E.  enumerate_paths
+produces it in two steps: a prefix sweep that extends every prefix north
+before east yields the words in lexicographic order, and a stable sort by
+area alone then keeps that order among paths of equal area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import itemgetter
 
 from .config import check_order
 
 NORTH = "N"
 EAST = "E"
 
-# lexicographic tie-break with N sorting before E
-_LEX = str.maketrans({NORTH: "0", EAST: "1"})
-
 
 @dataclass(frozen=True, order=False)
 class DyckPath:
     steps: str
-    # read off the step word by the one walk in __post_init__; equality,
-    # hashing and repr depend on steps alone
+    # read off the step word by the one walk in __post_init__ (or handed to
+    # _walked by enumerate_paths); equality, hashing and repr depend on steps
+    # alone
     _heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
     area: int = field(init=False, compare=False, repr=False)
@@ -52,6 +54,23 @@ class DyckPath:
         object.__setattr__(self, "_offsets", tuple(offsets))
         object.__setattr__(self, "area", sum(heights) - n * (n + 1) // 2)
 
+    @classmethod
+    def _walked(cls, steps: str, heights: tuple[int, ...],
+                offsets: tuple[int, ...], area: int) -> "DyckPath":
+        """Trusted constructor: store a walk the caller has already made.
+
+        No check runs; the caller vouches that steps is a Dyck word and that
+        heights, offsets and area are the values __post_init__ would read
+        off it.  Fields are set one by one, as __post_init__ sets them, so
+        instances keep their compact shared-key layout.
+        """
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "_heights", heights)
+        object.__setattr__(path, "_offsets", offsets)
+        object.__setattr__(path, "area", area)
+        return path
+
     @property
     def order(self) -> int:
         return len(self.steps) // 2
@@ -63,9 +82,6 @@ class DyckPath:
     def north_offsets(self) -> tuple[int, ...]:
         """x-coordinate of each north step: e[i] = #E before the i-th N."""
         return self._offsets
-
-    def sort_key(self) -> tuple[int, str]:
-        return (self.area, self.steps.translate(_LEX))
 
     def __repr__(self) -> str:
         return f"DyckPath({self.steps!r})"
@@ -174,25 +190,26 @@ def count_bad_paths(n: int) -> int:
 def enumerate_paths(n: int) -> list[DyckPath]:
     """All Dyck paths of order n in canonical order."""
     check_order(n, "paths")
-    words: list[str] = []
-
-    def extend(prefix: list[str], norths: int, easts: int) -> None:
-        if norths == n and easts == n:
-            words.append("".join(prefix))
-            return
-        if norths < n:
-            prefix.append(NORTH)
-            extend(prefix, norths + 1, easts)
-            prefix.pop()
-        if easts < norths:
-            prefix.append(EAST)
-            extend(prefix, norths, easts + 1)
-            prefix.pop()
-
-    extend([], 0, 0)
-    paths = [DyckPath(w) for w in words]
-    paths.sort(key=DyckPath.sort_key)
-    return paths
+    # one prefix per entry: (word, norths, heights, offsets, height_sum);
+    # a north records the easts so far as its offset, an east records the
+    # norths so far as its column height
+    prefixes = [("", 0, (), (), 0)]
+    for _ in range(2 * n):
+        grown = []
+        for word, norths, heights, offsets, height_sum in prefixes:
+            if norths < n:
+                grown.append((word + NORTH, norths + 1, heights,
+                              offsets + (len(heights),), height_sum))
+            if len(heights) < norths:
+                grown.append((word + EAST, norths, heights + (norths,),
+                              offsets, height_sum + norths))
+        prefixes = grown
+    # the words are now lexicographic with N < E; a stable sort by the height
+    # sum alone orders by area and keeps that tie-break
+    prefixes.sort(key=itemgetter(4))
+    base = n * (n + 1) // 2  # area = sum over columns j of h[j] - j
+    return [DyckPath._walked(word, heights, offsets, height_sum - base)
+            for word, _, heights, offsets, height_sum in prefixes]
 
 
 def is_below(d1: DyckPath, d2: DyckPath) -> bool:

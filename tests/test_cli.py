@@ -161,16 +161,26 @@ class TestParserReuse:
         assert json.loads(out)["mode"] == "all"
 
     def test_paths_are_built_anew_on_every_call(self, capsys, monkeypatch):
-        # a path memo shared between calls would build fewer the second time
+        # a path memo shared between calls would build fewer the second time;
+        # paths are built by the validating constructor or, in
+        # enumerate_paths, by the trusted one, so both are counted
         built = 0
         validate = paths.DyckPath.__post_init__
+        walked = paths.DyckPath._walked
 
         def counted(self):
             nonlocal built
             built += 1
             validate(self)
 
+        def counted_walk(*fields):
+            nonlocal built
+            built += 1
+            return walked(*fields)
+
         monkeypatch.setattr(paths.DyckPath, "__post_init__", counted)
+        monkeypatch.setattr(paths.DyckPath, "_walked",
+                            staticmethod(counted_walk))
         assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK
         once = built
         assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK

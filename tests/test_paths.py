@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -41,6 +42,20 @@ def _walk(word):
             easts += 1
     area = sum(h - j for j, h in enumerate(heights, start=1))
     return tuple(heights), tuple(offsets), area
+
+
+def _canonical_words(n):
+    """Oracle: every N/E word of length 2n that DyckPath accepts, sorted by
+    area, then lexicographically with N before E."""
+    lex = str.maketrans("NE", "01")
+    accepted = []
+    for marks in product("NE", repeat=2 * n):
+        try:
+            accepted.append(DyckPath("".join(marks)))
+        except ValueError:
+            continue
+    accepted.sort(key=lambda d: (d.area, d.steps.translate(lex)))
+    return [d.steps for d in accepted]
 
 
 class TestCatalanCounts:
@@ -167,6 +182,16 @@ class TestStatistics:
         for n in range(7):
             areas = [d.area for d in enumerate_paths(n)]
             assert areas == sorted(areas)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_canonical_order_breaks_area_ties_lexicographically(self, n):
+        assert [d.steps for d in enumerate_paths(n)] == _canonical_words(n)
+
+    def test_enumeration_runs_no_validating_walk(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("validating walk run")
+        monkeypatch.setattr(DyckPath, "__post_init__", refuse)
+        assert len(enumerate_paths(8)) == 1430
 
 
 class TestPartitions:
