@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Cross-check the two q,t-Catalan routes at random rational points.
+"""Cross-check the path-statistic polynomial C_n(q,t) against the bounce
+recurrence, whole, and against the partition sum at random rational points.
 
-For each order, evaluates the path-statistic polynomial sum(q^area t^bounce)
-and the partition sum with exact rational arithmetic at seeded admissible
-points, reporting the shared value.
+For each order, compares sum(q^area t^bounce) over the paths with the
+Garsia-Haglund bounce recurrence term by term, then evaluates it and the
+partition sum with exact rational arithmetic at seeded admissible points,
+reporting the shared value.  Exits 1 at the first mismatch.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import argparse
 from dyckposet import (GH_POINT_SEED, gh_evaluate, gh_sample_points,
                        qt_catalan)
 from dyckposet.config import LimitExceededError, check_order
+from dyckposet.qt import _bounce_recurrence, _q_pascal
 
 
 def main() -> None:
@@ -28,6 +31,12 @@ def main() -> None:
         poly = qt_catalan(n)
         print(f"order {n}: C_n(q,t) has {len(poly.coeffs)} terms, "
               f"C_n(1,1) = {poly(1, 1)}")
+        recurrence = _bounce_recurrence(n, _q_pascal(2 * n))
+        status = "ok" if recurrence == poly else "MISMATCH"
+        print(f"  bounce recurrence -> {len(recurrence.coeffs)} terms "
+              f"[{status}]")
+        if recurrence != poly:
+            raise SystemExit(1)
         for q0, t0 in gh_sample_points(
                 n, args.points, seed=GH_POINT_SEED + args.seed_offset):
             lhs = poly.evaluate_exact(q0, t0)

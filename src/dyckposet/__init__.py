@@ -5,7 +5,8 @@ are required to agree: Catalan counts (closed form vs recurrence), q-analogs
 (statistic sums vs recurrences and quotients), maximal chains (incidence
 algebra vs hook-length formula), Mobius values (matrix inversion vs the
 distributive-lattice criterion), and the q,t-Catalan polynomial (path
-statistics vs exact rational evaluation of the partition sum).
+statistics vs the bounce recurrence, and vs exact rational evaluation of the
+partition sum).
 """
 
 from .config import MAX_ORDER, LimitExceededError, check_order

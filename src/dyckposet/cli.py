@@ -123,21 +123,31 @@ def cmd_antichains(args: argparse.Namespace) -> Result:
 def cmd_qt(args: argparse.Namespace) -> Result:
     n = args.n
     check_order(n, "paths")
-    poly = qt.qt_catalan(n)
+    # one path pass gives all three sums; one q-Pascal table serves the
+    # bounce recurrence and the maj quotient
+    poly, area, maj = qt._statistic_sums(n)
+    pascal = qt._q_pascal(2 * n)
+    if poly != qt._bounce_recurrence(n, pascal):
+        raise AssertionError("q,t-Catalan polynomial: the path sum disagrees "
+                             "with the bounce recurrence")
     count = poly(1, 1)
     if count != paths.catalan_closed(n):
         raise AssertionError("q,t-Catalan polynomial at (1, 1) disagrees "
                              "with the Catalan number")
+    # the partition sum is the one route that does not use bounce
     q0, t0 = qt.GH_CHECK_POINT
     if poly.evaluate_exact(q0, t0) != qt.gh_evaluate(n, q0, t0):
         raise AssertionError(f"q,t-Catalan polynomial at ({q0}, {t0}) "
                              "disagrees with the partition sum")
+    qt._check_area(n, area)
+    inv = qt.cn_inv(n)
+    qt._check_maj(n, maj, UniPoly.from_list(pascal[2 * n][n]))
     return [
         ("order", n),
         ("qt_catalan", poly),
-        ("area_analog", qt.cn_area(n)),
-        ("inv_analog", qt.cn_inv(n)),
-        ("maj_analog", qt.cn_maj(n)),
+        ("area_analog", area),
+        ("inv_analog", inv),
+        ("maj_analog", maj),
         ("symmetric", int(poly.swap_variables() == poly)),
         ("count_specialization", count),
     ]

@@ -1,5 +1,17 @@
 """Classical q-analogs, the q,t-Catalan polynomial, and exact rational-point
-validation of the Garsia-Haiman partition sum."""
+validation of the Garsia-Haiman partition sum.
+
+C_n(q, t) = sum q^area t^bounce over the Dyck paths of order n has three
+routes here: the path sum (qt_catalan, or _statistic_sums, which reads area,
+bounce and maj of each path in one pass and so also gives the area and maj
+analogs); the Garsia-Haglund bounce recurrence (_bounce_recurrence), which
+never enumerates a path and is compared polynomial against polynomial; and
+the Garsia-Haiman partition sum (gh_evaluate), which does not use bounce and
+is compared at exact rational points.  The q-binomials the recurrence and
+the maj quotient [2n choose n]_q / [n+1]_q need come from one q-Pascal
+table (_q_pascal) built per call; q_binomial keeps its factorial division
+and is the tests' oracle for that table.
+"""
 
 from __future__ import annotations
 
@@ -92,12 +104,17 @@ def _carlitz(n: int, shift: Callable[[int, int], int]) -> BiPoly:
     return polys[n]
 
 
+def _check_area(n: int, area: BiPoly) -> None:
+    """Raise unless the area analog equals the area recurrence."""
+    if area != _carlitz(n, lambda k, m: k):
+        raise AssertionError("area q-analog: path sum disagrees with recurrence")
+
+
 def cn_area(n: int) -> BiPoly:
     """Sum of q^{area(D)}, computed both by path summation and by the
     area recurrence; the two must agree."""
     direct = _path_sum(n, lambda d: (d.area, 0))
-    if direct != _carlitz(n, lambda k, m: k):
-        raise AssertionError("area q-analog: path sum disagrees with recurrence")
+    _check_area(n, direct)
     return direct
 
 
@@ -113,19 +130,88 @@ def cn_inv(n: int) -> BiPoly:
     return inv
 
 
+def _check_maj(n: int, maj: BiPoly, central: UniPoly) -> None:
+    """Raise unless the maj analog equals central / [n+1]_q, where central
+    is [2n choose n]_q."""
+    quotient = BiPoly.from_q(central.divide_exact(_q_int_uni(n + 1)))
+    if maj != quotient:
+        raise AssertionError("maj q-analog: path sum disagrees with quotient")
+
+
 def cn_maj(n: int) -> BiPoly:
     """Sum of q^{maj(D)}, cross-checked against [2n choose n]_q / [n+1]_q."""
     direct = _path_sum(n, lambda d: (_maj(d), 0))
-    quotient = BiPoly.from_q(
-        q_binomial(2 * n, n).q_part().divide_exact(_q_int_uni(n + 1)))
-    if direct != quotient:
-        raise AssertionError("maj q-analog: path sum disagrees with quotient")
+    _check_maj(n, direct, q_binomial(2 * n, n).q_part())
     return direct
 
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
     return _path_sum(n, lambda d: (d.area, _bounce(d)))
+
+
+def _statistic_sums(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """C_n(q, t), the area analog and the maj analog from one enumeration:
+    the (area, bounce, maj) triples of the paths are counted once, and each
+    sum is read off the counts."""
+    triples = Counter((d.area, _bounce(d), _maj(d))
+                      for d in enumerate_paths(n))
+    qt_sum: Counter = Counter()
+    area_sum: Counter = Counter()
+    maj_sum: Counter = Counter()
+    for (area, bounce, maj), count in triples.items():
+        qt_sum[area, bounce] += count
+        area_sum[area, 0] += count
+        maj_sum[maj, 0] += count
+    return BiPoly(qt_sum), BiPoly(area_sum), BiPoly(maj_sum)
+
+
+def _q_pascal(top: int) -> list[list[list[int]]]:
+    """Rows 0..top of the q-binomials: row m lists [m choose k]_q for
+    k = 0..m as ascending coefficient lists, by the q-Pascal rule
+    [m choose k]_q = [m-1 choose k-1]_q + q^k [m-1 choose k]_q."""
+    rows = [[[1]]]
+    for m in range(1, top + 1):
+        prev = rows[-1]
+        row = [[1]]
+        for k in range(1, m):
+            # [m choose k]_q has degree k (m - k)
+            coeffs = prev[k - 1] + [0] * (k * (m - k) + 1 - len(prev[k - 1]))
+            for e, c in enumerate(prev[k], k):
+                coeffs[e] += c
+            row.append(coeffs)
+        row.append([1])
+        rows.append(row)
+    return rows
+
+
+def _bounce_recurrence(n: int, pascal: list[list[list[int]]]) -> BiPoly:
+    """C_n(q, t) by the Garsia-Haglund recurrence, enumerating no path:
+    F_{m,m} = q^C(m,2) and, for 1 <= k < m,
+    F_{m,k} = t^(m-k) q^C(k,2) sum_{r=1}^{m-k} [r+k-1 choose r]_q F_{m-k,r},
+    with C_n = sum_k F_{n,k}.  F_{m,k} sums over the paths of order m that
+    end in exactly k east steps, the first leg of their bounce path from
+    (m, m); pascal must reach row n - 1."""
+    if n == 0:
+        return BiPoly.one()
+    # f[m][k] is F_{m,k} as a dict from (q, t) exponents to coefficients
+    f: list[dict[int, Counter]] = [{}]
+    for m in range(1, n + 1):
+        row = {m: Counter({(comb(m, 2), 0): 1})}
+        for k in range(1, m):
+            q_shift, t_exp = comb(k, 2), m - k
+            total: Counter = Counter()
+            for r in range(1, m - k + 1):
+                binomial = pascal[r + k - 1][r]
+                for (qe, te), c in f[m - k][r].items():
+                    for e, b in enumerate(binomial, qe + q_shift):
+                        total[e, te + t_exp] += b * c
+            row[k] = total
+        f.append(row)
+    c_n: Counter = Counter()
+    for poly in f[n].values():
+        c_n.update(poly)
+    return BiPoly(c_n)
 
 
 def qt_specialize(n: int, mode: str):

@@ -16,6 +16,8 @@ from dyckposet.oeis import REGISTRY
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 GOLDEN = ROOT / "bench" / "golden" / "stdout.json"
+# the benchmark's captured exit code and stdout of each CLI op, read only
+GOLDEN_OPS = json.loads(GOLDEN.read_text())["ops"]
 
 # every subcommand that takes an order, with the jobs it runs
 JOBS = {
@@ -192,11 +194,12 @@ class TestCrossChecks:
     """Each two-route check a command makes exits 4 with empty stdout when
     one route is broken."""
 
-    def _assert_internal(self, capsys, *argv):
+    def _assert_internal(self, capsys, *argv, check="disagree"):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INTERNAL
         assert out == ""
         assert "disagree" in err
+        assert check in err
 
     def test_parking_counts_must_agree(self, capsys, monkeypatch):
         from dyckposet import parking
@@ -225,19 +228,66 @@ class TestCrossChecks:
                             lambda n: recurrence(n) + 1)
         self._assert_internal(capsys, "catalan", "--n", "4")
 
+    @staticmethod
+    def _break_sums(monkeypatch, index, extra):
+        """Add extra to one of the three sums the qt path pass returns."""
+        sums = qt._statistic_sums
+
+        def broken(n):
+            out = list(sums(n))
+            out[index] = out[index] + extra
+            return tuple(out)
+        monkeypatch.setattr(qt, "_statistic_sums", broken)
+
+    def test_qt_bounce_recurrence_must_agree(self, capsys, monkeypatch):
+        from dyckposet.polynomials import BiPoly
+        recurrence = qt._bounce_recurrence
+        monkeypatch.setattr(qt, "_bounce_recurrence", lambda n, pascal:
+                            recurrence(n, pascal) + BiPoly.monomial(1, 1))
+        self._assert_internal(capsys, "qt", "--n", "4",
+                              check="the bounce recurrence")
+
     def test_qt_count_must_match_catalan(self, capsys, monkeypatch):
         from dyckposet.polynomials import BiPoly
-        qt_catalan = qt.qt_catalan
-        # one more path of area 1 and bounce 1: still symmetric
-        monkeypatch.setattr(qt, "qt_catalan",
-                            lambda n: qt_catalan(n) + BiPoly.monomial(1, 1))
-        self._assert_internal(capsys, "qt", "--n", "4")
+        # one more path of area 1 and bounce 1, on both polynomial routes,
+        # so they still agree with each other
+        extra = BiPoly.monomial(1, 1)
+        self._break_sums(monkeypatch, 0, extra)
+        recurrence = qt._bounce_recurrence
+        monkeypatch.setattr(qt, "_bounce_recurrence",
+                            lambda n, pascal: recurrence(n, pascal) + extra)
+        self._assert_internal(capsys, "qt", "--n", "4", check="at (1, 1)")
 
     def test_qt_partition_sum_must_agree(self, capsys, monkeypatch):
         gh_evaluate = qt.gh_evaluate
         monkeypatch.setattr(qt, "gh_evaluate",
                             lambda n, q0, t0: gh_evaluate(n, q0, t0) + 1)
-        self._assert_internal(capsys, "qt", "--n", "4")
+        self._assert_internal(capsys, "qt", "--n", "4",
+                              check="the partition sum")
+
+    def test_qt_area_must_match_the_recurrence(self, capsys, monkeypatch):
+        from dyckposet.polynomials import BiPoly
+        # area 1 gains a path that area 2 loses: the count stays C_4
+        self._break_sums(monkeypatch, 1, BiPoly({(1, 0): 1, (2, 0): -1}))
+        self._assert_internal(capsys, "qt", "--n", "4",
+                              check="area q-analog")
+
+    def test_qt_inv_must_match_the_reversed_area(self, capsys, monkeypatch):
+        from dyckposet.polynomials import BiPoly
+        carlitz = qt._carlitz
+
+        # break the inv shift (k + 1)(m - k) only; the area shift k is 0
+        # at k = 0
+        def broken(n, shift):
+            poly = carlitz(n, shift)
+            return poly + BiPoly.monomial(1, 0) if shift(0, 1) else poly
+        monkeypatch.setattr(qt, "_carlitz", broken)
+        self._assert_internal(capsys, "qt", "--n", "4", check="inv q-analog")
+
+    def test_qt_maj_must_match_the_quotient(self, capsys, monkeypatch):
+        from dyckposet.polynomials import BiPoly
+        self._break_sums(monkeypatch, 2, BiPoly({(1, 0): 1, (2, 0): -1}))
+        self._assert_internal(capsys, "qt", "--n", "4", check="maj q-analog")
 
     def test_cover_edges_must_match_the_valleys(self, capsys, monkeypatch):
         from dyckposet import poset
@@ -323,7 +373,7 @@ class TestOrderLimits:
         _, out, _ = run_cli(capsys, "parking", "--n", "7")
         assert json.loads(out) == {"order": "7", "count_closed": "262144"}
 
-    def test_qt_enumerates_paths_three_times(self, capsys, monkeypatch):
+    def test_qt_enumerates_paths_once(self, capsys, monkeypatch):
         calls = []
 
         def counted(n):
@@ -331,14 +381,14 @@ class TestOrderLimits:
             return paths.enumerate_paths(n)
         monkeypatch.setattr(qt, "enumerate_paths", counted)
         assert run_cli(capsys, "qt", "--n", "5")[0] == EXIT_OK
-        assert calls == [5, 5, 5]
+        assert calls == [5]
 
     def test_antichains_at_limit_fit_in_memory(self, capsys):
         # every order the table allows must run without exhausting memory;
         # listing the 37,620,704 antichains of D_6 took 2 GB.  The memo
         # peaks near 2.4 MiB split along its chains and 16.6 MiB in the
         # canonical order, so the bound also catches a return to the latter
-        golden = json.loads(GOLDEN.read_text())["ops"]["antichains --n 6"]
+        golden = GOLDEN_OPS["antichains --n 6"]
         assert MAX_ORDER["antichains"] == 6
         tracemalloc.start()
         try:
@@ -375,6 +425,12 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
         assert out1.encode() == out2.encode()
+
+    @pytest.mark.parametrize("op", sorted(GOLDEN_OPS))
+    def test_matches_the_benchmark_capture(self, capsys, op):
+        code, out, _ = run_cli(capsys, *op.split())
+        assert code == GOLDEN_OPS[op]["exit"]
+        assert out == GOLDEN_OPS[op]["stdout"]
 
     def test_csv_and_json_agree(self, capsys):
         _, json_out, _ = run_cli(capsys, "catalan", "--n", "5")

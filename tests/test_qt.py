@@ -9,7 +9,9 @@ from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
                        gh_pole_check, gh_sample_points, q_binomial,
                        q_factorial, q_int, qt, qt_catalan, qt_specialize,
                        symmetry_check)
-from dyckposet.qt import _partitions
+from dyckposet.polynomials import UniPoly
+from dyckposet.qt import (_bounce_recurrence, _partitions, _q_pascal,
+                          _statistic_sums)
 
 
 def _bipoly(coeffs):
@@ -102,6 +104,30 @@ class TestQtCatalan:
         for n in range(7):
             assert all(c > 0 for c in qt_catalan(n).coeffs.values())
             assert qt_catalan(n)(1, 1) == catalan_closed(n)
+
+
+class TestBounceRecurrence:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_the_path_sum(self, n):
+        assert _bounce_recurrence(n, _q_pascal(2 * n)) == qt_catalan(n)
+
+    @pytest.mark.parametrize("n", sorted(QT_TABLE))
+    def test_table_values(self, n):
+        assert _bounce_recurrence(n, _q_pascal(2 * n)) == _bipoly(QT_TABLE[n])
+
+    def test_q_pascal_rows_match_the_factorial_quotient(self):
+        pascal = _q_pascal(16)
+        assert len(pascal) == 17
+        for m, row in enumerate(pascal):
+            assert len(row) == m + 1
+            for k, coeffs in enumerate(row):
+                assert coeffs[-1] != 0
+                assert BiPoly.from_q(UniPoly.from_list(coeffs)) == \
+                    q_binomial(m, k)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_one_pass_matches_the_separate_sums(self, n):
+        assert _statistic_sums(n) == (qt_catalan(n), cn_area(n), cn_maj(n))
 
 
 # Fraction oracles: the partition sum cell by cell, as written before the

@@ -26,6 +26,16 @@ def test_runs_at_small_order(name):
     assert "order 3" in result.stdout
 
 
+def test_partition_sum_check_compares_the_bounce_recurrence():
+    result = run_script("qt_partition_sum_check.py", "--max-n", "3")
+    lines = [line for line in result.stdout.splitlines()
+             if "bounce recurrence" in line]
+    # one line per order 0..3, C_3(q,t) having 5 terms
+    assert len(lines) == 4
+    assert all(line.endswith("[ok]") for line in lines)
+    assert lines[3] == "  bounce recurrence -> 5 terms [ok]"
+
+
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_refuses_past_limit(name):
     result = run_script(name, "--max-n", "9")
