@@ -18,7 +18,8 @@ from collections import Counter
 from math import comb
 from typing import Callable
 
-from . import incidence, oeis, parking, paths, poset, qt, tableaux
+from . import incidence, oeis, parking, paths, poset, qt
+from .checks import agree
 from .chromatic import hasse_chromatic
 from .config import MAX_ORDER, LimitExceededError, check_order
 from .polynomials import BiPoly, UniPoly
@@ -38,9 +39,7 @@ def cmd_catalan(args: argparse.Namespace) -> Result:
     check_order(n, "counts")
     closed = paths.catalan_closed(n)
     recurrence = paths.catalan_recurrence(n)
-    if closed != recurrence:
-        raise AssertionError("Catalan numbers: closed form and recurrence "
-                             "disagree")
+    agree("Catalan closed form and recurrence", closed, recurrence)
     out = [
         ("order", n),
         ("catalan_closed", closed),
@@ -57,25 +56,20 @@ def cmd_poset(args: argparse.Namespace) -> Result:
     census = poset.antichain_census(p, "all")
     sizes = poset.rank_sizes(p.n)
     by_rank = Counter(p.rank)
-    if sizes != tuple(by_rank[r] for r in range(max(p.rank), -1, -1)):
-        raise AssertionError("rank sizes: recurrence disagrees with the "
-                             "poset's rank histogram")
+    agree("rank sizes by recurrence and by the poset's rank histogram",
+          sizes, tuple(by_rank[r] for r in range(max(p.rank), -1, -1)))
     # downward closure maps the antichains one to one onto the order ideals
-    ideal_count = poset.order_ideal_count(p)
-    if ideal_count != census.total:
-        raise AssertionError(f"order ideal counts disagree: {ideal_count} "
-                             f"ideals vs {census.total} antichains")
+    ideal_count = agree("order ideal and antichain counts",
+                        poset.order_ideal_count(p), census.total)
     # a cover adds one cell at a valley; the paths of order n have
     # C(2n-1, n-2) valleys in all
-    cover_edges = len(p.cover_edges())
-    if cover_edges != (comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0):
-        raise AssertionError("cover edges: the Hasse diagram disagrees with "
-                             "the valley count C(2n-1, n-2)")
+    cover_edges = agree("cover edges and the valley count C(2n-1, n-2)",
+                        len(p.cover_edges()),
+                        comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0)
     # the C(n, 2) + 1 rank levels are a minimum antichain cover
-    antichain_cover = poset.min_antichain_cover(p)
-    if antichain_cover != comb(p.n, 2) + 1:
-        raise AssertionError("minimum antichain cover: the longest chain "
-                             "disagrees with the C(n, 2) + 1 rank levels")
+    antichain_cover = agree(
+        "minimum antichain cover and the C(n, 2) + 1 rank levels",
+        poset.min_antichain_cover(p), comb(p.n, 2) + 1)
     return [
         ("order", p.n),
         ("size", p.size),
@@ -92,16 +86,13 @@ def cmd_poset(args: argparse.Namespace) -> Result:
 def cmd_chains(args: argparse.Namespace) -> Result:
     check_order(args.n, "paths", "chains")
     p = poset.build_poset(args.n)
+    # the census has checked its maximal count against the hook formula
     census = incidence.chain_census(p)
-    hook = tableaux.staircase_maxchain(p.n)
-    if census.maximal != hook:
-        raise AssertionError("maximal chains: incidence algebra disagrees "
-                             "with the hook-length formula")
     return [
         ("order", p.n),
         ("total_chains", census.total),
         ("maximal_chains", census.maximal),
-        ("maximal_chains_hook", hook),
+        ("maximal_chains_hook", census.maximal),
         ("chain_polynomial", census.polynomial),
     ]
 
@@ -127,18 +118,14 @@ def cmd_qt(args: argparse.Namespace) -> Result:
     # bounce recurrence and the maj quotient
     poly, area, maj = qt._statistic_sums(n)
     pascal = qt._q_pascal(2 * n)
-    if poly != qt._bounce_recurrence(n, pascal):
-        raise AssertionError("q,t-Catalan polynomial: the path sum disagrees "
-                             "with the bounce recurrence")
-    count = poly(1, 1)
-    if count != paths.catalan_closed(n):
-        raise AssertionError("q,t-Catalan polynomial at (1, 1) disagrees "
-                             "with the Catalan number")
+    agree("q,t-Catalan path sum and the bounce recurrence",
+          poly, qt._bounce_recurrence(n, pascal))
+    count = agree("q,t-Catalan value at (1, 1) and the Catalan number",
+                  poly(1, 1), paths.catalan_closed(n))
     # the partition sum is the one route that does not use bounce
     q0, t0 = qt.GH_CHECK_POINT
-    if poly.evaluate_exact(q0, t0) != qt.gh_evaluate(n, q0, t0):
-        raise AssertionError(f"q,t-Catalan polynomial at ({q0}, {t0}) "
-                             "disagrees with the partition sum")
+    agree("q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
+          poly.evaluate_exact(q0, t0), qt.gh_evaluate(n, q0, t0))
     qt._check_area(n, area)
     inv = qt.cn_inv(n)
     qt._check_maj(n, maj, UniPoly.from_list(pascal[2 * n][n]))
@@ -174,14 +161,12 @@ def cmd_parking(args: argparse.Namespace) -> Result:
     if n <= MAX_ORDER["parking"]:
         filtered = parking.count_parking_by_filter(n)
         labelled = parking.count_labelled_paths(n)
-        if not filtered == labelled == closed:
-            raise AssertionError("parking counts: closed form, filter "
-                                 "and labelled paths disagree")
+        agree("parking counts by closed form, filter and labelled paths",
+              closed, filtered, labelled)
         # one content group per unlabelled path
-        groups = len(parking.content_group_representatives(n))
-        if groups != paths.catalan_closed(n):
-            raise AssertionError("content groups: the group count disagrees "
-                                 "with the Catalan number")
+        groups = agree("content groups and the Catalan number",
+                       len(parking.content_group_representatives(n)),
+                       paths.catalan_closed(n))
         out.append(("count_enumerated", filtered))
         out.append(("labelled_path_count", labelled))
         out.append(("content_group_count", groups))

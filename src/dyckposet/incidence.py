@@ -13,8 +13,9 @@ triangular solve that reads only its matrix's nonzero entries: the entry sum
 of (2*delta - zeta)^{-1} is the sum of x with (2*delta - zeta) x = 1, read
 from area-cell mask inclusion, and the (min, max) entry of (delta - eta)^{-1}
 is the first entry of the last column, solved over the covers.  chain_census
-checks the chain polynomial against both.  The dense matrices and
-invert_unitriangular remain as library functions and test oracles.
+checks the chain polynomial against both, and the maximal count also against
+the hook-length formula (tableaux.staircase_maxchain).  The dense matrices
+and invert_unitriangular remain as library functions and test oracles.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
 
+from . import tableaux
+from .checks import agree
 from .paths import catalan_closed
 from .polynomials import UniPoly
 from .poset import DyckPoset, _bits, _unpack
@@ -183,25 +186,24 @@ def chain_census(p: DyckPoset) -> ChainCensus:
 
     The chain DP runs once.  Its value at t = 1 must equal the entry sum of
     (2*delta - zeta)^{-1} plus the empty chain, and its top coefficient the
-    (min, max) entry of (delta - eta)^{-1}; each inversion is one triangular
-    solve.  A disagreement raises AssertionError.  Both totals give 2 for
+    (min, max) entry of (delta - eta)^{-1} and the hook-length count of
+    staircase tableaux; each inversion is one triangular solve.  A
+    disagreement raises AssertionError.  Both totals give 2 for
     the one-element order-0 poset, but the published count table gives it a
     single chain; we mirror that convention so the bundled-sequence
     verification is meaningful.
     """
     polynomial = chain_polynomial(p)
-    via_solve = sum(total_chain_solve(p)) + 1
-    via_polynomial = polynomial(1)
-    if via_solve != via_polynomial:
-        raise AssertionError(
-            f"total chain counts disagree: {via_solve} vs {via_polynomial}")
-    maximal = maximal_chain_solve(p)[0]
-    top_coefficient = polynomial.coeffs.get(comb(p.n, 2) + 1, 0)
-    if maximal != top_coefficient:
-        raise AssertionError(f"maximal chain counts disagree: {maximal} vs "
-                             f"{top_coefficient}")
+    total = agree("total chain counts by solve and by chain DP",
+                  sum(total_chain_solve(p)) + 1, polynomial(1))
+    # read through the module, so that a test can replace the formula
+    maximal = agree(
+        "maximal chain counts by solve, by chain DP and by hook lengths",
+        maximal_chain_solve(p)[0],
+        polynomial.coeffs.get(comb(p.n, 2) + 1, 0),
+        tableaux.staircase_maxchain(p.n))
     return ChainCensus(polynomial=polynomial,
-                       total=1 if p.n == 0 else via_solve, maximal=maximal)
+                       total=1 if p.n == 0 else total, maximal=maximal)
 
 
 def total_chains(p: DyckPoset) -> int:
@@ -220,10 +222,7 @@ def interval_count(p: DyckPoset) -> int:
     Counted from the up-sets, and checked against C_n C_{n+2} - C_{n+1}^2,
     the closed form OEIS A005700 gives for it.
     """
-    counted = sum(mask.bit_count() for mask in p.up)
-    closed = (catalan_closed(p.n) * catalan_closed(p.n + 2)
-              - catalan_closed(p.n + 1) ** 2)
-    if counted != closed:
-        raise AssertionError(
-            f"interval counts disagree: {counted} vs {closed}")
-    return counted
+    return agree("interval counts by up-sets and by closed form",
+                 sum(mask.bit_count() for mask in p.up),
+                 catalan_closed(p.n) * catalan_closed(p.n + 2)
+                 - catalan_closed(p.n + 1) ** 2)

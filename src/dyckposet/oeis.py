@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-from . import chromatic, incidence, parking, paths, poset, tableaux
+from . import chromatic, incidence, parking, paths, poset
 
 
 class UnknownSequenceError(Exception):
@@ -56,15 +56,6 @@ def load_snapshot(sequence_id: str) -> list[tuple[int, int]]:
     return parse_snapshot(text)
 
 
-def _maximal_chains(n: int) -> int:
-    count = incidence.maximal_chain_count(poset.build_poset(n))
-    hook = tableaux.staircase_maxchain(n)
-    if count != hook:
-        raise AssertionError(f"maximal chains of D_{n}: {count} disagrees "
-                             f"with the hook-length formula {hook}")
-    return count
-
-
 def _chromatic_row(n: int) -> list[int]:
     poly = chromatic.hasse_chromatic(poset.build_poset(n))
     return [abs(poly.coeffs.get(e, 0))
@@ -92,7 +83,7 @@ REGISTRY: dict[str, SequenceEntry] = {
         lambda n: incidence.total_chains(poset.build_poset(n)), 5),
     "A005118": SequenceEntry(
         "maximal chain counts of D_n", "values", lambda n: n,
-        _maximal_chains, 6),
+        lambda n: incidence.maximal_chain_count(poset.build_poset(n)), 6),
     "A143673": SequenceEntry(
         "antichain counts of D_n", "values", lambda n: n,
         lambda n: poset.antichain_census(poset.build_poset(n)).total, 5),

@@ -21,11 +21,7 @@ class ParkingFunction:
     prefs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.prefs)
-        for v in self.prefs:
-            if not 1 <= v <= n:
-                raise ValueError(f"preference {v} out of range 1..{n}")
-        if not _sorted_prefix_ok(self.prefs):
+        if not is_parking_function(self.prefs):
             raise ValueError("not a parking function")
 
     @property

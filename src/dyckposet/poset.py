@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
+from .checks import agree
 from .config import check_order
 from .paths import DyckPath, enumerate_paths, is_below
 from .qt import cn_inv
@@ -274,13 +275,11 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     width = len(c) - 1
     padded = c + (0, 0)
     pairs = comb(p.size, 2) - sum(mask.bit_count() - 1 for mask in p.up)
-    checks = (("widths", width, min_chain_cover(p)),
-              ("1-element antichain counts", padded[1], p.size),
-              ("2-element antichain counts", padded[2], pairs))
-    for name, via_memo, via_check in checks:
-        if via_memo != via_check:
-            raise AssertionError(
-                f"{name} disagree: {via_memo} vs {via_check}")
+    agree("widths by antichain sizes and by Dilworth matching",
+          width, min_chain_cover(p))
+    agree("1-element antichain and element counts", padded[1], p.size)
+    agree("2-element antichain and incomparable pair counts",
+          padded[2], pairs)
     if mode == "all":
         return AntichainCensus(by_size=dict(enumerate(c)), total=sum(c))
     return AntichainCensus(by_size={width: c[width]}, total=c[width],

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
+from .checks import agree
 from .paths import Partition, cell_stats, path_to_partition
 from .poset import DyckPoset, build_poset, maximal_chains
 
@@ -61,8 +62,7 @@ def _chain_to_filling(p: DyckPoset, chain: tuple[int, ...]) -> dict[tuple[int, i
         if position > 0:
             added = cells - previous
             step += 1
-            if len(added) != 1:
-                raise AssertionError("cover step must add exactly one cell")
+            agree("cells added by a cover step and one", len(added), 1)
             filling[added.pop()] = step
         previous = cells
     return filling

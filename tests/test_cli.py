@@ -1,19 +1,23 @@
+import ast
 import json
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dyckposet import paths, qt
+from dyckposet import incidence, parking, paths, poset, qt, tableaux
 from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
                            EXIT_OK, EXIT_USAGE, GUARANTEED_KEYS, build_parser,
                            main)
 from dyckposet.config import MAX_ORDER
 from dyckposet.oeis import REGISTRY
+from dyckposet.polynomials import BiPoly
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dyckposet"
 README = ROOT / "README.md"
 GOLDEN = ROOT / "bench" / "golden" / "stdout.json"
 # the benchmark's captured exit code and stdout of each CLI op, read only
@@ -190,144 +194,172 @@ class TestParserReuse:
         assert built == 2 * once
 
 
-class TestCrossChecks:
-    """Each two-route check a command makes exits 4 with empty stdout when
-    one route is broken."""
+def _wrap(owner, attr, make):
+    """A patch that replaces owner.attr by make(original)."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        owner, attr, make(getattr(owner, attr)))
 
-    def _assert_internal(self, capsys, *argv, check="disagree"):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_INTERNAL
-        assert out == ""
-        assert "disagree" in err
-        assert check in err
 
-    def test_parking_counts_must_agree(self, capsys, monkeypatch):
-        from dyckposet import parking
-        count_labelled = parking.count_labelled_paths
-        monkeypatch.setattr(parking, "count_labelled_paths",
-                            lambda n: count_labelled(n) + 1)
-        self._assert_internal(capsys, "parking", "--n", "3")
+def _plus_one(owner, attr):
+    return _wrap(owner, attr, lambda f: lambda *args: f(*args) + 1)
 
-    def test_content_groups_must_match_catalan(self, capsys, monkeypatch):
-        from dyckposet import parking
-        representatives = parking.content_group_representatives
-        monkeypatch.setattr(parking, "content_group_representatives",
-                            lambda n: representatives(n)[1:])
-        self._assert_internal(capsys, "parking", "--n", "3")
 
-    def test_parking_filter_must_agree(self, capsys, monkeypatch):
-        from dyckposet import parking
-        count = parking.count_parking_by_filter
-        monkeypatch.setattr(parking, "count_parking_by_filter",
-                            lambda n: count(n) + 1)
-        self._assert_internal(capsys, "parking", "--n", "3")
-
-    def test_catalan_routes_must_agree(self, capsys, monkeypatch):
-        recurrence = paths.catalan_recurrence
-        monkeypatch.setattr(paths, "catalan_recurrence",
-                            lambda n: recurrence(n) + 1)
-        self._assert_internal(capsys, "catalan", "--n", "4")
-
-    @staticmethod
-    def _break_sums(monkeypatch, index, extra):
-        """Add extra to one of the three sums the qt path pass returns."""
-        sums = qt._statistic_sums
-
+def _add_to_sum(index, extra):
+    """Add extra to one of the three sums the qt path pass returns."""
+    def make(sums):
         def broken(n):
             out = list(sums(n))
             out[index] = out[index] + extra
             return tuple(out)
-        monkeypatch.setattr(qt, "_statistic_sums", broken)
+        return broken
+    return _wrap(qt, "_statistic_sums", make)
 
-    def test_qt_bounce_recurrence_must_agree(self, capsys, monkeypatch):
-        from dyckposet.polynomials import BiPoly
-        recurrence = qt._bounce_recurrence
-        monkeypatch.setattr(qt, "_bounce_recurrence", lambda n, pascal:
-                            recurrence(n, pascal) + BiPoly.monomial(1, 1))
-        self._assert_internal(capsys, "qt", "--n", "4",
-                              check="the bounce recurrence")
 
-    def test_qt_count_must_match_catalan(self, capsys, monkeypatch):
-        from dyckposet.polynomials import BiPoly
-        # one more path of area 1 and bounce 1, on both polynomial routes,
-        # so they still agree with each other
-        extra = BiPoly.monomial(1, 1)
-        self._break_sums(monkeypatch, 0, extra)
-        recurrence = qt._bounce_recurrence
-        monkeypatch.setattr(qt, "_bounce_recurrence",
-                            lambda n, pascal: recurrence(n, pascal) + extra)
-        self._assert_internal(capsys, "qt", "--n", "4", check="at (1, 1)")
+def _antichain_size_plus_one(k):
+    def make(sizes):
+        def broken(size, inc):
+            c = list(sizes(size, inc))
+            c[k] += 1
+            return tuple(c)
+        return broken
+    return _wrap(poset, "_antichain_sizes", make)
 
-    def test_qt_partition_sum_must_agree(self, capsys, monkeypatch):
-        gh_evaluate = qt.gh_evaluate
-        monkeypatch.setattr(qt, "gh_evaluate",
-                            lambda n, q0, t0: gh_evaluate(n, q0, t0) + 1)
-        self._assert_internal(capsys, "qt", "--n", "4",
-                              check="the partition sum")
 
-    def test_qt_area_must_match_the_recurrence(self, capsys, monkeypatch):
-        from dyckposet.polynomials import BiPoly
-        # area 1 gains a path that area 2 loses: the count stays C_4
-        self._break_sums(monkeypatch, 1, BiPoly({(1, 0): 1, (2, 0): -1}))
-        self._assert_internal(capsys, "qt", "--n", "4",
-                              check="area q-analog")
+def _break_inv_shift(carlitz):
+    # break the inv shift (k + 1)(m - k) only; the area shift k is 0 at k = 0
+    def broken(n, shift):
+        poly = carlitz(n, shift)
+        return poly + BiPoly.monomial(1, 0) if shift(0, 1) else poly
+    return broken
 
-    def test_qt_inv_must_match_the_reversed_area(self, capsys, monkeypatch):
-        from dyckposet.polynomials import BiPoly
-        carlitz = qt._carlitz
 
-        # break the inv shift (k + 1)(m - k) only; the area shift k is 0
-        # at k = 0
-        def broken(n, shift):
-            poly = carlitz(n, shift)
-            return poly + BiPoly.monomial(1, 0) if shift(0, 1) else poly
-        monkeypatch.setattr(qt, "_carlitz", broken)
-        self._assert_internal(capsys, "qt", "--n", "4", check="inv q-analog")
+# one more path of area 1 and bounce 1
+_bounce_plus_one = _wrap(qt, "_bounce_recurrence", lambda f: lambda n, pascal:
+                         f(n, pascal) + BiPoly.monomial(1, 1))
 
-    def test_qt_maj_must_match_the_quotient(self, capsys, monkeypatch):
-        from dyckposet.polynomials import BiPoly
-        self._break_sums(monkeypatch, 2, BiPoly({(1, 0): 1, (2, 0): -1}))
-        self._assert_internal(capsys, "qt", "--n", "4", check="maj q-analog")
 
-    def test_cover_edges_must_match_the_valleys(self, capsys, monkeypatch):
-        from dyckposet import poset
-        cover_edges = poset.DyckPoset.cover_edges
-        monkeypatch.setattr(poset.DyckPoset, "cover_edges",
-                            lambda p: cover_edges(p)[1:])
-        self._assert_internal(capsys, "poset", "--n", "3")
+def _cross_check(name, argv, *patches):
+    """A table row: with every patch applied, the agree check called name
+    fails, and argv exits 4 with empty stdout."""
+    def test(self, capsys, monkeypatch):
+        for patch in patches:
+            patch(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert f"{name} disagree: " in err
+    test.check_name = name
+    return test
 
-    def test_antichain_cover_must_match_the_ranks(self, capsys,
-                                                  monkeypatch):
-        from dyckposet import poset
-        cover = poset.min_antichain_cover
-        monkeypatch.setattr(poset, "min_antichain_cover",
-                            lambda p: cover(p) + 1)
-        self._assert_internal(capsys, "poset", "--n", "3")
 
-    def test_rank_sizes_must_match_the_poset(self, capsys, monkeypatch):
-        from dyckposet import poset
-        rank_sizes = poset.rank_sizes
-        # D_3 has rank sizes 1;1;2;1 from the top: read upside down, they
-        # keep the right total
-        monkeypatch.setattr(poset, "rank_sizes",
-                            lambda n: rank_sizes(n)[::-1])
-        self._assert_internal(capsys, "poset", "--n", "3")
+class TestCrossChecks:
+    """The table of checks: one row per way of breaking an agree check, and
+    at least one row per check name in src/."""
 
-    def test_ideal_count_must_match_the_antichains(self, capsys,
-                                                   monkeypatch):
-        from dyckposet import poset
-        count = poset.order_ideal_count
-        monkeypatch.setattr(poset, "order_ideal_count",
-                            lambda p: count(p) + 1)
-        self._assert_internal(capsys, "poset", "--n", "3")
+    test_catalan_routes_must_agree = _cross_check(
+        "Catalan closed form and recurrence", ("catalan", "--n", "4"),
+        _plus_one(paths, "catalan_recurrence"))
+    # D_3 has rank sizes 1;1;2;1 from the top: read upside down, they keep
+    # the right total
+    test_rank_sizes_must_match_the_poset = _cross_check(
+        "rank sizes by recurrence and by the poset's rank histogram",
+        ("poset", "--n", "3"),
+        _wrap(poset, "rank_sizes", lambda f: lambda n: f(n)[::-1]))
+    test_ideal_count_must_match_the_antichains = _cross_check(
+        "order ideal and antichain counts", ("poset", "--n", "3"),
+        _plus_one(poset, "order_ideal_count"))
+    test_cover_edges_must_match_the_valleys = _cross_check(
+        "cover edges and the valley count C(2n-1, n-2)",
+        ("poset", "--n", "3"),
+        _wrap(poset.DyckPoset, "cover_edges", lambda f: lambda p: f(p)[1:]))
+    test_antichain_cover_must_match_the_ranks = _cross_check(
+        "minimum antichain cover and the C(n, 2) + 1 rank levels",
+        ("poset", "--n", "3"), _plus_one(poset, "min_antichain_cover"))
+    # the closed form C_n C_{n+2} - C_{n+1}^2 moves by 5 + 42 - 2 * 14 at n = 3
+    test_interval_count_must_match_the_closed_form = _cross_check(
+        "interval counts by up-sets and by closed form",
+        ("poset", "--n", "3"), _plus_one(incidence, "catalan_closed"))
+    test_width_must_match_dilworth = _cross_check(
+        "widths by antichain sizes and by Dilworth matching",
+        ("antichains", "--n", "3"), _plus_one(poset, "min_chain_cover"))
+    test_one_element_antichains_must_match_the_size = _cross_check(
+        "1-element antichain and element counts", ("antichains", "--n", "3"),
+        _antichain_size_plus_one(1))
+    test_two_element_antichains_must_match_the_pairs = _cross_check(
+        "2-element antichain and incomparable pair counts",
+        ("antichains", "--n", "3"), _antichain_size_plus_one(2))
+    # one chain more
+    test_total_chains_must_agree = _cross_check(
+        "total chain counts by solve and by chain DP", ("chains", "--n", "3"),
+        _wrap(incidence, "total_chain_solve", lambda f: lambda p: f(p) + [1]))
+    test_maximal_chains_must_match_the_hook_formula = _cross_check(
+        "maximal chain counts by solve, by chain DP and by hook lengths",
+        ("chains", "--n", "3"), _plus_one(tableaux, "staircase_maxchain"))
+    test_qt_bounce_recurrence_must_agree = _cross_check(
+        "q,t-Catalan path sum and the bounce recurrence", ("qt", "--n", "4"),
+        _bounce_plus_one)
+    # the extra path on both polynomial routes, so they still agree
+    test_qt_count_must_match_catalan = _cross_check(
+        "q,t-Catalan value at (1, 1) and the Catalan number",
+        ("qt", "--n", "4"),
+        _add_to_sum(0, BiPoly.monomial(1, 1)), _bounce_plus_one)
+    test_qt_partition_sum_must_agree = _cross_check(
+        "q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
+        ("qt", "--n", "4"), _plus_one(qt, "gh_evaluate"))
+    # area 1 gains a path that area 2 loses: the count stays C_4
+    test_qt_area_must_match_the_recurrence = _cross_check(
+        "area q-analog path sum and recurrence", ("qt", "--n", "4"),
+        _add_to_sum(1, BiPoly({(1, 0): 1, (2, 0): -1})))
+    test_qt_inv_must_match_the_reversed_area = _cross_check(
+        "inv q-analog recurrence and reversed area recurrence",
+        ("qt", "--n", "4"), _wrap(qt, "_carlitz", _break_inv_shift))
+    test_qt_maj_must_match_the_quotient = _cross_check(
+        "maj q-analog path sum and quotient", ("qt", "--n", "4"),
+        _add_to_sum(2, BiPoly({(1, 0): 1, (2, 0): -1})))
+    test_parking_counts_must_agree = _cross_check(
+        "parking counts by closed form, filter and labelled paths",
+        ("parking", "--n", "3"), _plus_one(parking, "count_labelled_paths"))
+    test_parking_filter_must_agree = _cross_check(
+        "parking counts by closed form, filter and labelled paths",
+        ("parking", "--n", "3"), _plus_one(parking, "count_parking_by_filter"))
+    test_content_groups_must_match_catalan = _cross_check(
+        "content groups and the Catalan number", ("parking", "--n", "3"),
+        _wrap(parking, "content_group_representatives",
+              lambda f: lambda n: f(n)[1:]))
+    # no command walks a chain into a filling; the chain (0, 4) of D_3
+    # skips covers
+    test_cover_step_must_add_one_cell = _cross_check(
+        "cells added by a cover step and one", ("catalan", "--n", "3"),
+        lambda monkeypatch: monkeypatch.setitem(
+            COMMANDS, "catalan", lambda args: tableaux._chain_to_filling(
+                poset.build_poset(3), (0, 4))))
 
-    def test_maximal_chains_must_match_the_hook_formula(self, capsys,
-                                                        monkeypatch):
-        from dyckposet import tableaux
-        hook = tableaux.staircase_maxchain
-        monkeypatch.setattr(tableaux, "staircase_maxchain",
-                            lambda n: hook(n) + 1)
-        self._assert_internal(capsys, "chains", "--n", "3")
+    def test_every_agree_name_has_one_call_site_and_a_row(self):
+        names = []
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "id", None) == "agree":
+                    first = node.args[0]
+                    assert isinstance(first, ast.Constant) and \
+                        isinstance(first.value, str), (path, node.lineno)
+                    names.append(first.value)
+        assert [name for name, uses in Counter(names).items()
+                if uses > 1] == []
+        rows = {row.check_name for row in vars(TestCrossChecks).values()
+                if hasattr(row, "check_name")}
+        assert set(names) == rows
+
+    def test_no_assertion_raised_outside_the_helper(self):
+        for path in SRC.glob("*.py"):
+            if path.name == "checks.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                        else node.exc
+                    assert getattr(exc, "id", None) != "AssertionError", \
+                        (path, node.lineno)
 
 
 def _forbid_path_enumeration(monkeypatch):

@@ -231,6 +231,11 @@ class TestPartitionSum:
     def test_sample_points_reproducible(self):
         assert gh_sample_points(3, 5) == gh_sample_points(3, 5)
 
+    def test_sample_points_avoid_0_and_1(self):
+        for n in range(9):
+            for point in gh_sample_points(n, 25):
+                assert not set(point) & {0, 1, -1}
+
     def test_symmetry_at_points(self):
         for q0, t0 in gh_sample_points(3, 5):
             assert gh_evaluate(3, q0, t0) == gh_evaluate(3, t0, q0)
