@@ -29,20 +29,21 @@ from .incidence import (ChainCensus, ExactMatrix, chain_census,
 from .tableaux import (HookDiagram, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)
-from .qt import (GH_CHECK_POINT, GH_POINT_SEED, PoleError, cn_area, cn_inv,
-                 cn_maj, gh_evaluate, gh_pole_check, gh_sample_points,
-                 q_binomial, q_factorial, q_int, qt_catalan, qt_specialize,
-                 symmetry_check)
+from .qt import (GH_CHECK_POINT, GH_POINT_SEED, PoleError, QtCensus, cn_area,
+                 cn_inv, cn_maj, gh_evaluate, gh_pole_check, gh_sample_points,
+                 q_binomial, q_factorial, q_int, qt_catalan, qt_census,
+                 qt_specialize, symmetry_check)
 from .chromatic import (SimpleGraph, chromatic_polynomial,
                         count_colourings_brute, hasse_chromatic, hasse_graph)
-from .parking import (AreaLabelPair, LabelledDyckPath, ParkingFunction,
-                      area_from_parking, content_group_representatives,
-                      count_labelled_paths, count_parking_by_filter,
-                      count_parking_functions, enumerate_labelled_paths,
-                      enumerate_parking_functions, is_parking_function,
-                      labelled_from_vectors, labelled_to_parking,
-                      parking_to_labelled, representative_leq,
-                      representative_path, vector_conditions_ok, vectors_of)
+from .parking import (AreaLabelPair, LabelledDyckPath, ParkingCensus,
+                      ParkingFunction, area_from_parking,
+                      content_group_representatives, count_labelled_paths,
+                      count_parking_by_filter, count_parking_functions,
+                      enumerate_labelled_paths, enumerate_parking_functions,
+                      is_parking_function, labelled_from_vectors,
+                      labelled_to_parking, parking_census, parking_to_labelled,
+                      representative_leq, representative_path,
+                      vector_conditions_ok, vectors_of)
 from .oeis import (REGISTRY, OrderOutOfRangeError, SequenceEntry,
                    SnapshotParseError, UnknownSequenceError,
                    VerificationReport, load_snapshot, parse_snapshot,

@@ -6,6 +6,8 @@ would be lossy downstream), polynomials as ordered term lists.  Output is
 byte-deterministic for a given invocation.  Each subcommand first checks its
 order against config.MAX_ORDER for every job it runs, and the output is
 rendered in full before it is written, so a failed call prints nothing.
+chains, antichains, qt and parking format one census of their layer, which
+runs its two-route checks; cli reads no private name of another module.
 """
 
 from __future__ import annotations
@@ -112,31 +114,17 @@ def cmd_antichains(args: argparse.Namespace) -> Result:
 
 
 def cmd_qt(args: argparse.Namespace) -> Result:
-    n = args.n
-    check_order(n, "paths")
-    # one path pass gives all three sums; one q-Pascal table serves the
-    # bounce recurrence and the maj quotient
-    poly, area, maj = qt._statistic_sums(n)
-    pascal = qt._q_pascal(2 * n)
-    agree("q,t-Catalan path sum and the bounce recurrence",
-          poly, qt._bounce_recurrence(n, pascal))
-    count = agree("q,t-Catalan value at (1, 1) and the Catalan number",
-                  poly(1, 1), paths.catalan_closed(n))
-    # the partition sum is the one route that does not use bounce
-    q0, t0 = qt.GH_CHECK_POINT
-    agree("q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
-          poly.evaluate_exact(q0, t0), qt.gh_evaluate(n, q0, t0))
-    qt._check_area(n, area)
-    inv = qt.cn_inv(n)
-    qt._check_maj(n, maj, UniPoly.from_list(pascal[2 * n][n]))
+    check_order(args.n, "paths")
+    # the census has checked each polynomial against a second route
+    census = qt.qt_census(args.n)
     return [
-        ("order", n),
-        ("qt_catalan", poly),
-        ("area_analog", area),
-        ("inv_analog", inv),
-        ("maj_analog", maj),
-        ("symmetric", int(poly.swap_variables() == poly)),
-        ("count_specialization", count),
+        ("order", args.n),
+        ("qt_catalan", census.poly),
+        ("area_analog", census.area),
+        ("inv_analog", census.inv),
+        ("maj_analog", census.maj),
+        ("symmetric", int(census.poly.swap_variables() == census.poly)),
+        ("count_specialization", census.count),
     ]
 
 
@@ -156,20 +144,15 @@ def cmd_chromatic(args: argparse.Namespace) -> Result:
 def cmd_parking(args: argparse.Namespace) -> Result:
     n = args.n
     check_order(n, "counts")
-    closed = parking.count_parking_functions(n)
-    out: Result = [("order", n), ("count_closed", closed)]
+    out: Result = [("order", n),
+                   ("count_closed", parking.count_parking_functions(n))]
     if n <= MAX_ORDER["parking"]:
-        filtered = parking.count_parking_by_filter(n)
-        labelled = parking.count_labelled_paths(n)
-        agree("parking counts by closed form, filter and labelled paths",
-              closed, filtered, labelled)
-        # one content group per unlabelled path
-        groups = agree("content groups and the Catalan number",
-                       len(parking.content_group_representatives(n)),
-                       paths.catalan_closed(n))
-        out.append(("count_enumerated", filtered))
-        out.append(("labelled_path_count", labelled))
-        out.append(("content_group_count", groups))
+        # the census has checked the closed form, the filter and the
+        # labelled paths against each other, and the groups against C_n
+        census = parking.parking_census(n)
+        out.append(("count_enumerated", census.count))
+        out.append(("labelled_path_count", census.count))
+        out.append(("content_group_count", census.groups))
     return out
 
 
@@ -198,20 +181,6 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], Result]] = {
     "chromatic": cmd_chromatic,
     "parking": cmd_parking,
     "verify": cmd_verify,
-}
-
-# quantity keys each command always emits, for interface-coverage checks
-GUARANTEED_KEYS: dict[str, tuple[str, ...]] = {
-    "catalan": ("catalan_closed", "catalan_recurrence"),
-    "poset": ("size", "interval_count", "rank_sizes", "order_ideal_count",
-              "width", "min_chain_cover", "min_antichain_cover"),
-    "chains": ("total_chains", "maximal_chains", "chain_polynomial"),
-    "antichains": ("total",),
-    "qt": ("qt_catalan", "area_analog", "inv_analog", "maj_analog",
-           "symmetric"),
-    "chromatic": ("chromatic_polynomial",),
-    "parking": ("count_closed",),
-    "verify": ("sequence", "checked", "passed"),
 }
 
 

@@ -2,7 +2,8 @@
 
 Rows of the n x n grid are numbered 1..n bottom to top; the label of the
 north step in row i is the car parked there, and columns are numbered 1..n
-left to right.
+left to right.  parking_census runs every check of the parking command on
+one path list.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .checks import agree
 from .config import check_order
-from .paths import DyckPath, enumerate_paths
+from .paths import DyckPath, catalan_closed, enumerate_paths
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class LabelledDyckPath:
 
     def columns(self) -> tuple[int, ...]:
         """Column (1-based) of the north step in each row."""
-        return tuple(e + 1 for e in self.path.north_offsets())
+        return _columns(self.path)
 
 
 @dataclass(frozen=True)
@@ -201,30 +203,53 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     canonical order, the labellings of a path in lexicographic order."""
     check_order(n, "parking")
     labels = tuple(range(1, n + 1))
-    results = []
-    for d in enumerate_paths(n):
-        results.extend(LabelledDyckPath(path=d, labels=filling)
-                       for filling in _increasing_fillings(_column_runs(d),
-                                                           labels))
-    return results
+    return [LabelledDyckPath(path=d, labels=filling)
+            for d in enumerate_paths(n)
+            for filling in _increasing_fillings(_column_runs(d), labels)]
+
+
+def _columns(d: DyckPath) -> tuple[int, ...]:
+    """The column (1-based) of each north step, bottom to top."""
+    return tuple(e + 1 for e in d.north_offsets())
+
+
+def _labellings(d: DyckPath) -> int:
+    """n!/(r_1!...r_k!) for the column runs r_1..r_k of d: one labelling
+    per choice of each column's block."""
+    return math.factorial(d.order) // math.prod(map(math.factorial,
+                                                    _column_runs(d)))
 
 
 def count_labelled_paths(n: int) -> int:
-    """The number of labelled Dyck paths of order n, counted without
-    building them: a path whose column runs are r_1..r_k carries
-    n!/(r_1!...r_k!) labellings, one per choice of each column's block."""
+    """The number of labelled Dyck paths of order n, none built."""
     check_order(n, "parking")
-    top = math.factorial(n)
-    return sum(top // math.prod(map(math.factorial, _column_runs(d)))
-               for d in enumerate_paths(n))
+    return sum(map(_labellings, enumerate_paths(n)))
 
 
 def content_group_representatives(n: int) -> list[tuple[int, ...]]:
-    """One minimal-order column label vector per content group: the column
-    of each north step of each unlabelled path, weakly increasing."""
+    """One minimal-order column label vector per content group (path)."""
     check_order(n, "parking")
-    return [tuple(e + 1 for e in d.north_offsets())
-            for d in enumerate_paths(n)]
+    return list(map(_columns, enumerate_paths(n)))
+
+
+@dataclass(frozen=True)
+class ParkingCensus:
+    count: int   # parking functions, and so labelled Dyck paths, of order n
+    groups: int  # content groups
+
+
+def parking_census(n: int) -> ParkingCensus:
+    """The closed form, the filter and the labelled paths must give one
+    count, and the distinct group representatives must number C_n; the
+    paths are enumerated once.  A disagreement raises AssertionError."""
+    check_order(n, "parking")
+    path_list = enumerate_paths(n)
+    count = agree("parking counts by closed form, filter and labelled paths",
+                  count_parking_functions(n), count_parking_by_filter(n),
+                  sum(map(_labellings, path_list)))
+    groups = agree("content groups and the Catalan number",
+                   len(set(map(_columns, path_list))), catalan_closed(n))
+    return ParkingCensus(count=count, groups=groups)
 
 
 def representative_leq(rep_low: tuple[int, ...], rep_high: tuple[int, ...]) -> bool:

@@ -227,12 +227,6 @@ class BiPoly(_SparsePoly):
             out[key] = out.get(key, 0) + c
         return BiPoly(out)
 
-    def q_part(self) -> UniPoly:
-        """View as a univariate polynomial in q; raises if t occurs."""
-        if any(te != 0 for (_qe, te) in self.coeffs):
-            raise ArithmeticError("polynomial involves t; not univariate in q")
-        return UniPoly({qe: c for (qe, _te), c in self.coeffs.items()})
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -2,15 +2,15 @@
 validation of the Garsia-Haiman partition sum.
 
 C_n(q, t) = sum q^area t^bounce over the Dyck paths of order n has three
-routes here: the path sum (qt_catalan, or _statistic_sums, which reads area,
-bounce and maj of each path in one pass and so also gives the area and maj
-analogs); the Garsia-Haglund bounce recurrence (_bounce_recurrence), which
-never enumerates a path and is compared polynomial against polynomial; and
-the Garsia-Haiman partition sum (gh_evaluate), which does not use bounce and
-is compared at exact rational points.  The q-binomials the recurrence and
-the maj quotient [2n choose n]_q / [n+1]_q need come from one q-Pascal
-table (_q_pascal) built per call; q_binomial keeps its factorial division
-and is the tests' oracle for that table.
+routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
+(_bounce_recurrence), which enumerates no path; and the Garsia-Haiman
+partition sum (gh_evaluate), which does not use bounce and is compared at
+exact rational points.  qt_census runs every check of the qt command on one
+path pass that also gives the area and maj analogs; one area recurrence
+serves the area check and the inv reversal, and one q-Pascal table
+(_q_pascal) the bounce recurrence and the maj quotient
+[2n choose n]_q / [n+1]_q.  q_binomial keeps its factorial division and is
+the tests' oracle for that table.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable
 
 from .checks import agree
 # path_stats is no longer called here, but stays bound as qt.path_stats:
 # bench/tests/test_harness.py checks that the tracer rebinds it by name
-from .paths import (DyckPath, Partition, _bounce, _maj, enumerate_paths,
-                    path_stats)  # noqa: F401
+from .paths import (Partition, _bounce, _maj, catalan_closed,
+                    enumerate_paths, path_stats)  # noqa: F401
 from .polynomials import BiPoly, UniPoly, power_table
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
@@ -49,10 +50,7 @@ def _q_int_uni(n: int) -> UniPoly:
 
 
 def _q_factorial_uni(n: int) -> UniPoly:
-    poly = UniPoly.one()
-    for k in range(1, n + 1):
-        poly = poly * _q_int_uni(k)
-    return poly
+    return prod(map(_q_int_uni, range(1, n + 1)), start=UniPoly.one())
 
 
 def q_factorial(n: int) -> BiPoly:
@@ -85,67 +83,80 @@ def _partitions(n: int) -> list[Partition]:
     return results
 
 
-def _path_sum(n: int,
-              key: Callable[[DyckPath], tuple[int, int]]) -> BiPoly:
-    """Sum of q^qe t^te over the paths of order n, (qe, te) = key(path)."""
-    return BiPoly(Counter(map(key, enumerate_paths(n))))
-
-
 def _carlitz(n: int, shift: Callable[[int, int], int]) -> BiPoly:
     """C_n(q) by the Carlitz-Riordan recurrence C_0 = 1,
     C_{m+1}(q) = sum_k q^{shift(k, m)} C_k(q) C_{m-k}(q): the shift k gives
     the area analog, (k + 1)(m - k) the inv analog."""
     polys = [BiPoly.one()]
     for m in range(n):
-        total = BiPoly.zero()
-        for k in range(m + 1):
-            total = total + BiPoly.monomial(shift(k, m), 0) \
-                * polys[k] * polys[m - k]
-        polys.append(total)
+        polys.append(sum((BiPoly.monomial(shift(k, m), 0) * polys[k]
+                          * polys[m - k] for k in range(m + 1)),
+                         BiPoly.zero()))
     return polys[n]
 
 
-def _check_area(n: int, area: BiPoly) -> None:
-    """Raise unless the area analog equals the area recurrence."""
-    agree("area q-analog path sum and recurrence",
-          area, _carlitz(n, lambda k, m: k))
+def _inv_analog(n: int, area: BiPoly) -> BiPoly:
+    """The inv recurrence, checked against `area` reversed about C(n,2)."""
+    top = comb(n, 2)
+    return agree("inv q-analog recurrence and reversed area recurrence",
+                 _carlitz(n, lambda k, m: (k + 1) * (m - k)),
+                 BiPoly({(top - qe, 0): c for (qe, _te), c
+                         in area.coeffs.items()}))
+
+
+@dataclass(frozen=True)
+class QtCensus:
+    poly: BiPoly  # C_n(q, t) = sum q^area t^bounce
+    area: BiPoly  # sum q^area
+    inv: BiPoly   # sum q^inv
+    maj: BiPoly   # sum q^maj
+    count: int    # C_n(1, 1), the Catalan number
+
+
+def qt_census(n: int) -> QtCensus:
+    """From one path pass: C_n(q, t) must equal the bounce recurrence, its
+    value at (1, 1) C_n and its value at GH_CHECK_POINT the partition sum;
+    the area analog must equal the area recurrence, the inv analog that
+    recurrence reversed, and the maj analog [2n choose n]_q / [n+1]_q.  A
+    disagreement raises AssertionError."""
+    poly, area, maj = _statistic_sums(n)
+    # one q-Pascal table serves the bounce recurrence and the maj quotient
+    pascal = _q_pascal(2 * n)
+    agree("q,t-Catalan path sum and the bounce recurrence",
+          poly, _bounce_recurrence(n, pascal))
+    count = agree("q,t-Catalan value at (1, 1) and the Catalan number",
+                  poly(1, 1), catalan_closed(n))
+    # the partition sum is the one route that does not use bounce
+    q0, t0 = GH_CHECK_POINT
+    agree("q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
+          poly.evaluate_exact(q0, t0), gh_evaluate(n, q0, t0))
+    area_recurrence = _carlitz(n, lambda k, m: k)
+    agree("area q-analog path sum and recurrence", area, area_recurrence)
+    inv = _inv_analog(n, area_recurrence)
+    agree("maj q-analog path sum and quotient", maj, BiPoly.from_q(
+        UniPoly.from_list(pascal[2 * n][n]).divide_exact(_q_int_uni(n + 1))))
+    return QtCensus(poly=poly, area=area, inv=inv, maj=maj, count=count)
 
 
 def cn_area(n: int) -> BiPoly:
-    """Sum of q^{area(D)}, computed both by path summation and by the
-    area recurrence; the two must agree."""
-    direct = _path_sum(n, lambda d: (d.area, 0))
-    _check_area(n, direct)
-    return direct
+    """Sum of q^{area(D)}; see qt_census."""
+    return qt_census(n).area
 
 
 def cn_inv(n: int) -> BiPoly:
     """Sum of q^{inv(D)} by the inversion recurrence, checked against the
-    area recurrence reversed about C(n,2)."""
-    top = comb(n, 2)
-    reversed_poly = BiPoly({(top - qe, 0): c for (qe, _te), c
-                            in _carlitz(n, lambda k, m: k).coeffs.items()})
-    return agree("inv q-analog recurrence and reversed area recurrence",
-                 _carlitz(n, lambda k, m: (k + 1) * (m - k)), reversed_poly)
-
-
-def _check_maj(n: int, maj: BiPoly, central: UniPoly) -> None:
-    """Raise unless the maj analog equals central / [n+1]_q, where central
-    is [2n choose n]_q."""
-    agree("maj q-analog path sum and quotient",
-          maj, BiPoly.from_q(central.divide_exact(_q_int_uni(n + 1))))
+    area recurrence reversed about C(n,2); no path is enumerated."""
+    return _inv_analog(n, _carlitz(n, lambda k, m: k))
 
 
 def cn_maj(n: int) -> BiPoly:
-    """Sum of q^{maj(D)}, cross-checked against [2n choose n]_q / [n+1]_q."""
-    direct = _path_sum(n, lambda d: (_maj(d), 0))
-    _check_maj(n, direct, UniPoly.from_list(_q_pascal(2 * n)[2 * n][n]))
-    return direct
+    """Sum of q^{maj(D)}; see qt_census."""
+    return qt_census(n).maj
 
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    return _path_sum(n, lambda d: (d.area, _bounce(d)))
+    return BiPoly(Counter((d.area, _bounce(d)) for d in enumerate_paths(n)))
 
 
 def _statistic_sums(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
@@ -154,9 +165,7 @@ def _statistic_sums(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     sum is read off the counts."""
     triples = Counter((d.area, _bounce(d), _maj(d))
                       for d in enumerate_paths(n))
-    qt_sum: Counter = Counter()
-    area_sum: Counter = Counter()
-    maj_sum: Counter = Counter()
+    qt_sum, area_sum, maj_sum = Counter(), Counter(), Counter()
     for (area, bounce, maj), count in triples.items():
         qt_sum[area, bounce] += count
         area_sum[area, 0] += count

@@ -10,8 +10,7 @@ import pytest
 
 from dyckposet import incidence, parking, paths, poset, qt, tableaux
 from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
-                           EXIT_OK, EXIT_USAGE, GUARANTEED_KEYS, build_parser,
-                           main)
+                           EXIT_OK, EXIT_USAGE, build_parser, main)
 from dyckposet.config import MAX_ORDER
 from dyckposet.oeis import REGISTRY
 from dyckposet.polynomials import BiPoly
@@ -316,16 +315,17 @@ class TestCrossChecks:
     test_qt_maj_must_match_the_quotient = _cross_check(
         "maj q-analog path sum and quotient", ("qt", "--n", "4"),
         _add_to_sum(2, BiPoly({(1, 0): 1, (2, 0): -1})))
+    # one labelling more on every path
     test_parking_counts_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",
-        ("parking", "--n", "3"), _plus_one(parking, "count_labelled_paths"))
+        ("parking", "--n", "3"), _plus_one(parking, "_labellings"))
     test_parking_filter_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",
         ("parking", "--n", "3"), _plus_one(parking, "count_parking_by_filter"))
+    # a representative that forgets its last column merges groups
     test_content_groups_must_match_catalan = _cross_check(
         "content groups and the Catalan number", ("parking", "--n", "3"),
-        _wrap(parking, "content_group_representatives",
-              lambda f: lambda n: f(n)[1:]))
+        _wrap(parking, "_columns", lambda f: lambda d: f(d)[:-1]))
     # no command walks a chain into a filling; the chain (0, 4) of D_3
     # skips covers
     test_cover_step_must_add_one_cell = _cross_check(
@@ -405,15 +405,23 @@ class TestOrderLimits:
         _, out, _ = run_cli(capsys, "parking", "--n", "7")
         assert json.loads(out) == {"order": "7", "count_closed": "262144"}
 
-    def test_qt_enumerates_paths_once(self, capsys, monkeypatch):
+    @staticmethod
+    def _orders_enumerated(capsys, monkeypatch, module, command):
         calls = []
 
         def counted(n):
             calls.append(n)
             return paths.enumerate_paths(n)
-        monkeypatch.setattr(qt, "enumerate_paths", counted)
-        assert run_cli(capsys, "qt", "--n", "5")[0] == EXIT_OK
-        assert calls == [5]
+        monkeypatch.setattr(module, "enumerate_paths", counted)
+        assert run_cli(capsys, command, "--n", "5")[0] == EXIT_OK
+        return calls
+
+    def test_qt_enumerates_paths_once(self, capsys, monkeypatch):
+        assert self._orders_enumerated(capsys, monkeypatch, qt, "qt") == [5]
+
+    def test_parking_enumerates_paths_once(self, capsys, monkeypatch):
+        assert self._orders_enumerated(capsys, monkeypatch, parking,
+                                       "parking") == [5]
 
     def test_antichains_at_limit_fit_in_memory(self, capsys):
         # every order the table allows must run without exhausting memory;
@@ -476,19 +484,27 @@ class TestDeterminism:
 
 class TestCoverage:
     def test_every_command_registered(self):
-        assert set(COMMANDS) == set(GUARANTEED_KEYS)
         assert set(COMMANDS) == {"catalan", "poset", "chains", "antichains",
                                  "qt", "chromatic", "parking", "verify"}
 
-    @pytest.mark.parametrize("command", sorted(GUARANTEED_KEYS))
-    def test_guaranteed_quantities_emitted(self, capsys, command):
-        argv = {"verify": ("verify", "--sequence", "A000108", "--n", "4")} \
-            .get(command, (command, "--n", "3"))
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        for key in GUARANTEED_KEYS[command]:
-            assert key in payload, (command, key)
+    def test_cli_reads_no_private_name_of_another_module(self):
+        # each check lives in its layer: cli formats what the layers return
+        tree = ast.parse((SRC / "cli.py").read_text())
+        imports = [(node.module, alias) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names]
+        # from . import qt binds modules; from .qt import x binds names
+        modules = {alias.asname or alias.name
+                   for module, alias in imports if module is None}
+        assert {"qt", "parking"} <= modules
+        private = [alias.name for _module, alias in imports
+                   if alias.name.startswith("_")]
+        private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")]
+        assert private == []
 
     def test_polynomial_terms_are_lists(self, capsys):
         _, out, _ = run_cli(capsys, "qt", "--n", "3")

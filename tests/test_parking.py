@@ -12,8 +12,9 @@ from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        enumerate_labelled_paths, enumerate_parking_functions,
                        enumerate_paths, is_parking_function,
                        labelled_from_vectors, labelled_to_parking,
-                       parking_to_labelled, representative_leq,
-                       representative_path, vector_conditions_ok, vectors_of)
+                       parking_census, parking_to_labelled,
+                       representative_leq, representative_path,
+                       vector_conditions_ok, vectors_of)
 from dyckposet.parking import _increasing_fillings
 
 
@@ -222,6 +223,20 @@ class TestVectors:
             for labelled in enumerate_labelled_paths(n):
                 pair, _ = vectors_of(labelled)
                 assert labelled_from_vectors(pair.g, pair.p) == labelled
+
+
+class TestCensus:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_the_oracles(self, n):
+        census = parking_census(n)
+        assert census.count == count_parking_functions(n) == \
+            count_labelled_paths(n)
+        assert census.groups == len(set(content_group_representatives(n))) \
+            == len(enumerate_paths(n))
+
+    def test_census_gate(self):
+        with pytest.raises(LimitExceededError):
+            parking_census(7)
 
 
 class TestContentGroups:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
-                       cell_stats, cn_area, cn_inv, cn_maj, gh_evaluate,
-                       gh_pole_check, gh_sample_points, q_binomial,
-                       q_factorial, q_int, qt, qt_catalan, qt_specialize,
-                       symmetry_check)
+                       cell_stats, cn_area, cn_inv, cn_maj, enumerate_paths,
+                       gh_evaluate, gh_pole_check, gh_sample_points,
+                       path_stats, q_binomial, q_factorial, q_int, qt,
+                       qt_catalan, qt_census, qt_specialize, symmetry_check)
 from dyckposet.polynomials import UniPoly
 from dyckposet.qt import (_bounce_recurrence, _partitions, _q_pascal,
                           _statistic_sums)
@@ -16,6 +17,16 @@ from dyckposet.qt import (_bounce_recurrence, _partitions, _q_pascal,
 
 def _bipoly(coeffs):
     return BiPoly(dict(coeffs))
+
+
+def _per_path_sums(n):
+    """C_n(q, t) and the area, inv and maj analogs, summed path by path."""
+    stats = [path_stats(d) for d in enumerate_paths(n)]
+
+    def total(key):
+        return BiPoly(Counter(map(key, stats)))
+    return (total(lambda s: (s.area, s.bounce)), total(lambda s: (s.area, 0)),
+            total(lambda s: (s.inv, 0)), total(lambda s: (s.maj, 0)))
 
 
 QT_TABLE = {
@@ -127,7 +138,23 @@ class TestBounceRecurrence:
 
     @pytest.mark.parametrize("n", range(9))
     def test_one_pass_matches_the_separate_sums(self, n):
-        assert _statistic_sums(n) == (qt_catalan(n), cn_area(n), cn_maj(n))
+        poly, area, _inv, maj = _per_path_sums(n)
+        assert _statistic_sums(n) == (poly, area, maj)
+
+
+class TestCensus:
+    @pytest.mark.parametrize("n", range(9))
+    def test_fields_match_the_per_path_sums(self, n):
+        census = qt_census(n)
+        assert (census.poly, census.area, census.inv, census.maj) == \
+            _per_path_sums(n)
+        assert census.count == catalan_closed(n)
+
+    def test_inv_analog_enumerates_no_path(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("paths enumerated")
+        monkeypatch.setattr(qt, "enumerate_paths", refuse)
+        assert cn_inv(6)(1, 1) == catalan_closed(6)
 
 
 # Fraction oracles: the partition sum cell by cell, as written before the
