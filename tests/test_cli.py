@@ -482,10 +482,36 @@ class TestDeterminism:
         assert rows["catalan_closed"] == payload["catalan_closed"] == "42"
 
 
+# the keys each command's output is documented to carry
+GUARANTEED_KEYS = {
+    "catalan": ("catalan_closed", "catalan_recurrence"),
+    "poset": ("size", "interval_count", "rank_sizes", "order_ideal_count",
+              "width", "min_chain_cover", "min_antichain_cover"),
+    "chains": ("total_chains", "maximal_chains", "chain_polynomial"),
+    "antichains": ("total",),
+    "qt": ("qt_catalan", "area_analog", "inv_analog", "maj_analog",
+           "symmetric"),
+    "chromatic": ("chromatic_polynomial",),
+    "parking": ("count_closed",),
+    "verify": ("sequence", "checked", "passed"),
+}
+
+
 class TestCoverage:
     def test_every_command_registered(self):
+        assert set(COMMANDS) == set(GUARANTEED_KEYS)
         assert set(COMMANDS) == {"catalan", "poset", "chains", "antichains",
                                  "qt", "chromatic", "parking", "verify"}
+
+    @pytest.mark.parametrize("command", sorted(GUARANTEED_KEYS))
+    def test_guaranteed_quantities_emitted(self, capsys, command):
+        argv = {"verify": ("verify", "--sequence", "A000108", "--n", "4")} \
+            .get(command, (command, "--n", "3"))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        for key in GUARANTEED_KEYS[command]:
+            assert key in payload, (command, key)
 
     def test_cli_reads_no_private_name_of_another_module(self):
         # each check lives in its layer: cli formats what the layers return
