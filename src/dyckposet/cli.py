@@ -193,10 +193,15 @@ def _render_value(value):
 
 
 def _render_csv_value(value) -> str:
+    """The CSV field of value; one that holds a comma, a quote or a line
+    break is quoted, its quotes doubled (RFC 4180)."""
     rendered = _render_value(value)
     if isinstance(rendered, list):
-        return ";".join(":".join(map(str, term)) for term in rendered)
-    return str(rendered)
+        rendered = ";".join(":".join(map(str, term)) for term in rendered)
+    text = str(rendered)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render(result, fmt: str) -> str:

@@ -25,16 +25,17 @@ class LimitExceededError(Exception):
 #                       tuple-valued size-polynomial memo: a 4 GB address
 #                       limit after 47 s (3.5 GB RSS); not re-run with the
 #                       packed memo.  n = 6 takes 0.02 s and 22 MB
-#   maximal_antichains  antichains --n 6 --mode maximal takes 298 s
+#   maximal_antichains  the maximal census at n = 6 takes 66 s and 16 MB: its
+#                       DFS visits all 37,620,704 antichains
 #   order_ideals        poset --n 6 exhausts memory listing its 37,620,704
 #                       ideals: a 4 GB address limit is hit after 264 s
 #   chromatic           hasse_chromatic at n = 5 takes 0.8 s and 24 MB (a
 #                       frontier of 9, 9,089 states); the entry is raised
 #                       together with a chromatic --n 5 workload and a
 #                       second route at n = 5
-#   parking             the census at n = 7 takes 0.09-0.10 s and 17 MB peak
-#                       RSS (n = 8: 1.7 s, 17.5 MB), below budget; 6 keeps
-#                       parking --n 7 to the closed count
+#   parking             the census at n = 7 takes 0.006-0.010 s and 17 MB
+#                       peak RSS (n = 8: 0.05 s, 18 MB), below budget; 6
+#                       keeps parking --n 7 to the closed count
 MAX_ORDER = {"counts": 1000, "paths": 8, "chains": 7, "antichains": 6,
              "maximal_antichains": 5, "order_ideals": 5, "chromatic": 4,
              "parking": 6}

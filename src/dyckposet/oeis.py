@@ -2,14 +2,16 @@
 
 Snapshots follow the b-file convention (one "index value" pair per line,
 '#' comments) and are vendored under data/; nothing is fetched at runtime.
-The registry records, per sequence, how a poset order n maps to a snapshot
-index, since offset conventions differ between the tables and the OEIS.
+The registry records, per sequence, the snapshot index of its first term,
+since offset conventions differ between the tables and the OEIS; the terms
+of each order, one or a triangle row, follow in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from typing import Callable
 
 from . import chromatic, incidence, parking, paths, poset
@@ -65,41 +67,40 @@ def _chromatic_row(n: int) -> list[int]:
 @dataclass(frozen=True)
 class SequenceEntry:
     description: str
-    kind: str                      # "values" or "triangle"
-    index_of: Callable[[int], int]  # order n -> snapshot index ("values")
+    first_index: int  # snapshot index of the first term of order 0
+    # order n -> its term, or its row of a flattened triangle
     compute: Callable[[int], int] | Callable[[int], list[int]]
     max_order: int
 
 
 REGISTRY: dict[str, SequenceEntry] = {
     "A000108": SequenceEntry(
-        "Catalan numbers", "values", lambda n: n,
-        paths.catalan_closed, 15),
+        "Catalan numbers", 0, paths.catalan_closed, 15),
     "A005700": SequenceEntry(
-        "interval counts of D_n", "values", lambda n: n,
+        "interval counts of D_n", 0,
         lambda n: incidence.interval_count(poset.build_poset(n)), 5),
     "A143672": SequenceEntry(
-        "total chain counts of D_n", "values", lambda n: n,
+        "total chain counts of D_n", 0,
         lambda n: incidence.total_chains(poset.build_poset(n)), 5),
     "A005118": SequenceEntry(
-        "maximal chain counts of D_n", "values", lambda n: n,
+        "maximal chain counts of D_n", 0,
         lambda n: incidence.maximal_chain_count(poset.build_poset(n)), 6),
     "A143673": SequenceEntry(
-        "antichain counts of D_n", "values", lambda n: n,
+        "antichain counts of D_n", 0,
         lambda n: poset.antichain_census(poset.build_poset(n)).total, 5),
     "A143674": SequenceEntry(
-        "maximal antichain counts of D_n", "values", lambda n: n,
+        "maximal antichain counts of D_n", 0,
         lambda n: poset.antichain_census(poset.build_poset(n),
                                          "maximal").total, 5),
     "A000272": SequenceEntry(
-        "parking function counts, shifted by one", "values", lambda n: n + 1,
+        "parking function counts, shifted by one", 1,
         parking.count_parking_functions, 7),
     "A129176": SequenceEntry(
-        "rank sizes of D_n by decreasing rank", "triangle", lambda n: n,
+        "rank sizes of D_n by decreasing rank", 0,
         lambda n: list(poset.rank_sizes(n)), 7),
     "A141622": SequenceEntry(
         "chromatic coefficients of Hasse(D_n), |values| by descending degree",
-        "triangle", lambda n: n, _chromatic_row, 4),
+        0, _chromatic_row, 4),
 }
 
 
@@ -135,24 +136,14 @@ def verify_sequence(sequence_id: str, max_n: int) -> VerificationReport:
         raise OrderOutOfRangeError(
             f"{sequence_id} is only computable up to n = {entry.max_order}")
     snapshot = dict(load_snapshot(sequence_id))
+    terms = chain.from_iterable(
+        [row] if isinstance(row, int) else row
+        for row in map(entry.compute, range(max_n + 1)))
     lines: list[VerificationLine] = []
-    if entry.kind == "values":
-        for n in range(max_n + 1):
-            index = entry.index_of(n)
-            if index not in snapshot:
-                raise SnapshotParseError(
-                    f"{sequence_id} snapshot lacks index {index}")
-            lines.append(VerificationLine(
-                index=index, expected=snapshot[index],
-                computed=entry.compute(n)))
-    else:
-        flattened: list[int] = []
-        for n in range(max_n + 1):
-            flattened.extend(entry.compute(n))
-        for index, computed in enumerate(flattened):
-            if index not in snapshot:
-                raise SnapshotParseError(
-                    f"{sequence_id} snapshot lacks index {index}")
-            lines.append(VerificationLine(
-                index=index, expected=snapshot[index], computed=computed))
+    for index, computed in enumerate(terms, entry.first_index):
+        if index not in snapshot:
+            raise SnapshotParseError(
+                f"{sequence_id} snapshot lacks index {index}")
+        lines.append(VerificationLine(
+            index=index, expected=snapshot[index], computed=computed))
     return VerificationReport(sequence_id=sequence_id, lines=tuple(lines))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .checks import agree
@@ -92,7 +93,10 @@ def count_parking_by_filter(n: int) -> int:
     then tested by its content code, sum of 1 << (b*(p-1)) over its
     entries p with b = n.bit_length() (a count of at most n fits in b
     bits).  A vector's code is the sum of the codes of its two halves, so
-    the n^n codes are never held at once."""
+    the half vectors are counted by code, and the count is the sum of
+    cL * cR over the code pairs whose sum parks (meet in the middle,
+    Horowitz and Sahni 1974).  Every half vector is visited; neither the
+    closed form nor the paths are read."""
     check_order(n, "parking")
     b = n.bit_length()
     weights = [1 << (b * (p - 1)) for p in range(1, n + 1)]
@@ -100,16 +104,10 @@ def count_parking_by_filter(n: int) -> int:
             for v in itertools.combinations_with_replacement(range(1, n + 1),
                                                              n)
             if _sorted_prefix_ok(v)}
-
-    def half_codes(length: int) -> list[int]:
-        codes = [0]
-        for _ in range(length):
-            codes = [c + w for c in codes for w in weights]
-        return codes
-
-    right = half_codes(n - n // 2)
-    return sum(sum(map(good.__contains__, map(a.__add__, right)))
-               for a in half_codes(n // 2))
+    left, right = (Counter(map(sum, itertools.product(weights, repeat=k)))
+                   for k in (n // 2, n - n // 2))
+    return sum(cl * cr for a, cl in left.items() for c, cr in right.items()
+               if a + c in good)
 
 
 def parking_to_labelled(f: ParkingFunction) -> LabelledDyckPath:

@@ -18,13 +18,14 @@ partition.  The elements of a chain incomparable to any one element form an
 interval of it, so each state meets each chain in an interval, and the
 states number 14,673 at n = 6 against 37,620,704 antichains.  Each state's
 size polynomial is one integer, its coefficients packed at a bit width that
-the same chain partition bounds (52 bits at n = 6).  The enumerator
-_antichain_masks remains for the maximal census, the antichain-ideal
-bijection and, in the tests, as the oracle for the counts at n <= 5.
+the same chain partition bounds (52 bits at n = 6).  The maximal census, the
+antichain-ideal bijection and, in the tests, the oracle for the counts at
+n <= 5 walk the antichains by one depth-first search, _antichain_extensions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -164,20 +165,24 @@ class AntichainCensus:
     width: int | None = None
 
 
+def _antichain_extensions(size: int, inc: list[int]):
+    """Every antichain of a poset on elements 0..size-1, depth first, as a
+    pair of bitmasks: the antichain and its extension set, the elements
+    incomparable to each of its members, inc[i] being the bitmask of the
+    elements incomparable to i.  An antichain is maximal iff its extension
+    is 0.  Nothing is stored."""
+
+    def grow(mask: int, extension: int, start: int):
+        yield mask, extension
+        for i in _bits(extension & ~((1 << (start + 1)) - 1)):
+            yield from grow(mask | (1 << i), extension & inc[i], i)
+
+    return grow(0, (1 << size) - 1, -1)
+
+
 def _antichain_masks(size: int, inc: list[int]) -> list[int]:
-    """Every antichain of a poset on elements 0..size-1 as a bitmask, where
-    inc[i] is the bitmask of elements incomparable to i."""
-    results = [0]
-
-    def grow(mask: int, candidates: int, start: int) -> None:
-        cand = candidates & ~((1 << (start + 1)) - 1)
-        for i in _bits(cand):
-            new_mask = mask | (1 << i)
-            results.append(new_mask)
-            grow(new_mask, candidates & inc[i], i)
-
-    grow(0, (1 << size) - 1, -1)
-    return results
+    """The antichains of _antichain_extensions(size, inc), as a list."""
+    return [mask for mask, _extension in _antichain_extensions(size, inc)]
 
 
 def _first_fit_chains(size: int, inc: list[int]) -> list[int]:
@@ -257,20 +262,19 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     check it against three independent counts: its degree (the width)
     against Dilworth's minimum chain cover, its x coefficient against the
     element count, and its x^2 coefficient against the incomparable pairs
-    counted from the up-sets.  "maximal" filters the enumerated antichains."""
+    counted from the up-sets.  "maximal" counts, by size, the antichains
+    of one depth-first enumeration whose extension set is empty."""
     if mode not in ("all", "maximal", "maximum"):
         raise ValueError(f"unknown census mode {mode!r}")
+    check_order(p.n, "maximal_antichains" if mode == "maximal"
+                else "antichains")
     inc = [p.incomparable(i) for i in range(p.size)]
     if mode == "maximal":
-        by_size: dict[int, int] = {}
-        for mask in _antichain_masks(p.size, inc):
-            extension = (1 << p.size) - 1
-            for i in _bits(mask):
-                extension &= inc[i]
-            if extension == 0:  # no element is incomparable to all of mask
-                k = mask.bit_count()
-                by_size[k] = by_size.get(k, 0) + 1
-        return AntichainCensus(by_size=by_size, total=sum(by_size.values()))
+        by_size = Counter(mask.bit_count() for mask, extension
+                          in _antichain_extensions(p.size, inc)
+                          if extension == 0)
+        return AntichainCensus(by_size=dict(by_size),
+                               total=sum(by_size.values()))
     c = _antichain_sizes(p.size, inc)
     width = len(c) - 1
     padded = c + (0, 0)

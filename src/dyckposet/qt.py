@@ -6,7 +6,8 @@ routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 (_bounce_recurrence), which enumerates no path; and the Garsia-Haiman
 partition sum (gh_evaluate), which does not use bounce and is compared at
 exact rational points.  qt_census runs every check of the qt command on one
-path pass that also gives the area and maj analogs; one area recurrence
+path list: it counts the (area, bounce) pairs, as qt_catalan does, and the
+maj values, and reads the area analog as C_n(q, 1); one area recurrence
 serves the area check and the inv reversal, and one q-Pascal table
 (_q_pascal) the bounce recurrence and the maj quotient
 [2n choose n]_q / [n+1]_q.  q_binomial keeps its factorial division and is
@@ -26,7 +27,7 @@ from typing import Callable
 from .checks import agree
 # path_stats is no longer called here, but stays bound as qt.path_stats:
 # bench/tests/test_harness.py checks that the tracer rebinds it by name
-from .paths import (Partition, _bounce, _maj, catalan_closed,
+from .paths import (DyckPath, Partition, _bounce, _maj, catalan_closed,
                     enumerate_paths, path_stats)  # noqa: F401
 from .polynomials import BiPoly, UniPoly, power_table
 
@@ -114,12 +115,14 @@ class QtCensus:
 
 
 def qt_census(n: int) -> QtCensus:
-    """From one path pass: C_n(q, t) must equal the bounce recurrence, its
+    """From one path list: C_n(q, t) must equal the bounce recurrence, its
     value at (1, 1) C_n and its value at GH_CHECK_POINT the partition sum;
     the area analog must equal the area recurrence, the inv analog that
     recurrence reversed, and the maj analog [2n choose n]_q / [n+1]_q.  A
     disagreement raises AssertionError."""
-    poly, area, maj = _statistic_sums(n)
+    path_list = enumerate_paths(n)
+    poly = _area_bounce(path_list)
+    maj = BiPoly(Counter((_maj(d), 0) for d in path_list))
     # one q-Pascal table serves the bounce recurrence and the maj quotient
     pascal = _q_pascal(2 * n)
     agree("q,t-Catalan path sum and the bounce recurrence",
@@ -130,6 +133,7 @@ def qt_census(n: int) -> QtCensus:
     q0, t0 = GH_CHECK_POINT
     agree("q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
           poly.evaluate_exact(q0, t0), gh_evaluate(n, q0, t0))
+    area = poly.substitute_t_one()
     area_recurrence = _carlitz(n, lambda k, m: k)
     agree("area q-analog path sum and recurrence", area, area_recurrence)
     inv = _inv_analog(n, area_recurrence)
@@ -156,21 +160,13 @@ def cn_maj(n: int) -> BiPoly:
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    return BiPoly(Counter((d.area, _bounce(d)) for d in enumerate_paths(n)))
+    return _area_bounce(enumerate_paths(n))
 
 
-def _statistic_sums(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """C_n(q, t), the area analog and the maj analog from one enumeration:
-    the (area, bounce, maj) triples of the paths are counted once, and each
-    sum is read off the counts."""
-    triples = Counter((d.area, _bounce(d), _maj(d))
-                      for d in enumerate_paths(n))
-    qt_sum, area_sum, maj_sum = Counter(), Counter(), Counter()
-    for (area, bounce, maj), count in triples.items():
-        qt_sum[area, bounce] += count
-        area_sum[area, 0] += count
-        maj_sum[maj, 0] += count
-    return BiPoly(qt_sum), BiPoly(area_sum), BiPoly(maj_sum)
+def _area_bounce(path_list: list[DyckPath]) -> BiPoly:
+    """Sum of q^{area(D)} t^{bounce(D)} over path_list: its (area, bounce)
+    pairs counted once."""
+    return BiPoly(Counter((d.area, _bounce(d)) for d in path_list))
 
 
 def _q_pascal(top: int) -> list[list[list[int]]]:

@@ -1,4 +1,7 @@
 import ast
+import csv
+import dataclasses
+import io
 import json
 import re
 import sys
@@ -122,9 +125,8 @@ class TestExitCodes:
 
         import dyckposet.oeis as oeis_mod
         entry = oeis_mod.REGISTRY["A005700"]
-        broken = oeis_mod.SequenceEntry(
-            entry.description, entry.kind, entry.index_of,
-            lambda n: entry.compute(n) + 1, entry.max_order)
+        broken = dataclasses.replace(
+            entry, compute=lambda n: entry.compute(n) + 1)
         monkeypatch.setitem(oeis_mod.REGISTRY, "A005700", broken)
         code, out, _ = run_cli(capsys, "verify", "--sequence", "A005700",
                                "--n", "2")
@@ -203,17 +205,6 @@ def _plus_one(owner, attr):
     return _wrap(owner, attr, lambda f: lambda *args: f(*args) + 1)
 
 
-def _add_to_sum(index, extra):
-    """Add extra to one of the three sums the qt path pass returns."""
-    def make(sums):
-        def broken(n):
-            out = list(sums(n))
-            out[index] = out[index] + extra
-            return tuple(out)
-        return broken
-    return _wrap(qt, "_statistic_sums", make)
-
-
 def _antichain_size_plus_one(k):
     def make(sizes):
         def broken(size, inc):
@@ -224,17 +215,22 @@ def _antichain_size_plus_one(k):
     return _wrap(poset, "_antichain_sizes", make)
 
 
-def _break_inv_shift(carlitz):
-    # break the inv shift (k + 1)(m - k) only; the area shift k is 0 at k = 0
-    def broken(n, shift):
-        poly = carlitz(n, shift)
-        return poly + BiPoly.monomial(1, 0) if shift(0, 1) else poly
-    return broken
+def _break_carlitz(inv, extra):
+    """Add extra to the Carlitz recurrence of the inv shift (k + 1)(m - k),
+    or else of the area shift k: at k = 0, m = 1 only the inv shift is not
+    0."""
+    def make(carlitz):
+        def broken(n, shift):
+            poly = carlitz(n, shift)
+            return poly + extra if bool(shift(0, 1)) == inv else poly
+        return broken
+    return _wrap(qt, "_carlitz", make)
 
 
-# one more path of area 1 and bounce 1
-_bounce_plus_one = _wrap(qt, "_bounce_recurrence", lambda f: lambda n, pascal:
-                         f(n, pascal) + BiPoly.monomial(1, 1))
+def _one_more_path(attr):
+    """One more path of area 1 and bounce 1 on the qt route attr."""
+    return _wrap(qt, attr, lambda f: lambda *args:
+                 f(*args) + BiPoly.monomial(1, 1))
 
 
 def _cross_check(name, argv, *patches):
@@ -296,25 +292,26 @@ class TestCrossChecks:
         ("chains", "--n", "3"), _plus_one(tableaux, "staircase_maxchain"))
     test_qt_bounce_recurrence_must_agree = _cross_check(
         "q,t-Catalan path sum and the bounce recurrence", ("qt", "--n", "4"),
-        _bounce_plus_one)
+        _one_more_path("_bounce_recurrence"))
     # the extra path on both polynomial routes, so they still agree
     test_qt_count_must_match_catalan = _cross_check(
         "q,t-Catalan value at (1, 1) and the Catalan number",
         ("qt", "--n", "4"),
-        _add_to_sum(0, BiPoly.monomial(1, 1)), _bounce_plus_one)
+        _one_more_path("_area_bounce"), _one_more_path("_bounce_recurrence"))
     test_qt_partition_sum_must_agree = _cross_check(
         "q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
         ("qt", "--n", "4"), _plus_one(qt, "gh_evaluate"))
-    # area 1 gains a path that area 2 loses: the count stays C_4
+    # area 1 gains a path that area 2 loses
     test_qt_area_must_match_the_recurrence = _cross_check(
         "area q-analog path sum and recurrence", ("qt", "--n", "4"),
-        _add_to_sum(1, BiPoly({(1, 0): 1, (2, 0): -1})))
+        _break_carlitz(False, BiPoly({(1, 0): 1, (2, 0): -1})))
     test_qt_inv_must_match_the_reversed_area = _cross_check(
         "inv q-analog recurrence and reversed area recurrence",
-        ("qt", "--n", "4"), _wrap(qt, "_carlitz", _break_inv_shift))
+        ("qt", "--n", "4"), _break_carlitz(True, BiPoly.monomial(1, 0)))
+    # the maj of every path one higher
     test_qt_maj_must_match_the_quotient = _cross_check(
         "maj q-analog path sum and quotient", ("qt", "--n", "4"),
-        _add_to_sum(2, BiPoly({(1, 0): 1, (2, 0): -1})))
+        _plus_one(qt, "_maj"))
     # one labelling more on every path
     test_parking_counts_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",
@@ -473,13 +470,19 @@ class TestDeterminism:
         assert out == GOLDEN_OPS[op]["stdout"]
 
     def test_csv_and_json_agree(self, capsys):
-        _, json_out, _ = run_cli(capsys, "catalan", "--n", "5")
-        _, csv_out, _ = run_cli(capsys, "--format", "csv",
-                                "catalan", "--n", "5")
-        payload = json.loads(json_out)
-        rows = dict(line.split(",", 1)
-                    for line in csv_out.strip().splitlines()[1:])
-        assert rows["catalan_closed"] == payload["catalan_closed"] == "42"
+        # the A141622 and A000272 descriptions hold a comma
+        for argv in (("catalan", "--n", "5"),
+                     ("verify", "--sequence", "A141622"),
+                     ("verify", "--sequence", "A000272")):
+            _, json_out, _ = run_cli(capsys, *argv)
+            _, csv_out, _ = run_cli(capsys, "--format", "csv", *argv)
+            payload = json.loads(json_out)
+            header, *rows = csv.reader(io.StringIO(csv_out))
+            assert header == ["quantity", "value"]
+            assert all(len(row) == 2 for row in rows), argv
+            assert dict(rows) == payload
+        assert payload["description"] == \
+            "parking function counts, shifted by one"
 
 
 # the keys each command's output is documented to carry

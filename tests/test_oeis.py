@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dyckposet import (REGISTRY, SnapshotParseError, UnknownSequenceError,
@@ -74,10 +76,8 @@ class TestReport:
     def test_mismatch_is_reported_not_hidden(self, monkeypatch):
         import dyckposet.oeis as oeis_mod
         entry = oeis_mod.REGISTRY["A000108"]
-        broken = oeis_mod.SequenceEntry(
-            entry.description, entry.kind, entry.index_of,
-            lambda n: entry.compute(n) + (1 if n == 2 else 0),
-            entry.max_order)
+        broken = dataclasses.replace(
+            entry, compute=lambda n: entry.compute(n) + (1 if n == 2 else 0))
         monkeypatch.setitem(oeis_mod.REGISTRY, "A000108", broken)
         report = verify_sequence("A000108", 3)
         assert not report.passed

@@ -15,6 +15,7 @@ from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        parking_census, parking_to_labelled,
                        representative_leq, representative_path,
                        vector_conditions_ok, vectors_of)
+from dyckposet.config import MAX_ORDER
 from dyckposet.parking import _increasing_fillings
 
 
@@ -96,6 +97,15 @@ class TestParkingFunctions:
             raise AssertionError("parking function built")
         monkeypatch.setattr(ParkingFunction, "__post_init__", refuse)
         assert count_parking_by_filter(6) == 16_807
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_filter_count_past_the_cap(self, monkeypatch, n):
+        # the cap keeps parking --n 7 to the closed count; the filter
+        # runs past it in milliseconds
+        with monkeypatch.context() as patch:
+            patch.setitem(MAX_ORDER, "parking", n)
+            count = count_parking_by_filter(n)
+        assert count == count_parking_functions(n)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,21 @@ def _incomparable(p):
     return [p.incomparable(i) for i in range(p.size)]
 
 
+def _maximal_by_filter(p):
+    """Maximal antichains by size: the listed antichains that leave no
+    element incomparable to all of their members."""
+    inc = _incomparable(p)
+    by_size = {}
+    for mask in poset._antichain_masks(p.size, inc):
+        extension = (1 << p.size) - 1
+        for i in poset._bits(mask):
+            extension &= inc[i]
+        if extension == 0:
+            k = mask.bit_count()
+            by_size[k] = by_size.get(k, 0) + 1
+    return by_size
+
+
 def _relabel(inc, order):
     # the same poset with element order[k] renamed k
     label = {v: k for k, v in enumerate(order)}
@@ -172,6 +187,21 @@ class TestIdealsAndAntichains:
         for n in range(6):
             census = antichain_census(posets(n), "maximal")
             assert census.total == MAXIMAL_TOTALS[n]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_maximal_by_size_matches_the_filter(self, posets, n):
+        assert antichain_census(posets(n), "maximal").by_size == \
+            _maximal_by_filter(posets(n))
+
+    def test_census_refused_past_its_limit_before_work(self, posets,
+                                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("antichains counted")
+        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
+        monkeypatch.setattr(poset, "_antichain_sizes", refuse)
+        for n, mode in ((6, "maximal"), (7, "all"), (7, "maximum")):
+            with pytest.raises(LimitExceededError):
+                antichain_census(posets(n), mode)
 
     def test_maximum_census(self, posets):
         for n in range(6):

@@ -11,8 +11,7 @@ from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
                        path_stats, q_binomial, q_factorial, q_int, qt,
                        qt_catalan, qt_census, qt_specialize, symmetry_check)
 from dyckposet.polynomials import UniPoly
-from dyckposet.qt import (_bounce_recurrence, _partitions, _q_pascal,
-                          _statistic_sums)
+from dyckposet.qt import _bounce_recurrence, _partitions, _q_pascal
 
 
 def _bipoly(coeffs):
@@ -138,8 +137,11 @@ class TestBounceRecurrence:
 
     @pytest.mark.parametrize("n", range(9))
     def test_one_pass_matches_the_separate_sums(self, n):
-        poly, area, _inv, maj = _per_path_sums(n)
-        assert _statistic_sums(n) == (poly, area, maj)
+        # the (area, bounce) count that qt_census and qt_catalan share, and
+        # its t = 1 specialization, which qt_census reads as the area analog
+        poly, area, _inv, _maj = _per_path_sums(n)
+        pairs = qt._area_bounce(enumerate_paths(n))
+        assert (pairs, pairs.substitute_t_one()) == (poly, area)
 
 
 class TestCensus:
