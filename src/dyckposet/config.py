@@ -23,8 +23,10 @@ class LimitExceededError(Exception):
 #                       chains --n 8 benchmark workload
 #   antichains          antichains --n 7 exhausted memory with the
 #                       tuple-valued size-polynomial memo: a 4 GB address
-#                       limit after 47 s (3.5 GB RSS); not re-run with the
-#                       packed memo.  n = 6 takes 0.02 s and 22 MB
+#                       limit after 47 s (3.5 GB RSS); split a chain at a
+#                       time, the packed memo passed 1 M states and 312 MB
+#                       in 4.5 s, where a probe stopped it.  n = 6 takes
+#                       0.013 s in-process and 18 MB peak RSS
 #   maximal_antichains  the maximal census at n = 6 takes 66 s and 16 MB: its
 #                       DFS visits all 37,620,704 antichains
 #   order_ideals        poset --n 6 exhausts memory listing its 37,620,704

@@ -7,11 +7,12 @@ routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 partition sum (gh_evaluate), which does not use bounce and is compared at
 exact rational points.  qt_census runs every check of the qt command on one
 path list: it counts the (area, bounce) pairs, as qt_catalan does, and the
-maj values, and reads the area analog as C_n(q, 1); one area recurrence
-serves the area check and the inv reversal, and one q-Pascal table
-(_q_pascal) the bounce recurrence and the maj quotient
-[2n choose n]_q / [n+1]_q.  q_binomial keeps its factorial division and is
-the tests' oracle for that table.
+maj values, and reads the area analog as C_n(q, 1), which the inv reversal
+reads once it is checked; one q-Pascal table (_q_pascal) serves the bounce
+recurrence and the maj quotient [2n choose n]_q / [n+1]_q.  cn_area and
+cn_maj sum their one statistic and run its check alone, through the helpers
+qt_census calls (_checked_area, _checked_maj).  q_binomial keeps its
+factorial division and is the tests' oracle for that table.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ def qt_census(n: int) -> QtCensus:
     disagreement raises AssertionError."""
     path_list = enumerate_paths(n)
     poly = _area_bounce(path_list)
-    maj = BiPoly(Counter((_maj(d), 0) for d in path_list))
     # one q-Pascal table serves the bounce recurrence and the maj quotient
     pascal = _q_pascal(2 * n)
     agree("q,t-Catalan path sum and the bounce recurrence",
@@ -133,18 +133,35 @@ def qt_census(n: int) -> QtCensus:
     q0, t0 = GH_CHECK_POINT
     agree("q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
           poly.evaluate_exact(q0, t0), gh_evaluate(n, q0, t0))
-    area = poly.substitute_t_one()
-    area_recurrence = _carlitz(n, lambda k, m: k)
-    agree("area q-analog path sum and recurrence", area, area_recurrence)
-    inv = _inv_analog(n, area_recurrence)
-    agree("maj q-analog path sum and quotient", maj, BiPoly.from_q(
-        UniPoly.from_list(pascal[2 * n][n]).divide_exact(_q_int_uni(n + 1))))
+    # the inv recurrence is checked against the area analog reversed, once
+    # the analog has passed its own check
+    area = _checked_area(n, poly.substitute_t_one())
+    inv = _inv_analog(n, area)
+    maj = _checked_maj(n, path_list, pascal)
     return QtCensus(poly=poly, area=area, inv=inv, maj=maj, count=count)
 
 
+def _checked_area(n: int, area: BiPoly) -> BiPoly:
+    """area, the area analog of order n, once it equals the area
+    recurrence."""
+    return agree("area q-analog path sum and recurrence",
+                 area, _carlitz(n, lambda k, m: k))
+
+
+def _checked_maj(n: int, path_list: list[DyckPath],
+                 pascal: list[list[list[int]]]) -> BiPoly:
+    """Sum of q^{maj(D)} over the paths of order n, checked against
+    [2n choose n]_q / [n+1]_q; pascal must reach row 2n."""
+    return agree("maj q-analog path sum and quotient",
+                 BiPoly(Counter((_maj(d), 0) for d in path_list)),
+                 BiPoly.from_q(UniPoly.from_list(pascal[2 * n][n])
+                               .divide_exact(_q_int_uni(n + 1))))
+
+
 def cn_area(n: int) -> BiPoly:
-    """Sum of q^{area(D)}; see qt_census."""
-    return qt_census(n).area
+    """Sum of q^{area(D)}, checked against the area recurrence."""
+    return _checked_area(n, BiPoly(Counter((d.area, 0)
+                                           for d in enumerate_paths(n))))
 
 
 def cn_inv(n: int) -> BiPoly:
@@ -154,8 +171,8 @@ def cn_inv(n: int) -> BiPoly:
 
 
 def cn_maj(n: int) -> BiPoly:
-    """Sum of q^{maj(D)}; see qt_census."""
-    return qt_census(n).maj
+    """Sum of q^{maj(D)}, checked against [2n choose n]_q / [n+1]_q."""
+    return _checked_maj(n, enumerate_paths(n), _q_pascal(2 * n))
 
 
 def qt_catalan(n: int) -> BiPoly:

@@ -42,6 +42,41 @@ REFUSED = [(command, n) for command, jobs in JOBS.items()
            if n > min(MAX_ORDER[job] for job in jobs)]
 
 
+# each job's top order with a tracemalloc bound in MiB on the call's peak;
+# the peaks were read in a fresh process
+AT_LIMIT = [
+    # peaks near 0.7 MiB; a dense 429 x 429 zeta matrix alone takes 1.5 MiB
+    (("chains", "--n", "7"), "chains", 2),
+    # peaks near 1.3 MiB, 0.9 MiB of it the 1,430 paths
+    (("qt", "--n", "8"), "paths", 3),
+    # peaks near 0.3 MiB; listing the 16,807 parking functions takes 2.8 MiB
+    (("parking", "--n", "6"), "parking", 1),
+    # peaks near 0.24 MiB
+    (("chromatic", "--n", "4"), "chromatic", 1),
+    # peaks near 0.34 MiB; listing the 2,361 order ideals as index sets
+    # takes 3.4 MiB
+    (("poset", "--n", "5"), "order_ideals", 2),
+    # peaks near 0.24 MiB
+    (("antichains", "--n", "5", "--mode", "maximal"), "maximal_antichains",
+     1),
+]
+# the stdout of the AT_LIMIT ops that have no golden entry; the chains
+# census checks its totals by solve and by chain DP, and its maximal count
+# by the hook-length formula
+PINNED = {
+    "chains --n 7": {"exit": EXIT_OK, "stdout": (
+        '{"order":"7","total_chains":"38764383658368",'
+        '"maximal_chains":"1100742656","maximal_chains_hook":"1100742656",'
+        '"chain_polynomial":[[0,"1"],[1,"429"],[2,"40469"],[3,"1561989"],'
+        '[4,"32311357"],[5,"414581349"],[6,"3606271057"],[7,"22540773495"],'
+        '[8,"105352813922"],[9,"378656413152"],[10,"1067456831562"],'
+        '[11,"2392758097072"],[12,"4302545545980"],[13,"6235314451938"],'
+        '[14,"7288346932724"],[15,"6848755627584"],[16,"5132875802496"],'
+        '[17,"3025890416640"],[18,"1372176199680"],[19,"461899137024"],'
+        '[20,"108698337280"],[21,"15960768512"],[22,"1100742656"]]}\n')},
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -422,9 +457,12 @@ class TestOrderLimits:
 
     def test_antichains_at_limit_fit_in_memory(self, capsys):
         # every order the table allows must run without exhausting memory;
-        # listing the 37,620,704 antichains of D_6 took 2 GB.  The memo
-        # peaks near 2.4 MiB split along its chains and 16.6 MiB in the
-        # canonical order, so the bound also catches a return to the latter
+        # listing the 37,620,704 antichains of D_6 took 2 GB.  The call
+        # peaks near 1.3 MiB with the memo split a chain at a time over
+        # elements relabelled chain by chain.  In the canonical order it
+        # peaks near 32 MiB split the same way (186,905 states) and near
+        # 16.7 MiB split an element at a time (94,012 states), so the bound
+        # also catches a return to either
         golden = GOLDEN_OPS["antichains --n 6"]
         assert MAX_ORDER["antichains"] == 6
         tracemalloc.start()
@@ -436,6 +474,21 @@ class TestOrderLimits:
         assert code == golden["exit"] == EXIT_OK
         assert capsys.readouterr().out == golden["stdout"]
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("argv, job, mib", AT_LIMIT)
+    def test_job_at_limit_fits_in_memory(self, capsys, argv, job, mib):
+        op = " ".join(argv)
+        expected = GOLDEN_OPS[op] if op in GOLDEN_OPS else PINNED[op]
+        assert MAX_ORDER[job] == int(argv[argv.index("--n") + 1])
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == expected["exit"] == EXIT_OK
+        assert capsys.readouterr().out == expected["stdout"]
+        assert peak < mib * 2**20
 
     def test_readme_table_matches(self):
         text = README.read_text().split("## Order limits", 1)[1]

@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from dyckposet import (DyckPath, LimitExceededError, antichain_census,
                        min_antichain_cover, min_chain_cover, mobius_direct,
                        mobius_matrix, order_ideals, path_ideal, rank_sizes)
 from dyckposet import poset
-from dyckposet.cli import EXIT_INTERNAL, main
+from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 # k-element antichains of D_6 (A143673), as _antichain_masks counted them
@@ -116,10 +118,10 @@ def _maximal_by_filter(p):
     return by_size
 
 
-def _relabel(inc, order):
+def _relabel(masks, order):
     # the same poset with element order[k] renamed k
     label = {v: k for k, v in enumerate(order)}
-    return [sum(1 << label[j] for j in poset._bits(inc[v])) for v in order]
+    return [sum(1 << label[j] for j in poset._bits(masks[v])) for v in order]
 
 
 class TestPackedAntichainSizes:
@@ -293,6 +295,17 @@ class TestDilworth:
             width = antichain_census(p, "maximum").width
             assert min_chain_cover(p) == width
 
+    def test_poset_prints_the_checked_width(self, monkeypatch, capsys):
+        # the census matches once and checks its width; poset prints it
+        calls = []
+        cover = poset.min_chain_cover
+        monkeypatch.setattr(poset, "min_chain_cover",
+                            lambda p: calls.append(p.n) or cover(p))
+        assert main(["poset", "--n", "4"]) == EXIT_OK
+        assert calls == [4]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["min_chain_cover"] == payload["width"] == "3"
+
     def test_min_antichain_cover_equals_longest_chain(self, posets):
         for n in range(6):
             assert min_antichain_cover(posets(n)) == \
@@ -355,31 +368,53 @@ class TestMaximalChains:
                 assert p.covers(a, b)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_antichain_sizes_by_brute_force(data):
-    # a random upper-triangular relation on at most 12 elements, closed
-    # transitively into up-sets, then relabelled by a random permutation so
-    # that the labels need not be a linear extension; oracle: test every
-    # subset
+def _random_up_sets(data):
+    """A random upper-triangular relation on at most 12 elements, closed
+    transitively into up-sets, then relabelled by a random permutation so
+    that the labels need not be a linear extension."""
     size = data.draw(st.integers(0, 12))
     up = [1 << i for i in range(size)]
     for i in reversed(range(size)):
         for j in range(i + 1, size):
             if data.draw(st.booleans()):
                 up[i] |= up[j]
+    return _relabel(up, data.draw(st.permutations(range(size))))
+
+
+def _antichain_sizes_by_subsets(up):
+    """The incomparability masks of the poset with up-sets up, and
+    c[k] = number of its k-element antichains, by testing every subset."""
+    size = len(up)
+    full = (1 << size) - 1
     down = [sum(1 << j for j in range(size) if up[j] >> i & 1)
             for i in range(size)]
-    full = (1 << size) - 1
     inc = [full & ~(up[i] | down[i]) for i in range(size)]
-    inc = _relabel(inc, data.draw(st.permutations(range(size))))
     counts = [0] * (size + 1)
     for sub in range(full + 1):
         if all(inc[i] >> j & 1 for i, j in combinations(poset._bits(sub), 2)):
             counts[sub.bit_count()] += 1
     while counts[-1] == 0:
         counts.pop()
-    assert poset._antichain_sizes(size, inc) == tuple(counts)
+    return inc, tuple(counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_antichain_sizes_by_brute_force(data):
+    up = _random_up_sets(data)
+    inc, counts = _antichain_sizes_by_subsets(up)
+    assert poset._antichain_sizes(len(up), inc) == counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_min_chain_cover_by_brute_force(data):
+    # Dilworth: the fewest chains covering a poset number its largest
+    # antichain, found here by testing every subset
+    up = _random_up_sets(data)
+    _inc, counts = _antichain_sizes_by_subsets(up)
+    assert min_chain_cover(SimpleNamespace(size=len(up), up=up)) == \
+        len(counts) - 1
 
 
 @settings(max_examples=25, deadline=None)
