@@ -3,17 +3,25 @@
 A path of order n is stored as its step word: a string of n 'N' and n 'E'
 marks whose every prefix has at least as many norths as easts.  The canonical
 ordering used throughout the package (and for all matrix indexing) is
-ascending area with lexicographic tie-break taking N < E.  enumerate_paths
-produces it in two steps: a prefix sweep that extends every prefix north
-before east yields the words in lexicographic order, and a stable sort by
-area alone then keeps that order among paths of equal area.
+ascending area with lexicographic tie-break taking N < E.
+
+enumerate_paths meets in the middle.  After n steps every path stands on the
+anti-diagonal, at (n - a, a) with a >= n/2, so its words are the first halves
+that end at level a joined to the second halves that start there.  One prefix
+sweep, extending every prefix north before east, makes both: from the origin
+for the first halves, and from (n - a, a) for the second halves of each
+level.  Each half carries its column heights, north offsets and height sum,
+absolute because its start point is fixed, so a join concatenates them and
+adds the sums.  Halves have equal lengths, so the joins come out in
+lexicographic order, and a stable sort by area keeps that order among paths
+of equal area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from operator import itemgetter
+from operator import attrgetter
 
 from .config import check_order
 
@@ -21,7 +29,7 @@ NORTH = "N"
 EAST = "E"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class DyckPath:
     steps: str
     # read off the step word by the one walk in __post_init__ (or handed to
@@ -61,14 +69,14 @@ class DyckPath:
 
         No check runs; the caller vouches that steps is a Dyck word and that
         heights, offsets and area are the values __post_init__ would read
-        off it.  Fields are set one by one, as __post_init__ sets them, so
-        instances keep their compact shared-key layout.
+        off it.  The slots are filled through their descriptors, which the
+        frozen __setattr__ does not guard.
         """
         path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
-        object.__setattr__(path, "_heights", heights)
-        object.__setattr__(path, "_offsets", offsets)
-        object.__setattr__(path, "area", area)
+        _set_steps(path, steps)
+        _set_heights(path, heights)
+        _set_offsets(path, offsets)
+        _set_area(path, area)
         return path
 
     @property
@@ -108,6 +116,13 @@ class DyckPath:
     @staticmethod
     def full(n: int) -> "DyckPath":
         return DyckPath(NORTH * n + EAST * n)
+
+
+# the slot setters of DyckPath, bound once for _walked
+_set_steps = DyckPath.steps.__set__
+_set_heights = DyckPath._heights.__set__
+_set_offsets = DyckPath._offsets.__set__
+_set_area = DyckPath.area.__set__
 
 
 @dataclass(frozen=True)
@@ -172,6 +187,8 @@ def catalan_closed(n: int) -> int:
 
 def catalan_recurrence(n: int) -> int:
     """E_0 = 1, E_n = sum_{k=1..n} E_{k-1} E_{n-k}, built bottom-up."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     values = [1]
     for m in range(1, n + 1):
         values.append(sum(values[k - 1] * values[m - k]
@@ -187,29 +204,45 @@ def count_bad_paths(n: int) -> int:
     return comb(2 * n, n - 1)
 
 
+def _sweep(n: int, steps: int, prefixes: list[tuple]) -> list[tuple]:
+    """Extend each prefix by steps steps that stay inside the n x n square
+    and weakly above the diagonal, north before east.
+
+    An entry is (word, norths, easts, heights, offsets, height_sum): a north
+    records the easts so far as its offset, an east records the norths so
+    far as its column height.
+    """
+    for _ in range(steps):
+        grown = []
+        for word, norths, easts, heights, offsets, height_sum in prefixes:
+            if norths < n:
+                grown.append((word + NORTH, norths + 1, easts, heights,
+                              offsets + (easts,), height_sum))
+            if easts < norths:
+                grown.append((word + EAST, norths, easts + 1,
+                              heights + (norths,), offsets,
+                              height_sum + norths))
+        prefixes = grown
+    return prefixes
+
+
 def enumerate_paths(n: int) -> list[DyckPath]:
     """All Dyck paths of order n in canonical order."""
     check_order(n, "paths")
-    # one prefix per entry: (word, norths, heights, offsets, height_sum);
-    # a north records the easts so far as its offset, an east records the
-    # norths so far as its column height
-    prefixes = [("", 0, (), (), 0)]
-    for _ in range(2 * n):
-        grown = []
-        for word, norths, heights, offsets, height_sum in prefixes:
-            if norths < n:
-                grown.append((word + NORTH, norths + 1, heights,
-                              offsets + (len(heights),), height_sum))
-            if len(heights) < norths:
-                grown.append((word + EAST, norths, heights + (norths,),
-                              offsets, height_sum + norths))
-        prefixes = grown
-    # the words are now lexicographic with N < E; a stable sort by the height
-    # sum alone orders by area and keeps that tie-break
-    prefixes.sort(key=itemgetter(4))
+    firsts = _sweep(n, n, [("", 0, 0, (), (), 0)])
+    seconds = {a: _sweep(n, n, [("", a, n - a, (), (), 0)])
+               for a in range((n + 1) // 2, n + 1)}
     base = n * (n + 1) // 2  # area = sum over columns j of h[j] - j
-    return [DyckPath._walked(word, heights, offsets, height_sum - base)
-            for word, _, heights, offsets, height_sum in prefixes]
+    walked = DyckPath._walked
+    joined = [walked(word + tail, heights + tail_heights,
+                     offsets + tail_offsets, height_sum + tail_sum - base)
+              for word, a, _, heights, offsets, height_sum in firsts
+              for tail, _, _, tail_heights, tail_offsets, tail_sum
+              in seconds[a]]
+    # the joins are lexicographic with N < E; a stable sort by area alone
+    # keeps that tie-break
+    joined.sort(key=attrgetter("area"))
+    return joined
 
 
 def is_below(d1: DyckPath, d2: DyckPath) -> bool:

@@ -26,6 +26,7 @@ antichains by one depth-first search, _antichain_extensions.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
@@ -84,13 +85,25 @@ def _cell_bit(n: int, j: int, y: int) -> int:
     return (d - 1) * n - d * (d - 1) // 2 + j - 1
 
 
+@functools.cache
+def _column_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry j - 1 lists, by the height h from 0 to n, the mask of the area
+    cells (j, y) with j < y <= h of column j; it depends on n alone, so it
+    is built once per order."""
+    table = []
+    for j in range(1, n + 1):
+        masks = [0] * (n + 1)
+        for h in range(j + 1, n + 1):
+            masks[h] = masks[h - 1] | 1 << _cell_bit(n, j, h)
+        table.append(tuple(masks))
+    return tuple(table)
+
+
 def path_ideal(d: DyckPath) -> int:
     """The order ideal of P_n formed by the area cells of the path."""
-    n = d.order
     mask = 0
-    for j, h in enumerate(d.column_heights(), start=1):
-        for y in range(j + 1, h + 1):
-            mask |= 1 << _cell_bit(n, j, y)
+    for masks, h in zip(_column_masks(d.order), d.column_heights()):
+        mask |= masks[h]
     return mask
 
 

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyckposet import incidence, parking, paths, poset, qt, tableaux
 from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
@@ -167,6 +169,52 @@ class TestExitCodes:
                                "--n", "2")
         assert code == EXIT_MISMATCH
         assert json.loads(out)["passed"] == "no"
+
+
+# the orders span every cap; each one a cap admits runs in well under 0.1 s
+ORDER_TOKENS = [str(n) for n in range(-1, 10)] + ["", "x", "2.5", "0x3"]
+MODES = ["all", "maximal", "maximum", "bogus"]
+SEQUENCES = sorted(REGISTRY) + ["A000000"]
+
+
+@st.composite
+def _argv(draw):
+    """An argv that is mostly well formed: the options its subcommand
+    takes, at times one of them left out or one that does not belong."""
+    argv = list(draw(st.sampled_from(
+        [(), ("--format", "json"), ("--format", "csv")])))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv.append(command)
+    options = {"--n": ORDER_TOKENS, "--mode": MODES, "--sequence": SEQUENCES}
+    takes = ["--n"] + {"antichains": ["--mode"],
+                       "verify": ["--sequence"]}.get(command, [])
+    for name in takes + draw(st.lists(st.sampled_from(sorted(options)),
+                                      max_size=1)):
+        if draw(st.integers(0, 9)):
+            argv += [name, draw(st.sampled_from(options[name]))]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None)
+def test_exit_code_contract(argv):
+    # exit 0 prints a parseable table; any other exit prints nothing, and
+    # no argv reaches an internal fault
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code != EXIT_INTERNAL, err.getvalue()
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+    elif argv[:2] == ["--format", "csv"]:
+        header, *rows = csv.reader(io.StringIO(out.getvalue()), strict=True)
+        assert header == ["quantity", "value"]
+        assert rows and all(len(row) == 2 for row in rows)
+    else:
+        assert json.loads(out.getvalue())
 
 
 class TestParserReuse:

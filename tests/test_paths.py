@@ -1,13 +1,16 @@
+import dataclasses
 from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dyckposet import (DyckPath, LimitExceededError, Partition,
+from dyckposet import (DyckPath, LimitExceededError, Partition, build_poset,
                        catalan_closed, catalan_recurrence, cell_stats,
-                       count_bad_paths, enumerate_paths, is_below, path_stats,
-                       path_to_partition, partition_to_path)
+                       check_order, cn_area, cn_maj, count_bad_paths,
+                       enumerate_paths, is_below, parking_census, path_stats,
+                       path_to_partition, partition_to_path, qt_catalan,
+                       qt_census)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -73,6 +76,14 @@ class TestCatalanCounts:
         with pytest.raises(LimitExceededError):
             enumerate_paths(9)
 
+    @pytest.mark.parametrize("compute", [
+        check_order, enumerate_paths, build_poset, qt_catalan, cn_area,
+        cn_maj, qt_census, parking_census, catalan_recurrence, catalan_closed,
+    ], ids=lambda compute: compute.__name__)
+    def test_negative_order_refused(self, compute):
+        with pytest.raises(ValueError):
+            compute(-1)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_bad_path_count_against_exhaustion(self, n):
         # oracle: filter every monotone word for a diagonal crossing
@@ -133,6 +144,14 @@ class TestStoredWalk:
     def test_repr_shows_the_steps_only(self):
         assert repr(DyckPath("NNEE")) == "DyckPath('NNEE')"
         assert repr(DyckPath("")) == "DyckPath('')"
+
+    @pytest.mark.parametrize("d", [DyckPath("NNEE"),
+                                   enumerate_paths(2)[1]])
+    def test_slotted_and_frozen(self, d):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.area = 0
+        assert d.area == 1
+        assert not hasattr(d, "__dict__")
 
 
 class TestStatistics:

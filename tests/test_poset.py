@@ -326,6 +326,16 @@ class TestPointPosetIsomorphism:
             for d in enumerate_paths(n):
                 assert path_ideal(d).bit_count() == d.area
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_ideal_equals_a_cell_by_cell_walk(self, n):
+        # oracle: set the bit of each area cell (j, y), j < y <= h_j
+        for d in enumerate_paths(n):
+            mask = 0
+            for j, h in enumerate(d.column_heights(), start=1):
+                for y in range(j + 1, h + 1):
+                    mask |= 1 << poset._cell_bit(n, j, y)
+            assert path_ideal(d) == mask
+
     def test_mobius_direct_matches_matrix(self, posets):
         for n in range(6):
             p = posets(n)
