@@ -19,7 +19,7 @@ from .poset import (AntichainCensus, DyckPoset, antichain_census,
                     antichain_ideal_bijection_check, build_poset,
                     cell_down_masks, jp_isomorphism_check, maximal_chains,
                     min_antichain_cover, min_chain_cover, mobius_direct,
-                    order_ideal_count, order_ideals, path_ideal, rank_sizes)
+                    order_ideal_count, path_ideal, rank_sizes)
 from .incidence import (ChainCensus, ExactMatrix, chain_census,
                         chain_polynomial, delta_matrix, eta_matrix,
                         interval_count, invert_unitriangular,

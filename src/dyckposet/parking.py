@@ -73,6 +73,7 @@ def is_parking_function(prefs) -> bool:
 
 def count_parking_functions(n: int) -> int:
     """(n + 1)^(n - 1); for n = 0 the empty function counts once."""
+    check_order(n)
     if n == 0:
         return 1
     return (n + 1) ** (n - 1)

@@ -111,10 +111,12 @@ class DyckPath:
 
     @staticmethod
     def staircase(n: int) -> "DyckPath":
+        check_order(n)
         return DyckPath((NORTH + EAST) * n)
 
     @staticmethod
     def full(n: int) -> "DyckPath":
+        check_order(n)
         return DyckPath(NORTH * n + EAST * n)
 
 
@@ -156,6 +158,7 @@ class Partition:
 
     @staticmethod
     def staircase(n: int) -> "Partition":
+        check_order(n)
         return Partition(tuple(range(n - 1, 0, -1)))
 
 
@@ -291,26 +294,21 @@ def path_stats(d: DyckPath) -> PathStats:
 def path_to_partition(d: DyckPath) -> Partition:
     """The Young diagram filling the grid cells above the path."""
     n = d.order
-    col_counts = [n - h for h in d.column_heights()]  # weakly decreasing
-    rows = []
-    for r in range(1, n):
-        size = sum(1 for c in col_counts if c >= r)
-        if size == 0:
-            break
-        rows.append(size)
-    return Partition(tuple(rows))
+    return Partition(tuple(n - h for h in d.column_heights()
+                           if h < n)).conjugate()
 
 
 def partition_to_path(partition: Partition, n: int) -> DyckPath:
     """Inverse of path_to_partition for diagrams fitting above an order-n path."""
+    check_order(n)
     parts = partition.parts
     if len(parts) > max(n - 1, 0):
         raise ValueError("partition has too many rows for this order")
     for i, p in enumerate(parts, start=1):
         if p > n - i:
             raise ValueError(f"row {i} of size {p} exceeds the n - i bound")
-    col_counts = [sum(1 for p in parts if p >= c) for c in range(1, n + 1)]
-    heights = [n - c for c in col_counts]
+    counts = partition.conjugate().parts  # cells in each column
+    heights = [n - c for c in counts + (0,) * (n - len(counts))]
     word = []
     prev = 0
     for h in heights:

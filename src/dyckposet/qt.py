@@ -26,6 +26,7 @@ from math import comb, prod
 from typing import Callable
 
 from .checks import agree
+from .config import check_order
 # path_stats is no longer called here, but stays bound as qt.path_stats:
 # bench/tests/test_harness.py checks that the tracer rebinds it by name
 from .paths import (DyckPath, Partition, _bounce, _maj, catalan_closed,
@@ -56,6 +57,7 @@ def _q_factorial_uni(n: int) -> UniPoly:
 
 
 def q_factorial(n: int) -> BiPoly:
+    check_order(n)
     return BiPoly.from_q(_q_factorial_uni(n))
 
 
@@ -285,6 +287,7 @@ def _gh_cells(n: int, q0: Fraction, t0: Fraction):
     its cell hooks and den: the product over cells of
     (q^a - t^(l+1))(t^l - q^(a+1)) with qd and td cleared, in integers.
     den is zero iff one of its factors vanishes at (q0, t0)."""
+    check_order(n)
     powers = qn, qd, tn, td = tuple(
         power_table(x, n * n) for x in (q0.numerator, q0.denominator,
                                         t0.numerator, t0.denominator))

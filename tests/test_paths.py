@@ -1,16 +1,19 @@
 import dataclasses
+from functools import partial
 from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dyckposet import (DyckPath, LimitExceededError, Partition, build_poset,
-                       catalan_closed, catalan_recurrence, cell_stats,
+from dyckposet import (GH_CHECK_POINT, DyckPath, LimitExceededError,
+                       Partition, build_poset, catalan_closed,
+                       catalan_recurrence, cell_down_masks, cell_stats,
                        check_order, cn_area, cn_maj, count_bad_paths,
-                       enumerate_paths, is_below, parking_census, path_stats,
-                       path_to_partition, partition_to_path, qt_catalan,
-                       qt_census)
+                       count_parking_functions, enumerate_paths, gh_evaluate,
+                       gh_pole_check, gh_sample_points, is_below,
+                       parking_census, path_stats, path_to_partition,
+                       partition_to_path, q_factorial, qt_catalan, qt_census)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -79,7 +82,13 @@ class TestCatalanCounts:
     @pytest.mark.parametrize("compute", [
         check_order, enumerate_paths, build_poset, qt_catalan, cn_area,
         cn_maj, qt_census, parking_census, catalan_recurrence, catalan_closed,
-    ], ids=lambda compute: compute.__name__)
+        count_parking_functions, q_factorial, cell_down_masks,
+        partial(gh_evaluate, q0=GH_CHECK_POINT[0], t0=GH_CHECK_POINT[1]),
+        partial(gh_pole_check, q0=GH_CHECK_POINT[0], t0=GH_CHECK_POINT[1]),
+        partial(gh_sample_points, count=2), DyckPath.staircase,
+        DyckPath.full, Partition.staircase,
+        partial(partition_to_path, Partition(())),
+    ], ids=lambda compute: getattr(compute, "func", compute).__qualname__)
     def test_negative_order_refused(self, compute):
         with pytest.raises(ValueError):
             compute(-1)

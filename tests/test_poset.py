@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb, prod
 from types import SimpleNamespace
@@ -12,7 +13,8 @@ from dyckposet import (DyckPath, LimitExceededError, antichain_census,
                        cell_down_masks, enumerate_paths, is_below,
                        jp_isomorphism_check, maximal_chains,
                        min_antichain_cover, min_chain_cover, mobius_direct,
-                       mobius_matrix, order_ideals, path_ideal, rank_sizes)
+                       mobius_matrix, order_ideal_count, path_ideal,
+                       rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 
@@ -99,6 +101,17 @@ def _tuple_antichain_sizes(size, inc):
     return count((1 << size) - 1)
 
 
+def downset_masks(size, down):
+    """Oracle: every order ideal of a poset on elements 0..size-1, listed in
+    a linear extension, as a bitmask; down[k] masks the down-set of k."""
+    ideals = [0]
+    for k in range(size):
+        required = down[k] & ~(1 << k)
+        ideals.extend([mask | 1 << k for mask in ideals
+                       if required & ~mask == 0])
+    return ideals
+
+
 def _incomparable(p):
     return [p.incomparable(i) for i in range(p.size)]
 
@@ -183,7 +196,40 @@ class TestIdealsAndAntichains:
 
     def test_order_ideals_refuse_past_limit(self, posets):
         with pytest.raises(LimitExceededError):
-            order_ideals(posets(6))
+            order_ideal_count(posets(6))
+
+    def test_bijection_check_refused_before_the_antichains(self, posets,
+                                                           monkeypatch):
+        def refuse(*args):
+            raise AssertionError("antichains listed")
+        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
+        with pytest.raises(LimitExceededError):
+            antichain_ideal_bijection_check(posets(6))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_order_ideal_count_equals_the_listing(self, posets, n):
+        p = posets(n)
+        assert order_ideal_count(p) == len(downset_masks(p.size, p.down))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_ideal_count_of_the_point_poset(self, n):
+        # D_n = J(P_n): P_n has C_n order ideals
+        down = cell_down_masks(n)
+        assert poset._ideal_count(len(down), down) == \
+            len(downset_masks(len(down), down)) == catalan_closed(n)
+
+    def test_ideal_count_at_order_six_without_listing(self, posets):
+        # the count peaks near 11.2 MiB (94,012 memo states); listing the
+        # 37,620,704 ideal masks takes about 2 GB
+        p = posets(6)
+        tracemalloc.start()
+        try:
+            count = poset._ideal_count(p.size, p.down)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == sum(ANTICHAINS_6)
+        assert peak < 16 * 2**20
 
     def test_maximal_totals(self, posets):
         for n in range(6):
@@ -273,7 +319,8 @@ class TestIdealsAndAntichains:
     def test_ideal_count_equals_antichain_count(self, posets):
         for n in range(6):
             p = posets(n)
-            assert len(order_ideals(p)) == antichain_census(p).total
+            assert len(downset_masks(p.size, p.down)) == \
+                antichain_census(p).total
 
     def test_ideal_antichain_bijection(self, posets):
         for n in range(5):
@@ -281,11 +328,11 @@ class TestIdealsAndAntichains:
 
     def test_ideals_are_downward_closed(self, posets):
         p = posets(4)
-        for ideal in order_ideals(p):
-            for j in ideal:
+        for ideal in downset_masks(p.size, p.down):
+            for j in poset._bits(ideal):
                 for i in range(p.size):
                     if p.leq(i, j):
-                        assert i in ideal
+                        assert ideal >> i & 1
 
 
 class TestDilworth:
@@ -378,17 +425,23 @@ class TestMaximalChains:
                 assert p.covers(a, b)
 
 
-def _random_up_sets(data):
-    """A random upper-triangular relation on at most 12 elements, closed
-    transitively into up-sets, then relabelled by a random permutation so
-    that the labels need not be a linear extension."""
-    size = data.draw(st.integers(0, 12))
+def _triangular_up_sets(data, most):
+    """A random upper-triangular relation on at most `most` elements,
+    closed transitively into up-sets: the labels are a linear extension."""
+    size = data.draw(st.integers(0, most))
     up = [1 << i for i in range(size)]
     for i in reversed(range(size)):
         for j in range(i + 1, size):
             if data.draw(st.booleans()):
                 up[i] |= up[j]
-    return _relabel(up, data.draw(st.permutations(range(size))))
+    return up
+
+
+def _random_up_sets(data):
+    """A random poset on at most 12 elements, relabelled by a random
+    permutation so that the labels need not be a linear extension."""
+    up = _triangular_up_sets(data, 12)
+    return _relabel(up, data.draw(st.permutations(range(len(up)))))
 
 
 def _antichain_sizes_by_subsets(up):
@@ -425,6 +478,18 @@ def test_min_chain_cover_by_brute_force(data):
     _inc, counts = _antichain_sizes_by_subsets(up)
     assert min_chain_cover(SimpleNamespace(size=len(up), up=up)) == \
         len(counts) - 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_ideal_count_by_listing(data):
+    # the count on random posets given in a linear extension, against the
+    # listing of their ideals
+    up = _triangular_up_sets(data, 14)
+    down = [sum(1 << j for j in range(len(up)) if up[j] >> i & 1)
+            for i in range(len(up))]
+    assert poset._ideal_count(len(up), down) == \
+        len(downset_masks(len(up), down))
 
 
 @settings(max_examples=25, deadline=None)
