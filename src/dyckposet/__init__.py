@@ -11,15 +11,15 @@ partition sum).
 
 from .config import MAX_ORDER, LimitExceededError, check_order
 from .paths import (CellStats, DyckPath, Partition, PathStats, catalan_closed,
-                    catalan_recurrence, cell_stats, count_bad_paths,
-                    enumerate_paths, is_below, partition_to_path, path_stats,
-                    path_to_partition)
+                    catalan_count, catalan_recurrence, cell_stats,
+                    count_bad_paths, enumerate_paths, is_below,
+                    partition_to_path, path_stats, path_to_partition)
 from .polynomials import BiPoly, UniPoly
-from .poset import (AntichainCensus, DyckPoset, antichain_census,
+from .poset import (AntichainCensus, DyckPoset, PosetCensus, antichain_census,
                     antichain_ideal_bijection_check, build_poset,
                     cell_down_masks, jp_isomorphism_check, maximal_chains,
                     min_antichain_cover, min_chain_cover, mobius_direct,
-                    order_ideal_count, path_ideal, rank_sizes)
+                    order_ideal_count, path_ideal, poset_census, rank_sizes)
 from .incidence import (ChainCensus, ExactMatrix, chain_census,
                         chain_polynomial, delta_matrix, eta_matrix,
                         interval_count, invert_unitriangular,

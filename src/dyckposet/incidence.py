@@ -135,7 +135,8 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
     bit length, so every coefficient of every sum is below 2^B and none
     carries into the next.
     """
-    width = prod(size + 1 for size in Counter(p.rank).values()).bit_length()
+    levels = Counter(mask.bit_count() for mask in p.ideals).values()
+    width = prod(size + 1 for size in levels).bit_length()
     ends: list[int] = []
     for j in range(p.size):
         below = sum(ends[i] for i in _bits(p.down[j] & ~(1 << j)))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
 
+from .checks import agree
 from .config import check_order
 
 NORTH = "N"
@@ -197,6 +198,13 @@ def catalan_recurrence(n: int) -> int:
         values.append(sum(values[k - 1] * values[m - k]
                           for k in range(1, m + 1)))
     return values[n]
+
+
+def catalan_count(n: int) -> int:
+    """C_n by the closed form, which must equal the recurrence; a
+    disagreement raises AssertionError."""
+    return agree("Catalan closed form and recurrence",
+                 catalan_closed(n), catalan_recurrence(n))
 
 
 def count_bad_paths(n: int) -> int:

@@ -8,9 +8,10 @@ lies above (j', y') iff j' >= j and y' <= y.  Bits are numbered by distance
 y - j from the diagonal, then by column: a linear extension of P_n.
 
 Inclusion is mask inclusion, a cover adds one cell and the rank (area) is the
-popcount.  Elements are listed in the canonical order, a linear extension of
-D_n, so zeta-type matrices built on it are upper triangular; up- and
-down-sets are bitmasks over that order.
+popcount.  Element i is the i-th path of enumerate_paths(n), the canonical
+order, a linear extension of D_n, so zeta-type matrices built on it are
+upper triangular; up- and down-sets are bitmasks over that order.  Nothing
+else is kept per element: a caller that needs the paths enumerates them.
 
 Antichains are counted by size without listing them: a memoised split on
 bitmasks of candidate elements that takes off one chain's part at a time,
@@ -23,6 +24,14 @@ matching grown on bitmasks.  The maximal census, the antichain-ideal
 bijection and, in the tests, the oracle for the counts at n <= 5 walk the
 antichains by one depth-first search, _antichain_extensions.  Order
 ideals are counted by a memoised split, an element at a time (_ideal_count).
+
+poset_census runs every check of the poset command.  One antichain census
+checks its width against Dilworth's minimum chain cover, and its total must
+equal the ideal count, as downward closure maps antichains one to one onto
+ideals.  The rank sizes of the inversion recurrence must equal the
+popcount histogram; the cover edges, each adding one cell at a valley, the
+C(2n-1, n-2) valleys of the paths of order n; the minimum antichain cover,
+the C(n, 2) + 1 rank levels.
 """
 
 from __future__ import annotations
@@ -41,16 +50,14 @@ from .qt import cn_inv
 @dataclass(frozen=True)
 class DyckPoset:
     n: int
-    elements: tuple[DyckPath, ...]
     ideals: tuple[int, ...]    # ideals[i] = area-cell mask of element i
     up: tuple[int, ...]        # up[i] = bitmask of j with i <= j
     down: tuple[int, ...]      # down[i] = bitmask of j with j <= i
     cover_up: tuple[int, ...]  # bitmask of j covering i
-    rank: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.ideals)
 
     def leq(self, i: int, j: int) -> bool:
         return self.ideals[i] & ~self.ideals[j] == 0
@@ -121,13 +128,14 @@ def cell_down_masks(n: int) -> tuple[int, ...]:
 
 
 def build_poset(n: int) -> DyckPoset:
-    elements = tuple(enumerate_paths(n))
-    size = len(elements)
-    ideals = tuple(path_ideal(e) for e in elements)
+    """D_n with element i the i-th path of enumerate_paths(n)."""
+    path_list = enumerate_paths(n)
+    size = len(path_list)
+    ideals = tuple(map(path_ideal, path_list))
     index = {mask: i for i, mask in enumerate(ideals)}
     cover_up = [0] * size
-    for i, e in enumerate(elements):
-        h = e.column_heights()
+    for i, d in enumerate(path_list):
+        h = d.column_heights()
         # column j can grow by cell (j, h_j + 1) while it stays below h_{j+1}
         for j in range(1, n):
             if h[j - 1] < h[j]:
@@ -143,9 +151,8 @@ def build_poset(n: int) -> DyckPoset:
     for i in reversed(range(size)):
         for j in _bits(cover_up[i]):
             up[i] |= up[j]
-    return DyckPoset(n=n, elements=elements, ideals=ideals, up=tuple(up),
-                     down=tuple(down), cover_up=tuple(cover_up),
-                     rank=tuple(mask.bit_count() for mask in ideals))
+    return DyckPoset(n=n, ideals=ideals, up=tuple(up), down=tuple(down),
+                     cover_up=tuple(cover_up))
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +453,39 @@ def maximal_chains(p: DyckPoset) -> list[tuple[int, ...]]:
 
     walk([minimum])
     return chains
+
+
+# ---------------------------------------------------------------------------
+# the census of the poset command
+
+
+@dataclass(frozen=True)
+class PosetCensus:
+    rank_sizes: tuple[int, ...]  # element counts by decreasing rank
+    order_ideals: int
+    cover_edges: int
+    width: int                   # equal to the minimum chain cover
+    antichain_cover: int         # the minimum antichain cover
+
+
+def poset_census(p: DyckPoset) -> PosetCensus:
+    """The rank sizes, order ideals, cover edges, width and minimum
+    antichain cover of D_n, each checked against a second route (see the
+    module docstring).  A disagreement raises AssertionError."""
+    check_order(p.n, "antichains", "order_ideals")
+    census = antichain_census(p, "all")
+    sizes = rank_sizes(p.n)
+    by_rank = Counter(mask.bit_count() for mask in p.ideals)
+    agree("rank sizes by recurrence and by the poset's rank histogram",
+          sizes, tuple(by_rank[r] for r in range(max(by_rank), -1, -1)))
+    ideal_count = agree("order ideal and antichain counts",
+                        order_ideal_count(p), census.total)
+    cover_edges = agree("cover edges and the valley count C(2n-1, n-2)",
+                        len(p.cover_edges()),
+                        comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0)
+    antichain_cover = agree(
+        "minimum antichain cover and the C(n, 2) + 1 rank levels",
+        min_antichain_cover(p), comb(p.n, 2) + 1)
+    return PosetCensus(rank_sizes=sizes, order_ideals=ideal_count,
+                       cover_edges=cover_edges, width=max(census.by_size),
+                       antichain_cover=antichain_cover)

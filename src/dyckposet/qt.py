@@ -239,14 +239,14 @@ def _bounce_recurrence(n: int, pascal: list[list[list[int]]]) -> BiPoly:
 def qt_specialize(n: int, mode: str):
     """Specializations of the q,t-Catalan polynomial: t -> 1 gives the area
     analog, q^{C(n,2)} P(q, 1/q) gives the maj analog, (1,1) the count."""
+    if mode not in ("area", "maj", "count"):
+        raise ValueError(f"unknown specialization mode {mode!r}")
     poly = qt_catalan(n)
     if mode == "area":
         return poly.substitute_t_one()
     if mode == "maj":
         return poly.t_to_inverse_q(comb(n, 2))
-    if mode == "count":
-        return poly(1, 1)
-    raise ValueError(f"unknown specialization mode {mode!r}")
+    return poly(1, 1)
 
 
 def symmetry_check(n: int) -> bool:

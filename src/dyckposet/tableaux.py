@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .checks import agree
-from .paths import Partition, cell_stats, path_to_partition
-from .poset import DyckPoset, build_poset, maximal_chains
+from .paths import (DyckPath, Partition, cell_stats, enumerate_paths,
+                    path_to_partition)
+from .poset import build_poset, maximal_chains
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,16 @@ def staircase_maxchain(n: int) -> int:
     return count
 
 
-def _chain_to_filling(p: DyckPoset, chain: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    # Walk the chain downward from the maximum: the diagram above the path
-    # grows by one cell per cover step, and that cell gets the next label.
+def _chain_to_filling(path_list: list[DyckPath],
+                      chain: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    # Walk the chain, indices into path_list, downward from the maximum: the
+    # diagram above the path grows by one cell per cover step, and that cell
+    # gets the next label.
     filling: dict[tuple[int, int], int] = {}
     previous: set[tuple[int, int]] = set()
     step = 0
     for position, idx in enumerate(reversed(chain)):
-        cells = set(path_to_partition(p.elements[idx]).cells())
+        cells = set(path_to_partition(path_list[idx]).cells())
         if position > 0:
             added = cells - previous
             step += 1
@@ -86,12 +89,13 @@ def _is_standard(filling: dict[tuple[int, int], int],
 def maxchain_tableau_bijection_check(n: int) -> bool:
     """Numbering the cells in chain order turns each maximal chain of D_n
     into a distinct standard staircase tableau, and every tableau arises."""
-    p = build_poset(n)
-    chains = maximal_chains(p)
+    # the poset's element i is the i-th path of the canonical order
+    path_list = enumerate_paths(n)
+    chains = maximal_chains(build_poset(n))
     shape = Partition.staircase(n)
     fillings = set()
     for chain in chains:
-        filling = _chain_to_filling(p, chain)
+        filling = _chain_to_filling(path_list, chain)
         if not _is_standard(filling, shape):
             return False
         fillings.add(frozenset(filling.items()))

@@ -412,7 +412,7 @@ class TestCrossChecks:
         "cells added by a cover step and one", ("catalan", "--n", "3"),
         lambda monkeypatch: monkeypatch.setitem(
             COMMANDS, "catalan", lambda args: tableaux._chain_to_filling(
-                poset.build_poset(3), (0, 4))))
+                paths.enumerate_paths(3), (0, 4))))
 
     def test_every_agree_name_has_one_call_site_and_a_row(self):
         names = []
@@ -635,6 +635,21 @@ class TestCoverage:
                     and node.value.id in modules
                     and node.attr.startswith("_")]
         assert private == []
+
+    def test_cli_runs_no_check_of_its_own(self):
+        # the layers run their two-route checks; cli formats what they return
+        tree = ast.parse((SRC / "cli.py").read_text())
+        calls = [getattr(node.func, "id", None) or
+                 getattr(node.func, "attr", None)
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert "agree" not in calls
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {alias.name for alias in node.names}
+        assert imported & {"checks", "agree", "Counter", "comb"} == set()
 
     def test_polynomial_terms_are_lists(self, capsys):
         _, out, _ = run_cli(capsys, "qt", "--n", "3")

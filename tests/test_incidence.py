@@ -43,7 +43,7 @@ def _list_chain_polynomial(p):
     ends = []
     totals = [0] * (comb(p.n, 2) + 1)
     for j in range(p.size):
-        below = [0] * p.rank[j]
+        below = [0] * p.ideals[j].bit_count()
         for i in poset._bits(p.down[j] & ~(1 << j)):
             for k, c in enumerate(ends[i]):
                 below[k] += c
@@ -162,7 +162,8 @@ class TestChainCounts:
         # a chain meets each rank level at most once
         for n in range(9):
             p = posets(n)
-            levels = Counter(p.rank).values()
+            levels = Counter(mask.bit_count()
+                             for mask in p.ideals).values()
             assert prod(size + 1 for size in levels) >= \
                 chain_census(p).total
 

@@ -253,7 +253,7 @@ class TestContentGroups:
     def test_one_group_per_path(self):
         for n in range(6):
             reps = content_group_representatives(n)
-            assert len(reps) == len(set(reps)) == len(build_poset(n).elements)
+            assert len(reps) == len(set(reps)) == build_poset(n).size
 
     def test_representative_order_matches_poset(self):
         for n in range(6):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dyckposet import (GH_CHECK_POINT, DyckPath, LimitExceededError,
-                       Partition, build_poset, catalan_closed,
+                       Partition, build_poset, catalan_closed, catalan_count,
                        catalan_recurrence, cell_down_masks, cell_stats,
                        check_order, cn_area, cn_maj, count_bad_paths,
                        count_parking_functions, enumerate_paths, gh_evaluate,
@@ -70,6 +70,7 @@ class TestCatalanCounts:
         assert catalan_closed(n) == CATALAN[n]
         assert catalan_recurrence(n) == CATALAN[n]
         assert len(enumerate_paths(n)) == CATALAN[n]
+        assert catalan_count(n) == CATALAN[n]
 
     def test_recurrence_has_no_recursion_depth(self):
         # a recursive recurrence overflows the stack near n = 333

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -8,13 +9,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import (DyckPath, LimitExceededError, antichain_census,
-                       antichain_ideal_bijection_check, catalan_closed,
-                       cell_down_masks, enumerate_paths, is_below,
-                       jp_isomorphism_check, maximal_chains,
+from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
+                       antichain_census, antichain_ideal_bijection_check,
+                       catalan_closed, cell_down_masks, enumerate_paths,
+                       is_below, jp_isomorphism_check, maximal_chains,
                        min_antichain_cover, min_chain_cover, mobius_direct,
                        mobius_matrix, order_ideal_count, path_ideal,
-                       rank_sizes)
+                       poset_census, rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 
@@ -35,8 +36,9 @@ class TestStructure:
     def test_relation_matches_is_below(self, posets):
         for n in range(5):
             p = posets(n)
-            for i, x in enumerate(p.elements):
-                for j, y in enumerate(p.elements):
+            path_list = enumerate_paths(n)
+            for i, x in enumerate(path_list):
+                for j, y in enumerate(path_list):
                     assert p.leq(i, j) == is_below(x, y)
                     assert p.leq(i, j) == bool(p.up[i] >> j & 1) \
                         == bool(p.down[j] >> i & 1)
@@ -56,15 +58,17 @@ class TestStructure:
         # every cover step raises area by exactly one
         for n in range(6):
             p = posets(n)
+            area = [d.area for d in enumerate_paths(n)]
             for i, j in p.cover_edges():
-                assert p.rank[j] == p.rank[i] + 1
+                assert area[j] == area[i] + 1
         # and, D_n being graded by area, the covers are exactly the
         # relations that raise the rank by one
         for n in range(8):
             p = posets(n)
+            area = [d.area for d in enumerate_paths(n)]
             assert set(p.cover_edges()) == {
                 (i, j) for i in range(p.size) for j in range(p.size)
-                if p.rank[j] == p.rank[i] + 1 and p.leq(i, j)}
+                if area[j] == area[i] + 1 and p.leq(i, j)}
 
     @pytest.mark.parametrize("n", range(9))
     def test_cover_edges_and_rank_levels_closed_forms(self, posets, n):
@@ -75,11 +79,22 @@ class TestStructure:
             (comb(2 * n - 1, n - 2) if n >= 2 else 0)
         assert min_antichain_cover(p) == comb(n, 2) + 1
 
+    def test_each_element_stored_once(self):
+        assert [f.name for f in dataclasses.fields(DyckPoset)] == \
+            ["n", "ideals", "up", "down", "cover_up"]
+
+    def test_elements_follow_the_path_order(self, posets):
+        # element i is the i-th path of the canonical order
+        for n in range(9):
+            assert posets(n).ideals == \
+                tuple(map(path_ideal, enumerate_paths(n)))
+
     def test_bounds(self, posets):
         for n in range(1, 6):
             p = posets(n)
-            assert p.elements[0] == DyckPath.staircase(n)
-            assert p.elements[-1] == DyckPath.full(n)
+            assert p.ideals[0] == path_ideal(DyckPath.staircase(n)) == 0
+            assert p.ideals[-1] == path_ideal(DyckPath.full(n)) \
+                == (1 << comb(n, 2)) - 1
 
 
 def _tuple_antichain_sizes(size, inc):
@@ -396,13 +411,36 @@ class TestPointPosetIsomorphism:
         assert {v for row in mob.rows for v in row} <= {-1, 0, 1}
 
 
+# poset --n n at n = 0..5: rank sizes, order ideals, cover edges, width
+# (the minimum chain cover) and minimum antichain cover
+POSET_CENSUS = [((1,), 2, 0, 1, 1), ((1,), 2, 0, 1, 1), ((1, 1), 3, 1, 1, 2),
+                ((1, 1, 2, 1), 7, 5, 2, 4),
+                ((1, 1, 2, 3, 3, 3, 1), 42, 21, 3, 7),
+                ((1, 1, 2, 3, 5, 5, 7, 7, 6, 4, 1), 2361, 84, 7, 11)]
+
+
+class TestPosetCensus:
+    @pytest.mark.parametrize("n", range(6))
+    def test_fields(self, posets, n):
+        census = poset_census(posets(n))
+        assert (census.rank_sizes, census.order_ideals, census.cover_edges,
+                census.width, census.antichain_cover) == POSET_CENSUS[n]
+
+    def test_refused_before_any_count(self, posets, monkeypatch):
+        # the order ideal count stops at 5; the antichains would not
+        def refuse(p, mode="all"):
+            raise AssertionError(f"antichains of order {p.n} counted")
+        monkeypatch.setattr(poset, "antichain_census", refuse)
+        with pytest.raises(LimitExceededError):
+            poset_census(posets(6))
+
+
 class TestRankSizes:
-    def test_against_enumeration(self, posets):
+    def test_against_enumeration(self):
         # oracle: histogram inv over all paths (decreasing rank = area order)
         for n in range(7):
-            p = posets(n)
             hist = [0] * (comb(n, 2) + 1)
-            for d in p.elements:
+            for d in enumerate_paths(n):
                 hist[comb(n, 2) - d.area] += 1
             assert list(rank_sizes(n)) == hist
 
@@ -502,11 +540,12 @@ def test_interval_is_sublattice(n, data):
         return
     i = data.draw(st.integers(0, p.size - 1))
     j = data.draw(st.integers(0, p.size - 1))
-    hi = p.elements[i].column_heights()
-    hj = p.elements[j].column_heights()
+    path_list = enumerate_paths(n)
+    hi = path_list[i].column_heights()
+    hj = path_list[j].column_heights()
     meet = tuple(min(a, b) for a, b in zip(hi, hj))
     join = tuple(max(a, b) for a, b in zip(hi, hj))
-    heights = {e.column_heights(): k for k, e in enumerate(p.elements)}
+    heights = {e.column_heights(): k for k, e in enumerate(path_list)}
     assert meet in heights and join in heights
     m, jn = heights[meet], heights[join]
     assert p.leq(m, i) and p.leq(m, j)

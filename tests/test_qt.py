@@ -110,6 +110,13 @@ class TestQtCatalan:
         with pytest.raises(ValueError):
             qt_specialize(2, "weight")
 
+    def test_unknown_mode_rejected_before_any_path(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"paths of order {n} enumerated")
+        monkeypatch.setattr(qt, "enumerate_paths", refuse)
+        with pytest.raises(ValueError, match="unknown specialization mode"):
+            qt_specialize(4, "weight")
+
     def test_positive_coefficients(self):
         for n in range(7):
             assert all(c > 0 for c in qt_catalan(n).coeffs.values())
