@@ -3,7 +3,7 @@ diagram of D_n in particular; exhaustive colour counting is the oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import check_order
 from .polynomials import UniPoly
@@ -12,17 +12,29 @@ from .poset import DyckPoset
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class _SimpleGraphFields(NamedTuple):
     vertex_count: int
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
+
+class SimpleGraph(_SimpleGraphFields):
+    __slots__ = ()
+
+    def __new__(cls, vertex_count: int, edges) -> "SimpleGraph":
+        if vertex_count < 0:
+            raise ValueError("vertex count must be non-negative")
+        edges = frozenset(edges)
+        for u, v in edges:
             if u == v:
                 raise ValueError("loops are not allowed")
-            if not (0 <= u < v < self.vertex_count):
+            if not (0 <= u < v < vertex_count):
                 raise ValueError("edges must be sorted pairs of valid vertices")
+        return tuple.__new__(cls, (vertex_count, edges))
+
+    @classmethod
+    def _make(cls, fields) -> "SimpleGraph":
+        # _replace builds through _make: run the checks of __new__
+        return cls(*fields)
 
     @staticmethod
     def from_edges(vertex_count: int, pairs) -> "SimpleGraph":

@@ -21,8 +21,8 @@ and invert_unitriangular remain as library functions and test oracles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, prod
+from typing import NamedTuple
 
 from . import tableaux
 from .checks import agree
@@ -138,8 +138,8 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
     levels = Counter(mask.bit_count() for mask in p.ideals).values()
     width = prod(size + 1 for size in levels).bit_length()
     ends: list[int] = []
-    for j in range(p.size):
-        below = sum(ends[i] for i in _bits(p.down[j] & ~(1 << j)))
+    for j, down in enumerate(p.down):
+        below = sum(ends[i] for i in _bits(down & ~(1 << j)))
         ends.append(1 + (below << width))
     totals = _unpack(sum(ends), width)
     return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
@@ -154,10 +154,11 @@ def total_chain_solve(p: DyckPoset) -> list[int]:
     route shares nothing with the up- and down-sets the chain DP walks.
     """
     ideals = p.ideals
-    x = [0] * p.size
-    for i in reversed(range(p.size)):
+    size = len(ideals)
+    x = [0] * size
+    for i in reversed(range(size)):
         cells = ideals[i]
-        x[i] = 1 + sum(x[k] for k in range(i + 1, p.size)
+        x[i] = 1 + sum(x[k] for k in range(i + 1, size)
                        if cells & ~ideals[k] == 0)
     return x
 
@@ -168,15 +169,15 @@ def maximal_chain_solve(p: DyckPoset) -> list[int]:
 
     Back substitution gives x_i = [i = top] + sum of x_k over the k covering i.
     """
-    top = p.size - 1
-    x = [0] * p.size
-    for i in reversed(range(p.size)):
-        x[i] = int(i == top) + sum(x[k] for k in _bits(p.cover_up[i]))
+    cover_up = p.cover_up
+    top = len(cover_up) - 1
+    x = [0] * len(cover_up)
+    for i in reversed(range(len(cover_up))):
+        x[i] = int(i == top) + sum(x[k] for k in _bits(cover_up[i]))
     return x
 
 
-@dataclass(frozen=True)
-class ChainCensus:
+class ChainCensus(NamedTuple):
     polynomial: UniPoly  # 1 + sum_k c_k t^{k+1}, c_k the k-edge chains
     total: int           # all chains, the empty chain included
     maximal: int

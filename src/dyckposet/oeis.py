@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import chromatic, incidence, parking, paths, poset
 
@@ -64,6 +64,8 @@ def _chromatic_row(n: int) -> list[int]:
             for e in range(poly.degree, 0, -1)]
 
 
+# the one dataclass of the package: bench/tracer.py rebinds the compute
+# fields of REGISTRY through dataclasses.fields and dataclasses.replace
 @dataclass(frozen=True)
 class SequenceEntry:
     description: str
@@ -104,8 +106,7 @@ REGISTRY: dict[str, SequenceEntry] = {
 }
 
 
-@dataclass(frozen=True)
-class VerificationLine:
+class VerificationLine(NamedTuple):
     index: int
     expected: int
     computed: int
@@ -115,8 +116,7 @@ class VerificationLine:
         return self.expected == self.computed
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     sequence_id: str
     lines: tuple[VerificationLine, ...]
 

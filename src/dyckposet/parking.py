@@ -12,48 +12,66 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
 from .paths import DyckPath, catalan_closed, enumerate_paths
 
 
-@dataclass(frozen=True)
-class ParkingFunction:
+class _ParkingFunctionFields(NamedTuple):
     prefs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not is_parking_function(self.prefs):
+
+class ParkingFunction(_ParkingFunctionFields):
+    __slots__ = ()
+
+    def __new__(cls, prefs) -> "ParkingFunction":
+        prefs = tuple(prefs)
+        if not is_parking_function(prefs):
             raise ValueError("not a parking function")
+        return tuple.__new__(cls, (prefs,))
+
+    @classmethod
+    def _make(cls, fields) -> "ParkingFunction":
+        # _replace builds through _make: run the checks of __new__
+        return cls(*fields)
 
     @property
     def n(self) -> int:
         return len(self.prefs)
 
 
-@dataclass(frozen=True)
-class LabelledDyckPath:
+class _LabelledDyckPathFields(NamedTuple):
     path: DyckPath
     labels: tuple[int, ...]  # label of the north step in row i, bottom to top
 
-    def __post_init__(self) -> None:
-        n = self.path.order
-        if sorted(self.labels) != list(range(1, n + 1)):
+
+class LabelledDyckPath(_LabelledDyckPathFields):
+    __slots__ = ()
+
+    def __new__(cls, path: DyckPath, labels) -> "LabelledDyckPath":
+        labels = tuple(labels)
+        n = path.order
+        if sorted(labels) != list(range(1, n + 1)):
             raise ValueError("labels must be a permutation of 1..n")
-        offsets = self.path.north_offsets()
+        offsets = path.north_offsets()
         for i in range(n - 1):
-            if offsets[i] == offsets[i + 1] and \
-                    self.labels[i] >= self.labels[i + 1]:
+            if offsets[i] == offsets[i + 1] and labels[i] >= labels[i + 1]:
                 raise ValueError("labels must increase up each column")
+        return tuple.__new__(cls, (path, labels))
+
+    @classmethod
+    def _make(cls, fields) -> "LabelledDyckPath":
+        # _replace builds through _make: run the checks of __new__
+        return cls(*fields)
 
     def columns(self) -> tuple[int, ...]:
         """Column (1-based) of the north step in each row."""
         return _columns(self.path)
 
 
-@dataclass(frozen=True)
-class AreaLabelPair:
+class AreaLabelPair(NamedTuple):
     g: tuple[int, ...]
     p: tuple[int, ...]
 
@@ -231,8 +249,7 @@ def content_group_representatives(n: int) -> list[tuple[int, ...]]:
     return list(map(_columns, enumerate_paths(n)))
 
 
-@dataclass(frozen=True)
-class ParkingCensus:
+class ParkingCensus(NamedTuple):
     count: int   # parking functions, and so labelled Dyck paths, of order n
     groups: int  # content groups
 

@@ -19,9 +19,9 @@ of equal area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
+from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
@@ -30,23 +30,26 @@ NORTH = "N"
 EAST = "E"
 
 
-@dataclass(frozen=True, order=False, slots=True)
 class DyckPath:
-    steps: str
-    # read off the step word by the one walk in __post_init__ (or handed to
-    # _walked by enumerate_paths); equality, hashing and repr depend on steps
-    # alone
-    _heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    area: int = field(init=False, compare=False, repr=False)
+    """A Dyck path, stored as its step word.
 
-    def __post_init__(self) -> None:
-        word = self.steps
-        if len(word) % 2 != 0:
+    Equality, hashing and repr depend on steps alone; the column heights,
+    north offsets and area are read off the word by the one walk in
+    __init__ (or handed to _walked by enumerate_paths).  Instances are
+    immutable: __setattr__ refuses every assignment.
+    """
+
+    __slots__ = ("steps", "_heights", "_offsets", "area")
+
+    def __init__(self, steps: str) -> None:
+        if not isinstance(steps, str):
+            raise TypeError(
+                f"step word must be a str, not {type(steps).__name__}")
+        if len(steps) % 2 != 0:
             raise ValueError("step word must have even length")
         heights: list[int] = []  # norths before each east step
         offsets: list[int] = []  # easts before each north step
-        for mark in word:
+        for mark in steps:
             if mark == NORTH:
                 offsets.append(len(heights))
             elif mark == EAST:
@@ -58,10 +61,11 @@ class DyckPath:
         if len(offsets) != len(heights):
             raise ValueError("unbalanced step word")
         n = len(heights)
+        _set_steps(self, steps)
+        _set_heights(self, tuple(heights))
+        _set_offsets(self, tuple(offsets))
         # area = sum over columns j of h[j] - j
-        object.__setattr__(self, "_heights", tuple(heights))
-        object.__setattr__(self, "_offsets", tuple(offsets))
-        object.__setattr__(self, "area", sum(heights) - n * (n + 1) // 2)
+        _set_area(self, sum(heights) - n * (n + 1) // 2)
 
     @classmethod
     def _walked(cls, steps: str, heights: tuple[int, ...],
@@ -69,9 +73,9 @@ class DyckPath:
         """Trusted constructor: store a walk the caller has already made.
 
         No check runs; the caller vouches that steps is a Dyck word and that
-        heights, offsets and area are the values __post_init__ would read
-        off it.  The slots are filled through their descriptors, which the
-        frozen __setattr__ does not guard.
+        heights, offsets and area are the values __init__ would read off
+        it.  The slots are filled through their descriptors, which
+        __setattr__ does not guard.
         """
         path = object.__new__(cls)
         _set_steps(path, steps)
@@ -79,6 +83,23 @@ class DyckPath:
         _set_offsets(path, offsets)
         _set_area(path, area)
         return path
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
+
+    def __reduce__(self):
+        return DyckPath, (self.steps,)
 
     @property
     def order(self) -> int:
@@ -121,25 +142,35 @@ class DyckPath:
         return DyckPath(NORTH * n + EAST * n)
 
 
-# the slot setters of DyckPath, bound once for _walked
+# the slot setters of DyckPath, bound once for __init__ and _walked
 _set_steps = DyckPath.steps.__set__
 _set_heights = DyckPath._heights.__set__
 _set_offsets = DyckPath._offsets.__set__
 _set_area = DyckPath.area.__set__
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing sequence of positive parts (English convention)."""
-
+class _PartitionFields(NamedTuple):
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.parts, self.parts[1:]):
+
+class Partition(_PartitionFields):
+    """Weakly decreasing sequence of positive parts (English convention)."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts) -> "Partition":
+        parts = tuple(parts)
+        for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing")
-        if self.parts and self.parts[-1] < 1:
+        if parts and parts[-1] < 1:
             raise ValueError("parts must be positive")
+        return tuple.__new__(cls, (parts,))
+
+    @classmethod
+    def _make(cls, fields) -> "Partition":
+        # _replace builds through _make: run the checks of __new__
+        return cls(*fields)
 
     @property
     def area(self) -> int:
@@ -163,8 +194,7 @@ class Partition:
         return Partition(tuple(range(n - 1, 0, -1)))
 
 
-@dataclass(frozen=True)
-class CellStats:
+class CellStats(NamedTuple):
     arm: int
     leg: int
     coarm: int
@@ -175,8 +205,7 @@ class CellStats:
         return self.arm + self.leg + 1
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     area: int
     inv: int
     maj: int

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, prod
+from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
@@ -47,8 +47,7 @@ from .paths import DyckPath, enumerate_paths, is_below
 from .qt import cn_inv
 
 
-@dataclass(frozen=True)
-class DyckPoset:
+class DyckPoset(NamedTuple):
     n: int
     ideals: tuple[int, ...]    # ideals[i] = area-cell mask of element i
     up: tuple[int, ...]        # up[i] = bitmask of j with i <= j
@@ -184,8 +183,7 @@ def order_ideal_count(p: DyckPoset) -> int:
     return _ideal_count(p.size, p.down)
 
 
-@dataclass(frozen=True)
-class AntichainCensus:
+class AntichainCensus(NamedTuple):
     by_size: dict[int, int]
     total: int
     width: int | None = None
@@ -459,8 +457,7 @@ def maximal_chains(p: DyckPoset) -> list[tuple[int, ...]]:
 # the census of the poset command
 
 
-@dataclass(frozen=True)
-class PosetCensus:
+class PosetCensus(NamedTuple):
     rank_sizes: tuple[int, ...]  # element counts by decreasing rank
     order_ideals: int
     cover_edges: int

@@ -20,10 +20,9 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .checks import agree
 from .config import check_order
@@ -108,8 +107,7 @@ def _inv_analog(n: int, area: BiPoly) -> BiPoly:
                          in area.coeffs.items()}))
 
 
-@dataclass(frozen=True)
-class QtCensus:
+class QtCensus(NamedTuple):
     poly: BiPoly  # C_n(q, t) = sum q^area t^bounce
     area: BiPoly  # sum q^area
     inv: BiPoly   # sum q^inv

@@ -3,8 +3,8 @@ plus the maximal-chain / staircase-tableau correspondence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .checks import agree
 from .paths import (DyckPath, Partition, cell_stats, enumerate_paths,
@@ -12,8 +12,7 @@ from .paths import (DyckPath, Partition, cell_stats, enumerate_paths,
 from .poset import build_poset, maximal_chains
 
 
-@dataclass(frozen=True)
-class HookDiagram:
+class HookDiagram(NamedTuple):
     partition: Partition
     hooks: dict[tuple[int, int], int]
 

@@ -61,6 +61,14 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(2, frozenset({(0, 2)}))
 
+    @pytest.mark.parametrize("vertex_count", [-1, -3])
+    def test_rejects_a_negative_vertex_count(self, vertex_count):
+        # -1 used to build a graph whose chromatic polynomial read 1
+        with pytest.raises(ValueError, match="non-negative"):
+            SimpleGraph(vertex_count, frozenset())
+        with pytest.raises(ValueError, match="non-negative"):
+            SimpleGraph.from_edges(vertex_count, [])
+
     def test_from_edges_normalizes(self):
         g = SimpleGraph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
         assert g.edges == frozenset({(0, 2), (1, 2)})

@@ -255,20 +255,20 @@ class TestParserReuse:
         # paths are built by the validating constructor or, in
         # enumerate_paths, by the trusted one, so both are counted
         built = 0
-        validate = paths.DyckPath.__post_init__
+        validate = paths.DyckPath.__init__
         walked = paths.DyckPath._walked
 
-        def counted(self):
+        def counted(self, steps):
             nonlocal built
             built += 1
-            validate(self)
+            validate(self, steps)
 
         def counted_walk(*fields):
             nonlocal built
             built += 1
             return walked(*fields)
 
-        monkeypatch.setattr(paths.DyckPath, "__post_init__", counted)
+        monkeypatch.setattr(paths.DyckPath, "__init__", counted)
         monkeypatch.setattr(paths.DyckPath, "_walked",
                             staticmethod(counted_walk))
         assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from math import comb, prod
 
@@ -218,11 +217,10 @@ class TestSolves:
         # the solve reads the order from the area-cell masks alone, never
         # from the up- and down-sets the chain DP walks
         p = posets(3)
-        no_closure = dataclasses.replace(p, up=(0,) * p.size,
-                                         down=(0,) * p.size)
+        no_closure = p._replace(up=(0,) * p.size, down=(0,) * p.size)
         assert total_chain_solve(no_closure) == total_chain_solve(p)
         # an empty ideal for the maximum puts it above the minimum alone
-        corrupted = dataclasses.replace(p, ideals=p.ideals[:-1] + (0,))
+        corrupted = p._replace(ideals=p.ideals[:-1] + (0,))
         assert total_chain_solve(corrupted) != total_chain_solve(p)
         with pytest.raises(AssertionError):
             chain_census(corrupted)
@@ -267,7 +265,7 @@ class TestIntervalCounts:
 
     def test_routes_must_agree(self, posets, monkeypatch, capsys):
         p = posets(3)
-        corrupted = dataclasses.replace(p, up=p.up[:-1] + (0,))
+        corrupted = p._replace(up=p.up[:-1] + (0,))
         with pytest.raises(AssertionError):
             interval_count(corrupted)
         monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)

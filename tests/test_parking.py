@@ -93,9 +93,9 @@ class TestParkingFunctions:
             == count_parking_functions(n)
 
     def test_filter_count_builds_no_parking_function(self, monkeypatch):
-        def refuse(self):
+        def refuse(cls, prefs):
             raise AssertionError("parking function built")
-        monkeypatch.setattr(ParkingFunction, "__post_init__", refuse)
+        monkeypatch.setattr(ParkingFunction, "__new__", refuse)
         assert count_parking_by_filter(6) == 16_807
 
     @pytest.mark.parametrize("n", [7, 8])
@@ -168,14 +168,14 @@ class TestBijection:
 
     def test_each_labelled_path_is_validated_once(self, monkeypatch):
         calls = 0
-        validate = LabelledDyckPath.__post_init__
+        validate = LabelledDyckPath.__new__
 
-        def counted(self):
+        def counted(cls, path, labels):
             nonlocal calls
             calls += 1
-            validate(self)
+            return validate(cls, path, labels)
 
-        monkeypatch.setattr(LabelledDyckPath, "__post_init__", counted)
+        monkeypatch.setattr(LabelledDyckPath, "__new__", counted)
         labelled = enumerate_labelled_paths(6)
         assert calls == len(labelled) == count_parking_functions(6) == 16_807
 
@@ -184,9 +184,9 @@ class TestBijection:
         assert count_labelled_paths(n) == len(enumerate_labelled_paths(n))
 
     def test_labelled_count_builds_no_labelled_path(self, monkeypatch):
-        def refuse(self):
+        def refuse(cls, path, labels):
             raise AssertionError("labelled path built")
-        monkeypatch.setattr(LabelledDyckPath, "__post_init__", refuse)
+        monkeypatch.setattr(LabelledDyckPath, "__new__", refuse)
         assert count_labelled_paths(6) == 16_807
 
     def test_labelled_count_gate(self):

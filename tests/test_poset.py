@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import tracemalloc
@@ -80,8 +79,7 @@ class TestStructure:
         assert min_antichain_cover(p) == comb(n, 2) + 1
 
     def test_each_element_stored_once(self):
-        assert [f.name for f in dataclasses.fields(DyckPoset)] == \
-            ["n", "ideals", "up", "down", "cover_up"]
+        assert DyckPoset._fields == ("n", "ideals", "up", "down", "cover_up")
 
     def test_elements_follow_the_path_order(self, posets):
         # element i is the i-th path of the canonical order
