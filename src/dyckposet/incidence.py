@@ -14,8 +14,9 @@ of (2*delta - zeta)^{-1} is the sum of x with (2*delta - zeta) x = 1, read
 from area-cell mask inclusion, and the (min, max) entry of (delta - eta)^{-1}
 is the first entry of the last column, solved over the covers.  chain_census
 checks the chain polynomial against both, and the maximal count also against
-the hook-length formula (tableaux.staircase_maxchain).  The dense matrices
-and invert_unitriangular remain as library functions and test oracles.
+the hook-length formula (tableaux.staircase_maxchain).  The dense zeta and
+Mobius matrices, by invert_unitriangular, remain as library functions; the
+dense (2*delta - zeta)^{-1} and (delta - eta)^{-1} are oracles in the tests.
 """
 
 from __future__ import annotations
@@ -48,26 +49,10 @@ class ExactMatrix:
         return ExactMatrix([[1 if i == j else 0 for j in range(dim)]
                             for i in range(dim)])
 
-    @staticmethod
-    def zero(dim: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * dim for _ in range(dim)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
@@ -75,9 +60,6 @@ class ExactMatrix:
         cols = list(zip(*other.rows))
         return ExactMatrix([[sum(a * b for a, b in zip(row, col))
                              for col in cols] for row in self.rows])
-
-    def entry_sum(self) -> int:
-        return sum(sum(row) for row in self.rows)
 
     def is_unitriangular(self) -> bool:
         return all(self.rows[i][i] == 1 for i in range(self.dim)) and \
@@ -105,22 +87,8 @@ def zeta_matrix(p: DyckPoset) -> ExactMatrix:
                         for i in range(p.size)])
 
 
-def delta_matrix(p: DyckPoset) -> ExactMatrix:
-    return ExactMatrix.identity(p.size)
-
-
-def eta_matrix(p: DyckPoset) -> ExactMatrix:
-    return ExactMatrix([[1 if p.covers(i, j) else 0 for j in range(p.size)]
-                        for i in range(p.size)])
-
-
 def mobius_matrix(p: DyckPoset) -> ExactMatrix:
     return invert_unitriangular(zeta_matrix(p))
-
-
-def total_chain_matrix(p: DyckPoset) -> ExactMatrix:
-    delta = delta_matrix(p)
-    return invert_unitriangular(delta + delta - zeta_matrix(p))
 
 
 def chain_polynomial(p: DyckPoset) -> UniPoly:

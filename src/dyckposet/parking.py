@@ -168,33 +168,6 @@ def vectors_of(labelled: LabelledDyckPath) -> tuple[AreaLabelPair, tuple[int, ..
     return AreaLabelPair(g=g, p=p), tuple(col_of_label)
 
 
-def labelled_from_vectors(g: tuple[int, ...], p: tuple[int, ...]) -> LabelledDyckPath:
-    """Reconstruct the labelled path determined by its area and label vectors."""
-    offsets = tuple(i - gi for i, gi in enumerate(g))
-    path = DyckPath.from_north_offsets(offsets)
-    return LabelledDyckPath(path=path, labels=tuple(p))
-
-
-def vector_conditions_ok(g: tuple[int, ...], p: tuple[int, ...]) -> bool:
-    """The six admissibility conditions for an (area, label) vector pair."""
-    n = len(g)
-    if len(p) != n:
-        return False
-    if n == 0:
-        return True
-    if g[0] != 0:
-        return False
-    if any(gi < 0 for gi in g):
-        return False
-    if any(g[i + 1] > g[i] + 1 for i in range(n - 1)):
-        return False
-    if sorted(p) != list(range(1, n + 1)):
-        return False
-    if any(g[i + 1] == g[i] + 1 and p[i] >= p[i + 1] for i in range(n - 1)):
-        return False
-    return True
-
-
 def _increasing_fillings(runs: tuple[int, ...],
                          labels: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every ordered partition of `labels` into increasing blocks of the
@@ -237,18 +210,6 @@ def _labellings(d: DyckPath) -> int:
                                                     _column_runs(d)))
 
 
-def count_labelled_paths(n: int) -> int:
-    """The number of labelled Dyck paths of order n, none built."""
-    check_order(n, "parking")
-    return sum(map(_labellings, enumerate_paths(n)))
-
-
-def content_group_representatives(n: int) -> list[tuple[int, ...]]:
-    """One minimal-order column label vector per content group (path)."""
-    check_order(n, "parking")
-    return list(map(_columns, enumerate_paths(n)))
-
-
 class ParkingCensus(NamedTuple):
     count: int   # parking functions, and so labelled Dyck paths, of order n
     groups: int  # content groups
@@ -266,12 +227,3 @@ def parking_census(n: int) -> ParkingCensus:
     groups = agree("content groups and the Catalan number",
                    len(set(map(_columns, path_list))), catalan_closed(n))
     return ParkingCensus(count=count, groups=groups)
-
-
-def representative_leq(rep_low: tuple[int, ...], rep_high: tuple[int, ...]) -> bool:
-    """rep_high's path lies above rep_low's iff componentwise high <= low."""
-    return all(h <= l for h, l in zip(rep_high, rep_low))
-
-
-def representative_path(rep: tuple[int, ...]) -> DyckPath:
-    return DyckPath.from_north_offsets(tuple(c - 1 for c in rep))

@@ -131,16 +131,6 @@ class DyckPath:
         word.append(EAST * (n - easts))
         return DyckPath("".join(word))
 
-    @staticmethod
-    def staircase(n: int) -> "DyckPath":
-        check_order(n)
-        return DyckPath((NORTH + EAST) * n)
-
-    @staticmethod
-    def full(n: int) -> "DyckPath":
-        check_order(n)
-        return DyckPath(NORTH * n + EAST * n)
-
 
 # the slot setters of DyckPath, bound once for __init__ and _walked
 _set_steps = DyckPath.steps.__set__
@@ -285,14 +275,6 @@ def enumerate_paths(n: int) -> list[DyckPath]:
     return joined
 
 
-def is_below(d1: DyckPath, d2: DyckPath) -> bool:
-    """True iff d1 lies weakly below d2 (heights compared column by column)."""
-    if d1.order != d2.order:
-        raise ValueError("paths must have the same order")
-    return all(h1 <= h2 for h1, h2 in
-               zip(d1.column_heights(), d2.column_heights()))
-
-
 def _bounce(d: DyckPath) -> int:
     # Bounce path anchored at (n, n): west to the current top north segment,
     # south to the diagonal, repeat.  Contact points satisfy k' = e(k), the
@@ -333,26 +315,6 @@ def path_to_partition(d: DyckPath) -> Partition:
     n = d.order
     return Partition(tuple(n - h for h in d.column_heights()
                            if h < n)).conjugate()
-
-
-def partition_to_path(partition: Partition, n: int) -> DyckPath:
-    """Inverse of path_to_partition for diagrams fitting above an order-n path."""
-    check_order(n)
-    parts = partition.parts
-    if len(parts) > max(n - 1, 0):
-        raise ValueError("partition has too many rows for this order")
-    for i, p in enumerate(parts, start=1):
-        if p > n - i:
-            raise ValueError(f"row {i} of size {p} exceeds the n - i bound")
-    counts = partition.conjugate().parts  # cells in each column
-    heights = [n - c for c in counts + (0,) * (n - len(counts))]
-    word = []
-    prev = 0
-    for h in heights:
-        word.append(NORTH * (h - prev))
-        word.append(EAST)
-        prev = h
-    return DyckPath("".join(word))
 
 
 def cell_stats(partition: Partition) -> dict[tuple[int, int], CellStats]:

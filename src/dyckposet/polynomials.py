@@ -54,6 +54,9 @@ class _SparsePoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash as that int
+        if self.coeffs.keys() <= {self._CONST}:
+            return hash(self.coeffs.get(self._CONST, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -107,6 +110,8 @@ class UniPoly(_SparsePoly):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         result = UniPoly.one()
         base = self
         while k:

@@ -20,10 +20,11 @@ interval, and the states number 7,038 at n = 6 against 37,620,704
 antichains.  Each state's size polynomial is one integer, its coefficients
 packed at a bit width that the same chain partition bounds (52 bits at
 n = 6).  The width is checked against Dilworth's minimum chain cover, a
-matching grown on bitmasks.  The maximal census, the antichain-ideal
-bijection and, in the tests, the oracle for the counts at n <= 5 walk the
-antichains by one depth-first search, _antichain_extensions.  Order
-ideals are counted by a memoised split, an element at a time (_ideal_count).
+matching grown on bitmasks.  The maximal census walks the antichains by
+one depth-first search, _antichain_extensions; the tests list them by the
+same search for the antichain-ideal bijection and the counts at n <= 5.
+Order ideals are counted by a memoised split, an element at a time
+(_ideal_count).
 
 poset_census runs every check of the poset command.  One antichain census
 checks its width against Dilworth's minimum chain cover, and its total must
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
-from .paths import DyckPath, enumerate_paths, is_below
+from .paths import DyckPath, enumerate_paths
 from .qt import cn_inv
 
 
@@ -60,10 +61,6 @@ class DyckPoset(NamedTuple):
 
     def leq(self, i: int, j: int) -> bool:
         return self.ideals[i] & ~self.ideals[j] == 0
-
-    def covers(self, i: int, j: int) -> bool:
-        """True iff element j covers element i."""
-        return bool(self.cover_up[i] >> j & 1)
 
     def cover_edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.size)
@@ -112,18 +109,6 @@ def path_ideal(d: DyckPath) -> int:
     for masks, h in zip(_column_masks(d.order), d.column_heights()):
         mask |= masks[h]
     return mask
-
-
-def cell_down_masks(n: int) -> tuple[int, ...]:
-    """Down-set mask of each point of P_n, indexed by its bit."""
-    check_order(n)
-    cells = [(j, y) for y in range(2, n + 1) for j in range(1, y)]
-    down = [0] * len(cells)
-    for j, y in cells:
-        for a, b in cells:
-            if a >= j and b <= y:
-                down[_cell_bit(n, j, y)] |= 1 << _cell_bit(n, a, b)
-    return tuple(down)
 
 
 def build_poset(n: int) -> DyckPoset:
@@ -202,11 +187,6 @@ def _antichain_extensions(size: int, inc: list[int]):
             yield from grow(mask | (1 << i), extension & inc[i], i)
 
     return grow(0, (1 << size) - 1, -1)
-
-
-def _antichain_masks(size: int, inc: list[int]) -> list[int]:
-    """The antichains of _antichain_extensions(size, inc), as a list."""
-    return [mask for mask, _extension in _antichain_extensions(size, inc)]
 
 
 def _first_fit_chains(size: int, inc: list[int]) -> list[int]:
@@ -324,51 +304,6 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
         return AntichainCensus(by_size=dict(enumerate(c)), total=sum(c))
     return AntichainCensus(by_size={width: c[width]}, total=c[width],
                            width=width)
-
-
-def antichain_ideal_bijection_check(p: DyckPoset) -> bool:
-    """Downward closure maps antichains bijectively onto order ideals: the
-    closures are ideals, and as many as the antichains and the ideals."""
-    ideals = order_ideal_count(p)
-    antichains = _antichain_masks(p.size,
-                                  [p.incomparable(i) for i in range(p.size)])
-    closures = set()
-    for mask in antichains:
-        closure = 0
-        for i in _bits(mask):
-            closure |= p.down[i]
-        closures.add(closure)
-    return len(closures) == len(antichains) == ideals
-
-
-# ---------------------------------------------------------------------------
-# the J(P_n) isomorphism and the Mobius function
-
-
-def jp_isomorphism_check(n: int) -> bool:
-    """The path -> ideal map is an order isomorphism D_n -> J(P_n): the path
-    masks are distinct, downward closed in P_n and as many as its ideals,
-    and mask inclusion is the column-height order."""
-    paths = enumerate_paths(n)
-    down = cell_down_masks(n)
-    masks = [path_ideal(d) for d in paths]
-    return (len(set(masks)) == len(masks) == _ideal_count(len(down), down)
-            and all(down[k] & ~m == 0 for m in masks for k in _bits(m))
-            and all((a & ~b == 0) == is_below(x, y)
-                    for x, a in zip(paths, masks)
-                    for y, b in zip(paths, masks)))
-
-
-def mobius_direct(p: DyckPoset, x: int, y: int) -> int:
-    """Mobius value via Stanley's formula on J(P_n): (-1)^|difference| when
-    the ideal difference is an antichain of P_n, else 0."""
-    if not p.leq(x, y):
-        return 0
-    diff = p.ideals[y] & ~p.ideals[x]
-    down = cell_down_masks(p.n)
-    if any(down[k] & diff != 1 << k for k in _bits(diff)):
-        return 0
-    return -1 if diff.bit_count() % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ maj values, and reads the area analog as C_n(q, 1), which the inv reversal
 reads once it is checked; one q-Pascal table (_q_pascal) serves the bounce
 recurrence and the maj quotient [2n choose n]_q / [n+1]_q.  cn_area and
 cn_maj sum their one statistic and run its check alone, through the helpers
-qt_census calls (_checked_area, _checked_maj).  q_binomial keeps its
-factorial division and is the tests' oracle for that table.
+qt_census calls (_checked_area, _checked_maj).  The tests keep the
+factorial quotient [n]! / ([k]! [n-k]!) as the oracle for that table.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 from typing import Callable, NamedTuple
 
 from .checks import agree
 from .config import check_order
 # path_stats is no longer called here, but stays bound as qt.path_stats:
-# bench/tests/test_harness.py checks that the tracer rebinds it by name
+# bench/tests/test_harness.py checks that the tracer rebinds it by name, and
+# tests/test_boundary.py that the binding stays
 from .paths import (DyckPath, Partition, _bounce, _maj, catalan_closed,
                     enumerate_paths, path_stats)  # noqa: F401
 from .polynomials import BiPoly, UniPoly, power_table
@@ -40,34 +41,8 @@ GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
 GH_CHECK_POINT = (Fraction(2, 3), Fraction(-5, 7))
 
 
-def q_int(n: int) -> BiPoly:
-    """[n]_q = 1 + q + ... + q^{n-1}."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return BiPoly({(e, 0): 1 for e in range(n)})
-
-
 def _q_int_uni(n: int) -> UniPoly:
     return UniPoly({e: 1 for e in range(n)})
-
-
-def _q_factorial_uni(n: int) -> UniPoly:
-    return prod(map(_q_int_uni, range(1, n + 1)), start=UniPoly.one())
-
-
-def q_factorial(n: int) -> BiPoly:
-    check_order(n)
-    return BiPoly.from_q(_q_factorial_uni(n))
-
-
-def q_binomial(n: int, k: int) -> BiPoly:
-    """[n]! / ([k]! [n-k]!) by exact division."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    numerator = _q_factorial_uni(n)
-    quotient = numerator.divide_exact(_q_factorial_uni(k))
-    quotient = quotient.divide_exact(_q_factorial_uni(n - k))
-    return BiPoly.from_q(quotient)
 
 
 def _partitions(n: int) -> list[Partition]:

@@ -16,9 +16,6 @@ class HookDiagram(NamedTuple):
     partition: Partition
     hooks: dict[tuple[int, int], int]
 
-    def multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.hooks.values()))
-
 
 def hook_lengths(partition: Partition) -> HookDiagram:
     hooks = {cell: stats.hook

@@ -4,14 +4,14 @@ from math import comb, prod
 import pytest
 
 from dyckposet import (ExactMatrix, build_poset, chain_census,
-                       chain_polynomial, delta_matrix, eta_matrix, incidence,
-                       interval_count, invert_unitriangular,
-                       maximal_chain_count, maximal_chain_solve,
-                       mobius_matrix, poset, staircase_maxchain,
-                       total_chain_matrix, total_chain_solve, total_chains,
+                       chain_polynomial, incidence, interval_count,
+                       invert_unitriangular, maximal_chain_count,
+                       maximal_chain_solve, mobius_matrix, poset,
+                       staircase_maxchain, total_chain_solve, total_chains,
                        zeta_matrix)
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from dyckposet.polynomials import UniPoly
+from oracles import covers
 
 ZETA_D3 = [
     [1, 1, 1, 1, 1],
@@ -34,6 +34,27 @@ MAXIMAL = [1, 1, 1, 2, 16, 768]
 
 CHAIN_POLY_3 = UniPoly.from_list([1, 5, 9, 7, 2])
 CHAIN_POLY_4 = UniPoly.from_list([1, 14, 70, 176, 249, 202, 88, 16])
+
+
+def _delta_minus(scale, m):
+    """The rows of scale * delta - m."""
+    return [[scale * (i == j) - a for j, a in enumerate(row)]
+            for i, row in enumerate(m.rows)]
+
+
+def eta_matrix(p):
+    """Oracle: the cover relation as a dense 0/1 matrix."""
+    return ExactMatrix([[int(covers(p, i, j)) for j in range(p.size)]
+                        for i in range(p.size)])
+
+
+def total_chain_matrix(p):
+    """Oracle: (2*delta - zeta)^{-1}, by dense back substitution."""
+    return invert_unitriangular(ExactMatrix(_delta_minus(2, zeta_matrix(p))))
+
+
+def _entry_sum(m):
+    return sum(map(sum, m.rows))
 
 
 def _list_chain_polynomial(p):
@@ -97,18 +118,21 @@ class TestChainCounts:
         # chain polynomial holds at t^{k+1}
         for n in range(5):
             p = posets(n)
-            strict = zeta_matrix(p) - delta_matrix(p)
-            zero = series = ExactMatrix.zero(p.size)
+            zeta = zeta_matrix(p).rows
+            strict = ExactMatrix([[a * (i != j) for j, a in enumerate(row)]
+                                  for i, row in enumerate(zeta)])
+            series = [[0] * p.size for _ in range(p.size)]
             k = 0
             power = ExactMatrix.identity(p.size)
             poly = chain_polynomial(p)
-            while power != zero:
-                series = series + power
-                assert power.entry_sum() == poly.coeffs[k + 1]
+            while any(map(any, power.rows)):
+                series = [[a + b for a, b in zip(row, power_row)]
+                          for row, power_row in zip(series, power.rows)]
+                assert _entry_sum(power) == poly.coeffs[k + 1]
                 power = power @ strict
                 k += 1
             assert k == poly.degree
-            assert total_chain_matrix(p) == series
+            assert total_chain_matrix(p).rows == series
 
     def test_chain_polynomial_degree(self, posets):
         # a longest chain has C(n,2) edges, so C(n,2) + 1 elements
@@ -191,14 +215,15 @@ class TestSolves:
             inverse = total_chain_matrix(p)
             x = total_chain_solve(p)
             assert x == [sum(row) for row in inverse.rows]
-            assert sum(x) == inverse.entry_sum()
+            assert sum(x) == _entry_sum(inverse)
 
     def test_maximal_solve_is_last_column_of_inverse(self, posets):
         for n in range(6):
             p = posets(n)
-            inverse = invert_unitriangular(delta_matrix(p) - eta_matrix(p))
+            inverse = invert_unitriangular(
+                ExactMatrix(_delta_minus(1, eta_matrix(p))))
             x = maximal_chain_solve(p)
-            assert x == [inverse[i, p.size - 1] for i in range(p.size)]
+            assert x == [row[-1] for row in inverse.rows]
             assert x[0] == MAXIMAL[n]
 
     @pytest.mark.parametrize("solve", ["total_chain_solve",
@@ -255,7 +280,7 @@ class TestMaximalChains:
     def test_eta_entries_are_covers(self, posets):
         p = posets(4)
         eta = eta_matrix(p)
-        assert eta.entry_sum() == len(p.cover_edges())
+        assert _entry_sum(eta) == len(p.cover_edges())
 
 
 class TestIntervalCounts:

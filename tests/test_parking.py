@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        ParkingFunction, area_from_parking, build_poset,
-                       content_group_representatives, count_labelled_paths,
                        count_parking_by_filter, count_parking_functions,
                        enumerate_labelled_paths, enumerate_parking_functions,
                        enumerate_paths, is_parking_function,
-                       labelled_from_vectors, labelled_to_parking,
-                       parking_census, parking_to_labelled,
-                       representative_leq, representative_path,
-                       vector_conditions_ok, vectors_of)
+                       labelled_to_parking, parking_census,
+                       parking_to_labelled, vectors_of)
 from dyckposet.config import MAX_ORDER
 from dyckposet.parking import _increasing_fillings
 
@@ -55,6 +52,52 @@ def _fillings_by_rescan(runs, labels):
                     for head, rest in fillings
                     for block in itertools.combinations(rest, size)]
     return [head for head, _rest in fillings]
+
+
+def labelled_from_vectors(g, p):
+    """Oracle: the labelled path determined by its area and label
+    vectors."""
+    offsets = tuple(i - gi for i, gi in enumerate(g))
+    return LabelledDyckPath(path=DyckPath.from_north_offsets(offsets),
+                            labels=tuple(p))
+
+
+def vector_conditions_ok(g, p):
+    """Oracle: the six admissibility conditions for an (area, label)
+    vector pair."""
+    n = len(g)
+    if len(p) != n:
+        return False
+    if n == 0:
+        return True
+    if g[0] != 0:
+        return False
+    if any(gi < 0 for gi in g):
+        return False
+    if any(g[i + 1] > g[i] + 1 for i in range(n - 1)):
+        return False
+    if sorted(p) != list(range(1, n + 1)):
+        return False
+    if any(g[i + 1] == g[i] + 1 and p[i] >= p[i + 1] for i in range(n - 1)):
+        return False
+    return True
+
+
+def _representatives(n):
+    """One column label vector per content group (path): the columns of
+    its north steps, bottom to top, as the labelling 1..n reads them."""
+    labels = range(1, n + 1)
+    return [LabelledDyckPath(d, labels).columns() for d in enumerate_paths(n)]
+
+
+def representative_leq(rep_low, rep_high):
+    """Oracle: rep_high's path lies above rep_low's iff componentwise
+    high <= low."""
+    return all(h <= l for h, l in zip(rep_high, rep_low))
+
+
+def representative_path(rep):
+    return DyckPath.from_north_offsets(tuple(c - 1 for c in rep))
 
 
 def _compositions(n):
@@ -181,17 +224,17 @@ class TestBijection:
 
     @pytest.mark.parametrize("n", range(7))
     def test_labelled_count_matches_the_enumeration(self, n):
-        assert count_labelled_paths(n) == len(enumerate_labelled_paths(n))
+        assert parking_census(n).count == len(enumerate_labelled_paths(n))
 
     def test_labelled_count_builds_no_labelled_path(self, monkeypatch):
         def refuse(cls, path, labels):
             raise AssertionError("labelled path built")
         monkeypatch.setattr(LabelledDyckPath, "__new__", refuse)
-        assert count_labelled_paths(6) == 16_807
+        assert parking_census(6).count == 16_807
 
     def test_labelled_count_gate(self):
         with pytest.raises(LimitExceededError):
-            count_labelled_paths(7)
+            enumerate_labelled_paths(7)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
@@ -239,9 +282,9 @@ class TestCensus:
     @pytest.mark.parametrize("n", range(7))
     def test_matches_the_oracles(self, n):
         census = parking_census(n)
-        assert census.count == count_parking_functions(n) == \
-            count_labelled_paths(n)
-        assert census.groups == len(set(content_group_representatives(n))) \
+        labelled = enumerate_labelled_paths(n)
+        assert census.count == count_parking_functions(n) == len(labelled)
+        assert census.groups == len({lp.columns() for lp in labelled}) \
             == len(enumerate_paths(n))
 
     def test_census_gate(self):
@@ -252,13 +295,13 @@ class TestCensus:
 class TestContentGroups:
     def test_one_group_per_path(self):
         for n in range(6):
-            reps = content_group_representatives(n)
+            reps = _representatives(n)
             assert len(reps) == len(set(reps)) == build_poset(n).size
 
     def test_representative_order_matches_poset(self):
         for n in range(6):
             p = build_poset(n)
-            reps = content_group_representatives(n)
+            reps = _representatives(n)
             paths = [representative_path(r) for r in reps]
             idx = {path: i for i, path in enumerate(paths)}
             for a, ra in zip(paths, reps):

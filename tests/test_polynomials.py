@@ -130,6 +130,13 @@ def test_unipoly_power(p, k):
     _assert_canonical(power)
 
 
+@pytest.mark.parametrize("k", [-1, -4])
+def test_negative_power_refused(k):
+    # a negative k stays negative under k >> 1, so squaring would not stop
+    with pytest.raises(ValueError):
+        UniPoly.x() ** k
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.one_of(UNI, BI), c=st.integers(-5, 5))
 def test_int_operands(p, c):
@@ -185,6 +192,15 @@ def test_terms_in_canonical_order():
     assert UniPoly({3: 1, 0: 2, 1: -1}).terms() == [(0, 2), (1, -1), (3, 1)]
     assert BiPoly({(1, 0): 1, (0, 2): 2, (0, 1): 3}).terms() == \
         [(0, 1, 3), (0, 2, 2), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, -2])
+def test_constants_hash_as_their_int(c):
+    # a constant polynomial equals its int, so a set holds the two once
+    for const in (UniPoly({0: c}), BiPoly({(0, 0): c})):
+        assert const == c and hash(const) == hash(c)
+        assert len({c, const}) == 1
+    assert len({1, UniPoly.one()}) == len({0, BiPoly.zero()}) == 1
 
 
 @pytest.mark.parametrize("c", [0, 1, -2])

@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
-                       antichain_census, antichain_ideal_bijection_check,
-                       catalan_closed, cell_down_masks, enumerate_paths,
-                       is_below, jp_isomorphism_check, maximal_chains,
-                       min_antichain_cover, min_chain_cover, mobius_direct,
+                       antichain_census, catalan_closed, enumerate_paths,
+                       maximal_chains, min_antichain_cover, min_chain_cover,
                        mobius_matrix, order_ideal_count, path_ideal,
                        poset_census, rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
+from oracles import covers, is_below
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
-# k-element antichains of D_6 (A143673), as _antichain_masks counted them
+# k-element antichains of D_6 (A143673), as the antichain listing counted
+# them
 ANTICHAINS_6 = (1, 132, 4059, 54706, 390885, 1648100, 4380095, 7682096,
                 9172750, 7585779, 4370731, 1749626, 481189, 89055, 10676,
                 785, 38, 1)
@@ -51,7 +51,7 @@ class TestStructure:
                     strict = i != j and p.leq(i, j)
                     between = any(k not in (i, j) and p.leq(i, k)
                                   and p.leq(k, j) for k in range(p.size))
-                    assert p.covers(i, j) == (strict and not between)
+                    assert covers(p, i, j) == (strict and not between)
 
     def test_graded_by_area(self, posets):
         # every cover step raises area by exactly one
@@ -90,8 +90,8 @@ class TestStructure:
     def test_bounds(self, posets):
         for n in range(1, 6):
             p = posets(n)
-            assert p.ideals[0] == path_ideal(DyckPath.staircase(n)) == 0
-            assert p.ideals[-1] == path_ideal(DyckPath.full(n)) \
+            assert p.ideals[0] == path_ideal(DyckPath("NE" * n)) == 0
+            assert p.ideals[-1] == path_ideal(DyckPath("N" * n + "E" * n)) \
                 == (1 << comb(n, 2)) - 1
 
 
@@ -129,12 +129,77 @@ def _incomparable(p):
     return [p.incomparable(i) for i in range(p.size)]
 
 
+def _antichain_masks(size, inc):
+    """Oracle: every antichain, listed by the depth-first search of the
+    maximal census, as a bitmask."""
+    return [mask for mask, _extension
+            in poset._antichain_extensions(size, inc)]
+
+
+def antichain_ideal_bijection_check(p):
+    """Oracle: downward closure maps antichains bijectively onto order
+    ideals: the closures are ideals, and as many as the antichains and the
+    ideals.  The ideal count refuses an order past its limit before any
+    antichain is listed."""
+    ideals = order_ideal_count(p)
+    antichains = _antichain_masks(p.size, _incomparable(p))
+    closures = set()
+    for mask in antichains:
+        closure = 0
+        for i in poset._bits(mask):
+            closure |= p.down[i]
+        closures.add(closure)
+    return len(closures) == len(antichains) == ideals
+
+
+def cell_down_masks(n):
+    """Oracle: the down-set mask of each point of P_n, indexed by its bit;
+    (j, y) lies above (j', y') iff j' >= j and y' <= y."""
+    cells = [(j, y) for y in range(2, n + 1) for j in range(1, y)]
+    down = [0] * len(cells)
+    for j, y in cells:
+        for a, b in cells:
+            if a >= j and b <= y:
+                down[poset._cell_bit(n, j, y)] |= 1 << poset._cell_bit(n, a, b)
+    return tuple(down)
+
+
+def jp_isomorphism_check(n):
+    """Oracle: the path -> ideal map is an order isomorphism
+    D_n -> J(P_n): the path masks are distinct, downward closed in P_n and
+    as many as its ideals, and mask inclusion is the column-height
+    order."""
+    paths = enumerate_paths(n)
+    down = cell_down_masks(n)
+    masks = [path_ideal(d) for d in paths]
+    return (len(set(masks)) == len(masks)
+            == poset._ideal_count(len(down), down)
+            and all(down[k] & ~m == 0 for m in masks
+                    for k in poset._bits(m))
+            and all((a & ~b == 0) == is_below(x, y)
+                    for x, a in zip(paths, masks)
+                    for y, b in zip(paths, masks)))
+
+
+def mobius_direct(p, x, y):
+    """Oracle: the Mobius value by Stanley's criterion on J(P_n):
+    (-1)^|difference| when the ideal difference is an antichain of P_n,
+    else 0."""
+    if not p.leq(x, y):
+        return 0
+    diff = p.ideals[y] & ~p.ideals[x]
+    down = cell_down_masks(p.n)
+    if any(down[k] & diff != 1 << k for k in poset._bits(diff)):
+        return 0
+    return -1 if diff.bit_count() % 2 else 1
+
+
 def _maximal_by_filter(p):
     """Maximal antichains by size: the listed antichains that leave no
     element incomparable to all of their members."""
     inc = _incomparable(p)
     by_size = {}
-    for mask in poset._antichain_masks(p.size, inc):
+    for mask in _antichain_masks(p.size, inc):
         extension = (1 << p.size) - 1
         for i in poset._bits(mask):
             extension &= inc[i]
@@ -285,7 +350,7 @@ class TestIdealsAndAntichains:
         for n in range(6):
             p = posets(n)
             by_size: dict[int, int] = {}
-            for mask in poset._antichain_masks(p.size, _incomparable(p)):
+            for mask in _antichain_masks(p.size, _incomparable(p)):
                 k = mask.bit_count()
                 by_size[k] = by_size.get(k, 0) + 1
             assert antichain_census(p).by_size == by_size
@@ -293,7 +358,7 @@ class TestIdealsAndAntichains:
     def test_order_six_without_enumeration(self, posets, monkeypatch):
         def refuse(*args):
             raise AssertionError("antichains enumerated")
-        monkeypatch.setattr(poset, "_antichain_masks", refuse)
+        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
         census = antichain_census(posets(6))
         assert census.by_size == dict(enumerate(ANTICHAINS_6))
         assert census.total == sum(ANTICHAINS_6) == 37_620_704
@@ -303,7 +368,7 @@ class TestIdealsAndAntichains:
     def test_unknown_mode_refused_before_work(self, posets, monkeypatch):
         def refuse(*args):
             raise AssertionError("census computed")
-        monkeypatch.setattr(poset, "_antichain_masks", refuse)
+        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
         monkeypatch.setattr(poset, "_antichain_sizes", refuse)
         with pytest.raises(ValueError):
             antichain_census(posets(6), "bogus")
@@ -402,7 +467,7 @@ class TestPointPosetIsomorphism:
             mob = mobius_matrix(p)
             for i in range(p.size):
                 for j in range(p.size):
-                    assert mob[i, j] == mobius_direct(p, i, j)
+                    assert mob.rows[i][j] == mobius_direct(p, i, j)
 
     def test_mobius_values_bounded(self, posets):
         mob = mobius_matrix(posets(5))
@@ -458,7 +523,7 @@ class TestMaximalChains:
         for chain in maximal_chains(p):
             assert len(chain) == comb(4, 2) + 1
             for a, b in zip(chain, chain[1:]):
-                assert p.covers(a, b)
+                assert covers(p, a, b)
 
 
 def _triangular_up_sets(data, most):

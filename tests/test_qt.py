@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +8,28 @@ from hypothesis import given, settings, strategies as st
 from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
                        cell_stats, cn_area, cn_inv, cn_maj, enumerate_paths,
                        gh_evaluate, gh_pole_check, gh_sample_points,
-                       path_stats, q_binomial, q_factorial, q_int, qt,
-                       qt_catalan, qt_census, qt_specialize, symmetry_check)
+                       path_stats, qt, qt_catalan, qt_census, qt_specialize,
+                       symmetry_check)
 from dyckposet.polynomials import UniPoly
-from dyckposet.qt import _bounce_recurrence, _partitions, _q_pascal
+from dyckposet.qt import (_bounce_recurrence, _partitions, _q_int_uni,
+                          _q_pascal)
 
 
 def _bipoly(coeffs):
     return BiPoly(dict(coeffs))
+
+
+def _q_factorial(n):
+    return prod(map(_q_int_uni, range(1, n + 1)), start=UniPoly.one())
+
+
+def q_binomial(n, k):
+    """Oracle for the q-Pascal table: [n]! / ([k]! [n-k]!) by exact
+    division."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    quotient = _q_factorial(n).divide_exact(_q_factorial(k))
+    return BiPoly.from_q(quotient.divide_exact(_q_factorial(n - k)))
 
 
 def _per_path_sums(n):
@@ -47,9 +61,9 @@ QT_TABLE = {
 
 class TestQBasics:
     def test_q_int_and_factorial(self):
-        assert q_int(4)(1, 1) == 4
-        assert q_factorial(4)(1, 1) == 24
-        assert q_int(0) == BiPoly.zero()
+        assert _q_int_uni(4)(1) == 4
+        assert _q_factorial(4)(1) == 24
+        assert _q_int_uni(0) == UniPoly.zero()
 
     def test_q_binomial_values(self):
         assert q_binomial(4, 2) == _bipoly(
