@@ -49,7 +49,7 @@ def cmd_catalan(args: argparse.Namespace) -> Result:
 
 
 def cmd_poset(args: argparse.Namespace) -> Result:
-    check_order(args.n, "paths", "antichains", "order_ideals")
+    check_order(args.n, "paths", "antichains")
     p = poset.build_poset(args.n)
     # the census has checked each field against a second route, the width
     # against the Dilworth matching
@@ -68,7 +68,7 @@ def cmd_poset(args: argparse.Namespace) -> Result:
 
 
 def cmd_chains(args: argparse.Namespace) -> Result:
-    check_order(args.n, "paths", "chains")
+    check_order(args.n, "paths")
     p = poset.build_poset(args.n)
     # the census has checked its maximal count against the hook formula
     census = incidence.chain_census(p)
@@ -82,8 +82,8 @@ def cmd_chains(args: argparse.Namespace) -> Result:
 
 
 def cmd_antichains(args: argparse.Namespace) -> Result:
-    job = "maximal_antichains" if args.mode == "maximal" else "antichains"
-    check_order(args.n, "paths", job)
+    check_order(args.n, "paths", "maximal_antichains"
+                if args.mode == "maximal" else "antichains")
     p = poset.build_poset(args.n)
     census = poset.antichain_census(p, args.mode)
     out: Result = [("order", p.n), ("mode", args.mode),
@@ -128,7 +128,7 @@ def cmd_parking(args: argparse.Namespace) -> Result:
     check_order(n, "counts")
     out: Result = [("order", n),
                    ("count_closed", parking.count_parking_functions(n))]
-    if n <= MAX_ORDER["parking"]:
+    if n <= MAX_ORDER["paths"]:
         # the census has checked the closed form, the filter and the
         # labelled paths against each other, and the groups against C_n
         census = parking.parking_census(n)

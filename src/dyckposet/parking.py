@@ -99,7 +99,7 @@ def count_parking_functions(n: int) -> int:
 
 def enumerate_parking_functions(n: int) -> list[ParkingFunction]:
     """Filter all n^n preference vectors."""
-    check_order(n, "parking")
+    check_order(n, "paths")
     return [ParkingFunction(prefs)
             for prefs in itertools.product(range(1, n + 1), repeat=n)
             if _sorted_prefix_ok(prefs)]
@@ -116,7 +116,7 @@ def count_parking_by_filter(n: int) -> int:
     cL * cR over the code pairs whose sum parks (meet in the middle,
     Horowitz and Sahni 1974).  Every half vector is visited; neither the
     closed form nor the paths are read."""
-    check_order(n, "parking")
+    check_order(n, "paths")
     b = n.bit_length()
     weights = [1 << (b * (p - 1)) for p in range(1, n + 1)]
     good = {sum(weights[p - 1] for p in v)
@@ -191,7 +191,7 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     """Each path with every labelling that increases up its columns: the
     rows of one column take an increasing block of labels.  Paths come in
     canonical order, the labellings of a path in lexicographic order."""
-    check_order(n, "parking")
+    check_order(n, "paths")
     labels = tuple(range(1, n + 1))
     return [LabelledDyckPath(path=d, labels=filling)
             for d in enumerate_paths(n)
@@ -219,7 +219,7 @@ def parking_census(n: int) -> ParkingCensus:
     """The closed form, the filter and the labelled paths must give one
     count, and the distinct group representatives must number C_n; the
     paths are enumerated once.  A disagreement raises AssertionError."""
-    check_order(n, "parking")
+    check_order(n, "paths")
     path_list = enumerate_paths(n)
     count = agree("parking counts by closed form, filter and labelled paths",
                   count_parking_functions(n), count_parking_by_filter(n),

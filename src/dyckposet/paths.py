@@ -318,12 +318,11 @@ def path_to_partition(d: DyckPath) -> Partition:
 
 
 def cell_stats(partition: Partition) -> dict[tuple[int, int], CellStats]:
-    """Arm/leg/coarm/coleg for every cell, keyed by (row, column), 1-based."""
-    parts = partition.parts
-    stats = {}
-    for r, size in enumerate(parts, start=1):
-        for c in range(1, size + 1):
-            arm = size - c
-            leg = sum(1 for p in parts[r:] if p >= c)
-            stats[(r, c)] = CellStats(arm=arm, leg=leg, coarm=c - 1, coleg=r - 1)
-    return stats
+    """Arm/leg/coarm/coleg for every cell, keyed by (row, column), 1-based,
+    in row-major order; read in one pass from the parts and their
+    conjugate."""
+    cols = partition.conjugate().parts
+    return {(r, c): CellStats(arm=size - c, leg=cols[c - 1] - r,
+                              coarm=c - 1, coleg=r - 1)
+            for r, size in enumerate(partition.parts, start=1)
+            for c in range(1, size + 1)}

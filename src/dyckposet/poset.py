@@ -164,7 +164,7 @@ def _ideal_count(size: int, down: tuple[int, ...]) -> int:
 
 def order_ideal_count(p: DyckPoset) -> int:
     """The number of order ideals, counted without listing them."""
-    check_order(p.n, "order_ideals")
+    check_order(p.n, "antichains")
     return _ideal_count(p.size, p.down)
 
 
@@ -404,7 +404,7 @@ def poset_census(p: DyckPoset) -> PosetCensus:
     """The rank sizes, order ideals, cover edges, width and minimum
     antichain cover of D_n, each checked against a second route (see the
     module docstring).  A disagreement raises AssertionError."""
-    check_order(p.n, "antichains", "order_ideals")
+    check_order(p.n, "antichains")
     census = antichain_census(p, "all")
     sizes = rank_sizes(p.n)
     by_rank = Counter(mask.bit_count() for mask in p.ideals)

@@ -29,8 +29,9 @@ from .config import check_order
 # path_stats is no longer called here, but stays bound as qt.path_stats:
 # bench/tests/test_harness.py checks that the tracer rebinds it by name, and
 # tests/test_boundary.py that the binding stays
-from .paths import (DyckPath, Partition, _bounce, _maj, catalan_closed,
-                    enumerate_paths, path_stats)  # noqa: F401
+from .paths import (CellStats, DyckPath, Partition, _bounce, _maj,
+                    catalan_closed, cell_stats, enumerate_paths,
+                    path_stats)  # noqa: F401
 from .polynomials import BiPoly, UniPoly, power_table
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
@@ -235,23 +236,12 @@ class PoleError(ArithmeticError):
     """A denominator factor of the partition sum vanishes at this point."""
 
 
-_Hooks = tuple[tuple[int, int, int, int], ...]
-
-
-def _cell_hooks(partition: Partition) -> _Hooks:
-    """(arm, leg, coarm, coleg) of every cell, read from the parts and
-    their conjugate in one pass."""
-    parts = partition.parts
-    cols = partition.conjugate().parts
-    return tuple((size - c - 1, cols[c] - r - 1, c, r)
-                 for r, size in enumerate(parts) for c in range(size))
-
-
 @functools.cache
-def _partition_hooks(n: int) -> tuple[_Hooks, ...]:
-    """The cell hooks of each partition of n; they depend on n alone, so
-    they are built once per order."""
-    return tuple(map(_cell_hooks, _partitions(n)))
+def _partition_hooks(n: int) -> tuple[tuple[CellStats, ...], ...]:
+    """The (arm, leg, coarm, coleg) of every cell of each partition of n, in
+    row-major order; they depend on n alone, so they are built once per
+    order."""
+    return tuple(tuple(cell_stats(mu).values()) for mu in _partitions(n))
 
 
 def _gh_cells(n: int, q0: Fraction, t0: Fraction):
@@ -274,7 +264,7 @@ def _gh_cells(n: int, q0: Fraction, t0: Fraction):
     return powers, cells
 
 
-def _gh_term(hooks: _Hooks, den: int,
+def _gh_term(hooks: tuple[CellStats, ...], den: int,
              powers: tuple[list[int], ...]) -> Fraction:
     """One partition's summand
     t^(2 sum l) q^(2 sum a) (1-t)(1-q) prod'(1 - q^a' t^l') sum q^a' t^l'

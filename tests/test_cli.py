@@ -30,53 +30,105 @@ GOLDEN_OPS = json.loads(GOLDEN.read_text())["ops"]
 # every subcommand that takes an order, with the jobs it runs
 JOBS = {
     ("catalan",): ("counts",),
-    ("poset",): ("paths", "antichains", "order_ideals"),
+    ("poset",): ("paths", "antichains"),
     ("parking",): ("counts",),
-    ("chains",): ("paths", "chains"),
+    ("chains",): ("paths",),
     ("antichains", "--mode", "all"): ("paths", "antichains"),
     ("antichains", "--mode", "maximal"): ("paths", "maximal_antichains"),
     ("antichains", "--mode", "maximum"): ("paths", "antichains"),
     ("qt",): ("paths",),
     ("chromatic",): ("paths", "chromatic"),
 }
-REFUSED = [(command, n) for command, jobs in JOBS.items()
-           for n in list(range(10)) + [1001]
-           if n > min(MAX_ORDER[job] for job in jobs)]
+# the refused cases that the limits have since admitted; each keeps its case
+# number unused, so that every other case keeps its id
+ADMITTED = {(("poset",), 6), (("chains",), 8)}
+
+
+def _refused_cases():
+    """Each order a subcommand refuses, with an id that numbers the case in
+    JOBS order, gaps for the ADMITTED cases included."""
+    cases, number = [], 0
+    for command, jobs in JOBS.items():
+        for n in list(range(10)) + [1001]:
+            refused = n > min(MAX_ORDER[job] for job in jobs)
+            if refused:
+                cases.append(pytest.param(command, n,
+                                          id=f"command{number}-{n}"))
+            if refused or (command, n) in ADMITTED:
+                number += 1
+    return cases
+
+
+REFUSED = _refused_cases()
 
 
 # each job's top order with a tracemalloc bound in MiB on the call's peak;
 # the peaks were read in a fresh process
 AT_LIMIT = [
-    # peaks near 0.7 MiB; a dense 429 x 429 zeta matrix alone takes 1.5 MiB
-    (("chains", "--n", "7"), "chains", 2),
+    # peaks near 1.56 MiB; a dense 1,430 x 1,430 zeta matrix alone would
+    # hold over 15 MiB of pointers
+    (("chains", "--n", "8"), "paths", 3),
     # peaks near 1.3 MiB, 0.9 MiB of it the 1,430 paths
     (("qt", "--n", "8"), "paths", 3),
-    # peaks near 0.3 MiB; listing the 16,807 parking functions takes 2.8 MiB
-    (("parking", "--n", "6"), "parking", 1),
+    # peaks near 1.09 MiB; listing the 4,782,969 parking functions takes
+    # about 860 MB of RSS
+    (("parking", "--n", "8"), "paths", 2),
     # peaks near 0.24 MiB
     (("chromatic", "--n", "4"), "chromatic", 1),
-    # peaks near 0.27 MiB, counting its 2,361 order ideals in 427 memo
-    # states; listing them as index sets takes 3.4 MiB
-    (("poset", "--n", "5"), "order_ideals", 2),
+    # peaks near 12.46 MiB, counting its 37,620,704 order ideals in 94,012
+    # memo states; listing them exhausted a 4 GB address limit
+    (("poset", "--n", "6"), "antichains", 16),
     # peaks near 0.24 MiB
     (("antichains", "--n", "5", "--mode", "maximal"), "maximal_antichains",
      1),
 ]
-# the stdout of the AT_LIMIT ops that have no golden entry; the chains
-# census checks its totals by solve and by chain DP, and its maximal count
-# by the hook-length formula
+# the stdout of the AT_LIMIT ops that have no golden entry, and of parking
+# --n 7, each from a run whose in-run checks passed: the chains census
+# checks its totals by solve and by chain DP, and its maximal count by the
+# hook-length formula; the poset census checks each field against a second
+# route; the parking census checks the closed form, the filter and the
+# labelled paths against each other, and the groups against C_n
 PINNED = {
-    "chains --n 7": {"exit": EXIT_OK, "stdout": (
-        '{"order":"7","total_chains":"38764383658368",'
-        '"maximal_chains":"1100742656","maximal_chains_hook":"1100742656",'
-        '"chain_polynomial":[[0,"1"],[1,"429"],[2,"40469"],[3,"1561989"],'
-        '[4,"32311357"],[5,"414581349"],[6,"3606271057"],[7,"22540773495"],'
-        '[8,"105352813922"],[9,"378656413152"],[10,"1067456831562"],'
-        '[11,"2392758097072"],[12,"4302545545980"],[13,"6235314451938"],'
-        '[14,"7288346932724"],[15,"6848755627584"],[16,"5132875802496"],'
-        '[17,"3025890416640"],[18,"1372176199680"],[19,"461899137024"],'
-        '[20,"108698337280"],[21,"15960768512"],[22,"1100742656"]]}\n')},
+    "chains --n 8": {"exit": EXIT_OK, "stdout": (
+        '{"order":"8","total_chains":"31491961129357837056",'
+        '"maximal_chains":"48608795688960",'
+        '"maximal_chains_hook":"48608795688960",'
+        '"chain_polynomial":[[0,"1"],[1,"1430"],[2,"377806"],[3,"36362118"],'
+        '[4,"1734315518"],[5,"48647382718"],[6,"892526276490"],'
+        '[7,"11498019589944"],[8,"109315888675917"],[9,"795297131770842"],'
+        '[10,"4548866967075262"],[11,"20879619136755590"],'
+        '[12,"78130612955034288"],[13,"241232051440310634"],'
+        '[14,"620192717348975394"],[15,"1336605533318505996"],'
+        '[16,"2425812327752412300"],[17,"3717481985562220824"],'
+        '[18,"4814373724512549312"],[19,"5263544137288851072"],'
+        '[20,"4843197451210980864"],[21,"3730393777851427840"],'
+        '[22,"2385358375791181824"],[23,"1251148893647634432"],'
+        '[24,"529087567280340992"],[25,"175913854738628608"],'
+        '[26,"44269447990476800"],[27,"7925259063787520"],'
+        '[28,"899262720245760"],[29,"48608795688960"]]}\n')},
+    "parking --n 7": {"exit": EXIT_OK, "stdout": (
+        '{"order":"7","count_closed":"262144","count_enumerated":"262144",'
+        '"labelled_path_count":"262144","content_group_count":"429"}\n')},
+    "parking --n 8": {"exit": EXIT_OK, "stdout": (
+        '{"order":"8","count_closed":"4782969","count_enumerated":"4782969",'
+        '"labelled_path_count":"4782969","content_group_count":"1430"}\n')},
+    "poset --n 6": {"exit": EXIT_OK, "stdout": (
+        '{"order":"6","size":"132","interval_count":"4719",'
+        '"cover_edge_count":"330",'
+        '"rank_sizes":"1;1;2;3;5;7;9;11;14;16;16;17;14;10;5;1",'
+        '"order_ideal_count":"37620704","width":"17","min_chain_cover":"17",'
+        '"min_antichain_cover":"16"}\n')},
 }
+
+
+def _job_names(node):
+    """The job names an argument of check_order or a MAX_ORDER key can
+    take: a string constant, or either branch of a conditional."""
+    if isinstance(node, ast.IfExp):
+        return _job_names(node.body) | _job_names(node.orelse)
+    assert isinstance(node, ast.Constant) and isinstance(node.value, str), \
+        ast.unparse(node)
+    return {node.value}
 
 
 def run_cli(capsys, *argv):
@@ -171,7 +223,8 @@ class TestExitCodes:
         assert json.loads(out)["passed"] == "no"
 
 
-# the orders span every cap; each one a cap admits runs in well under 0.1 s
+# the orders span every cap; each one a cap admits runs in under 0.5 s,
+# chains --n 8 the slowest
 ORDER_TOKENS = [str(n) for n in range(-1, 10)] + ["", "x", "2.5", "0x3"]
 MODES = ["all", "maximal", "maximum", "bogus"]
 SEQUENCES = sorted(REGISTRY) + ["A000000"]
@@ -482,8 +535,13 @@ class TestOrderLimits:
         assert payload["catalan_recurrence"] == payload["catalan_closed"]
 
     def test_parking_census_stops_at_limit(self, capsys):
-        _, out, _ = run_cli(capsys, "parking", "--n", "7")
-        assert json.loads(out) == {"order": "7", "count_closed": "262144"}
+        _, out, _ = run_cli(capsys, "parking", "--n", "9")
+        assert json.loads(out) == {"order": "9", "count_closed": "100000000"}
+
+    def test_parking_below_its_top_order(self, capsys):
+        code, out, _ = run_cli(capsys, "parking", "--n", "7")
+        assert code == PINNED["parking --n 7"]["exit"]
+        assert out == PINNED["parking --n 7"]["stdout"]
 
     @staticmethod
     def _orders_enumerated(capsys, monkeypatch, module, command):
@@ -537,6 +595,23 @@ class TestOrderLimits:
         assert code == expected["exit"] == EXIT_OK
         assert capsys.readouterr().out == expected["stdout"]
         assert peak < mib * 2**20
+
+    def test_every_job_name_is_a_table_key(self):
+        # a stale name would surface only as a KeyError, exit 4, once its
+        # branch runs; config's own lookup reads the name it is passed
+        named = set()
+        for path in [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "check_order" in (
+                        getattr(func, "id", None), getattr(func, "attr", None)):
+                    for arg in node.args[1:]:
+                        named |= _job_names(arg)
+                elif isinstance(node, ast.Subscript) and \
+                        getattr(node.value, "id", None) == "MAX_ORDER" and \
+                        path.name != "config.py":
+                    named |= _job_names(node.slice)
+        assert named == set(MAX_ORDER)
 
     def test_readme_table_matches(self):
         text = README.read_text().split("## Order limits", 1)[1]

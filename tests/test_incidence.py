@@ -260,7 +260,7 @@ class TestSolves:
         monkeypatch.setattr(ExactMatrix, "__init__", dense)
         monkeypatch.setattr(ExactMatrix, "__matmul__", dense)
         monkeypatch.setattr(incidence, "invert_unitriangular", dense)
-        argvs = ([["chains", "--n", str(n)] for n in range(8)]
+        argvs = ([["chains", "--n", str(n)] for n in range(9)]
                  + [["poset", "--n", str(n)] for n in range(6)]
                  + [["verify", "--sequence", s]
                     for s in ("A005700", "A143672", "A005118")])

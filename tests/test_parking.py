@@ -12,7 +12,6 @@ from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        enumerate_paths, is_parking_function,
                        labelled_to_parking, parking_census,
                        parking_to_labelled, vectors_of)
-from dyckposet.config import MAX_ORDER
 from dyckposet.parking import _increasing_fillings
 
 
@@ -142,13 +141,10 @@ class TestParkingFunctions:
         assert count_parking_by_filter(6) == 16_807
 
     @pytest.mark.parametrize("n", [7, 8])
-    def test_filter_count_past_the_cap(self, monkeypatch, n):
-        # the cap keeps parking --n 7 to the closed count; the filter
-        # runs past it in milliseconds
-        with monkeypatch.context() as patch:
-            patch.setitem(MAX_ORDER, "parking", n)
-            count = count_parking_by_filter(n)
-        assert count == count_parking_functions(n)
+    def test_filter_count_past_the_cap(self, n):
+        # the filter builds no object, so it runs in milliseconds up to the
+        # paths cap
+        assert count_parking_by_filter(n) == count_parking_functions(n)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -162,9 +158,9 @@ class TestParkingFunctions:
 
     def test_enumeration_gate(self):
         with pytest.raises(LimitExceededError):
-            enumerate_parking_functions(7)
+            enumerate_parking_functions(9)
         with pytest.raises(LimitExceededError):
-            count_parking_by_filter(7)
+            count_parking_by_filter(9)
 
 
 class TestBijection:
@@ -234,7 +230,7 @@ class TestBijection:
 
     def test_labelled_count_gate(self):
         with pytest.raises(LimitExceededError):
-            enumerate_labelled_paths(7)
+            enumerate_labelled_paths(9)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
@@ -289,7 +285,7 @@ class TestCensus:
 
     def test_census_gate(self):
         with pytest.raises(LimitExceededError):
-            parking_census(7)
+            parking_census(9)
 
 
 class TestContentGroups:

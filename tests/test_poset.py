@@ -274,7 +274,7 @@ class TestIdealsAndAntichains:
 
     def test_order_ideals_refuse_past_limit(self, posets):
         with pytest.raises(LimitExceededError):
-            order_ideal_count(posets(6))
+            order_ideal_count(posets(7))
 
     def test_bijection_check_refused_before_the_antichains(self, posets,
                                                            monkeypatch):
@@ -282,7 +282,7 @@ class TestIdealsAndAntichains:
             raise AssertionError("antichains listed")
         monkeypatch.setattr(poset, "_antichain_extensions", refuse)
         with pytest.raises(LimitExceededError):
-            antichain_ideal_bijection_check(posets(6))
+            antichain_ideal_bijection_check(posets(7))
 
     @pytest.mark.parametrize("n", range(6))
     def test_order_ideal_count_equals_the_listing(self, posets, n):
@@ -490,12 +490,13 @@ class TestPosetCensus:
                 census.width, census.antichain_cover) == POSET_CENSUS[n]
 
     def test_refused_before_any_count(self, posets, monkeypatch):
-        # the order ideal count stops at 5; the antichains would not
+        # the order ideal count and the antichains both stop at 6
         def refuse(p, mode="all"):
-            raise AssertionError(f"antichains of order {p.n} counted")
+            raise AssertionError(f"order {p.n} counted")
         monkeypatch.setattr(poset, "antichain_census", refuse)
+        monkeypatch.setattr(poset, "order_ideal_count", refuse)
         with pytest.raises(LimitExceededError):
-            poset_census(posets(6))
+            poset_census(posets(7))
 
 
 class TestRankSizes:

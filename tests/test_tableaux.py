@@ -4,9 +4,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import (Partition, hook_lengths,
+from dyckposet import (Partition, cell_stats, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)
+from dyckposet.qt import _partition_hooks, _partitions
 
 
 def _syt_brute(partition):
@@ -22,7 +23,25 @@ def _syt_brute(partition):
     return count
 
 
+def _row_scan_stats(partition):
+    """Oracle: (arm, leg, coarm, coleg) of every cell in row-major order,
+    each leg counted by scanning the rows below the cell."""
+    parts = partition.parts
+    return {(r, c): (size - c, sum(1 for p in parts[r:] if p >= c),
+                     c - 1, r - 1)
+            for r, size in enumerate(parts, start=1)
+            for c in range(1, size + 1)}
+
+
 class TestHookLengths:
+    @pytest.mark.parametrize("n", range(9))
+    def test_cell_stats_match_the_row_scan(self, n):
+        oracles = [_row_scan_stats(mu) for mu in _partitions(n)]
+        assert [cell_stats(mu) for mu in _partitions(n)] == oracles
+        # the partition sum reads the same table in row-major order
+        assert _partition_hooks(n) == tuple(tuple(oracle.values())
+                                            for oracle in oracles)
+
     def test_staircase_hooks_are_odd(self):
         # the staircase shape has hook multiset {(2i-1) with multiplicity n-i}
         for n in range(2, 7):
