@@ -7,14 +7,15 @@ ascending area with lexicographic tie-break taking N < E.
 
 enumerate_paths meets in the middle.  After n steps every path stands on the
 anti-diagonal, at (n - a, a) with a >= n/2, so its words are the first halves
-that end at level a joined to the second halves that start there.  One prefix
-sweep, extending every prefix north before east, makes both: from the origin
-for the first halves, and from (n - a, a) for the second halves of each
-level.  Each half carries its column heights, north offsets and height sum,
-absolute because its start point is fixed, so a join concatenates them and
-adds the sums.  Halves have equal lengths, so the joins come out in
-lexicographic order, and a stable sort by area keeps that order among paths
-of equal area.
+that end at level a joined to the second halves that start there.  _halves
+makes both with one prefix sweep, extending every prefix north before east:
+from the origin for the first halves, and from (n - a, a) for the second
+halves of each level.  Each half carries its column heights, north offsets
+and height sum, absolute because its start point is fixed, so a join
+concatenates them and adds the sums.  Halves have equal lengths, so the
+joins come out in lexicographic order, and a stable sort by area keeps that
+order among paths of equal area.  The q,t sums of the qt module read their
+statistics off the same joins without building a path.
 """
 
 from __future__ import annotations
@@ -256,12 +257,18 @@ def _sweep(n: int, steps: int, prefixes: list[tuple]) -> list[tuple]:
     return prefixes
 
 
+def _halves(n: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
+    """The first halves of the paths of order n, and their second halves by
+    the level a at which they start; entries are as in _sweep."""
+    check_order(n, "paths")
+    return (_sweep(n, n, [("", 0, 0, (), (), 0)]),
+            {a: _sweep(n, n, [("", a, n - a, (), (), 0)])
+             for a in range((n + 1) // 2, n + 1)})
+
+
 def enumerate_paths(n: int) -> list[DyckPath]:
     """All Dyck paths of order n in canonical order."""
-    check_order(n, "paths")
-    firsts = _sweep(n, n, [("", 0, 0, (), (), 0)])
-    seconds = {a: _sweep(n, n, [("", a, n - a, (), (), 0)])
-               for a in range((n + 1) // 2, n + 1)}
+    firsts, seconds = _halves(n)
     base = n * (n + 1) // 2  # area = sum over columns j of h[j] - j
     walked = DyckPath._walked
     joined = [walked(word + tail, heights + tail_heights,
@@ -275,39 +282,28 @@ def enumerate_paths(n: int) -> list[DyckPath]:
     return joined
 
 
-def _bounce(d: DyckPath) -> int:
-    # Bounce path anchored at (n, n): west to the current top north segment,
-    # south to the diagonal, repeat.  Contact points satisfy k' = e(k), the
-    # x-offset of the k-th north step.
-    offsets = d.north_offsets()
-    k = d.order
-    total = 0
-    while k > 0:
-        k = offsets[k - 1]
-        total += k
-    return total
-
-
-def _maj(d: DyckPath) -> int:
-    """Sum of the 1-based positions i with step i east and step i + 1 north."""
-    steps = d.steps
-    total = 0
-    i = steps.find(EAST + NORTH)
-    while i >= 0:
-        total += i + 1
-        i = steps.find(EAST + NORTH, i + 2)
-    return total
+def _valleys(word: str) -> list[int]:
+    """The 1-based positions i with step i east and step i + 1 north; maj
+    is their sum."""
+    return [i for i in range(1, len(word))
+            if word[i - 1] == EAST and word[i] == NORTH]
 
 
 def path_stats(d: DyckPath) -> PathStats:
     n = d.order
     area = d.area
-    inv = comb(n, 2) - area
-    maj = _maj(d)
     offsets = d.north_offsets()
-    area_vector = tuple(i - e for i, e in enumerate(offsets))
-    return PathStats(area=area, inv=inv, maj=maj, bounce=_bounce(d),
-                     area_vector=area_vector)
+    # bounce path anchored at (n, n): west to the current top north segment,
+    # south to the diagonal, repeat.  Contact points satisfy k' = e(k), the
+    # x-offset of the k-th north step.
+    bounce = 0
+    k = n
+    while k > 0:
+        k = offsets[k - 1]
+        bounce += k
+    return PathStats(area=area, inv=comb(n, 2) - area,
+                     maj=sum(_valleys(d.steps)), bounce=bounce,
+                     area_vector=tuple(i - e for i, e in enumerate(offsets)))
 
 
 def path_to_partition(d: DyckPath) -> Partition:

@@ -5,14 +5,19 @@ C_n(q, t) = sum q^area t^bounce over the Dyck paths of order n has three
 routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 (_bounce_recurrence), which enumerates no path; and the Garsia-Haiman
 partition sum (gh_evaluate), which does not use bounce and is compared at
-exact rational points.  qt_census runs every check of the qt command on one
-path list: it counts the (area, bounce) pairs, as qt_catalan does, and the
-maj values, and reads the area analog as C_n(q, 1), which the inv reversal
-reads once it is checked; one q-Pascal table (_q_pascal) serves the bounce
-recurrence and the maj quotient [2n choose n]_q / [n+1]_q.  cn_area and
-cn_maj sum their one statistic and run its check alone, through the helpers
-qt_census calls (_checked_area, _checked_maj).  The tests keep the
-factorial quotient [n]! / ([k]! [n-k]!) as the oracle for that table.
+exact rational points.  The path sums build no Dyck path: _join_counts
+sweeps the half paths of paths._halves once and reads the area, bounce and
+maj of each join of a first half with a second from values worked out once
+per half, counting the (area, bounce) pairs and the maj values.  qt_census
+runs every check of the qt command on one such count: it reads C_n(q, t),
+as qt_catalan does, and the area analog as C_n(q, 1), which the inv
+reversal reads once it is checked; one q-Pascal table (_q_pascal) serves
+the bounce recurrence and the maj quotient [2n choose n]_q / [n+1]_q.
+cn_area and cn_maj read their one statistic and run its check alone,
+through the helpers qt_census calls (_checked_area, _checked_maj).  The
+tests keep the factorial quotient [n]! / ([k]! [n-k]!) as the oracle for
+that table, and the step words listed by itertools as the oracle for the
+joins.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from typing import Callable, NamedTuple
 
 from .checks import agree
 from .config import check_order
-# path_stats is no longer called here, but stays bound as qt.path_stats:
-# bench/tests/test_harness.py checks that the tracer rebinds it by name, and
-# tests/test_boundary.py that the binding stays
-from .paths import (CellStats, DyckPath, Partition, _bounce, _maj,
+# enumerate_paths and path_stats are no longer called here, but stay bound
+# as qt.enumerate_paths and qt.path_stats: bench/tests/test_harness.py checks
+# that the tracer rebinds them by name, and tests/test_boundary.py that the
+# bindings stay
+from .paths import (EAST, NORTH, CellStats, Partition, _halves, _valleys,
                     catalan_closed, cell_stats, enumerate_paths,
                     path_stats)  # noqa: F401
 from .polynomials import BiPoly, UniPoly, power_table
@@ -92,13 +98,13 @@ class QtCensus(NamedTuple):
 
 
 def qt_census(n: int) -> QtCensus:
-    """From one path list: C_n(q, t) must equal the bounce recurrence, its
-    value at (1, 1) C_n and its value at GH_CHECK_POINT the partition sum;
-    the area analog must equal the area recurrence, the inv analog that
-    recurrence reversed, and the maj analog [2n choose n]_q / [n+1]_q.  A
-    disagreement raises AssertionError."""
-    path_list = enumerate_paths(n)
-    poly = _area_bounce(path_list)
+    """From one sweep of half paths: C_n(q, t) must equal the bounce
+    recurrence, its value at (1, 1) C_n and its value at GH_CHECK_POINT the
+    partition sum; the area analog must equal the area recurrence, the inv
+    analog that recurrence reversed, and the maj analog
+    [2n choose n]_q / [n+1]_q.  A disagreement raises AssertionError."""
+    pairs, majs = _join_counts(n)
+    poly = BiPoly(pairs)
     # one q-Pascal table serves the bounce recurrence and the maj quotient
     pascal = _q_pascal(2 * n)
     agree("q,t-Catalan path sum and the bounce recurrence",
@@ -113,7 +119,7 @@ def qt_census(n: int) -> QtCensus:
     # the analog has passed its own check
     area = _checked_area(n, poly.substitute_t_one())
     inv = _inv_analog(n, area)
-    maj = _checked_maj(n, path_list, pascal)
+    maj = _checked_maj(n, majs, pascal)
     return QtCensus(poly=poly, area=area, inv=inv, maj=maj, count=count)
 
 
@@ -124,20 +130,19 @@ def _checked_area(n: int, area: BiPoly) -> BiPoly:
                  area, _carlitz(n, lambda k, m: k))
 
 
-def _checked_maj(n: int, path_list: list[DyckPath],
+def _checked_maj(n: int, majs: Counter,
                  pascal: list[list[list[int]]]) -> BiPoly:
-    """Sum of q^{maj(D)} over the paths of order n, checked against
-    [2n choose n]_q / [n+1]_q; pascal must reach row 2n."""
+    """The maj analog of order n from the count of each maj, checked
+    against [2n choose n]_q / [n+1]_q; pascal must reach row 2n."""
     return agree("maj q-analog path sum and quotient",
-                 BiPoly(Counter((_maj(d), 0) for d in path_list)),
+                 BiPoly({(maj, 0): c for maj, c in majs.items()}),
                  BiPoly.from_q(UniPoly.from_list(pascal[2 * n][n])
                                .divide_exact(_q_int_uni(n + 1))))
 
 
 def cn_area(n: int) -> BiPoly:
     """Sum of q^{area(D)}, checked against the area recurrence."""
-    return _checked_area(n, BiPoly(Counter((d.area, 0)
-                                           for d in enumerate_paths(n))))
+    return _checked_area(n, BiPoly(_join_counts(n)[0]).substitute_t_one())
 
 
 def cn_inv(n: int) -> BiPoly:
@@ -148,18 +153,55 @@ def cn_inv(n: int) -> BiPoly:
 
 def cn_maj(n: int) -> BiPoly:
     """Sum of q^{maj(D)}, checked against [2n choose n]_q / [n+1]_q."""
-    return _checked_maj(n, enumerate_paths(n), _q_pascal(2 * n))
+    return _checked_maj(n, _join_counts(n)[1], _q_pascal(2 * n))
 
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    return _area_bounce(enumerate_paths(n))
+    return BiPoly(_join_counts(n)[0])
 
 
-def _area_bounce(path_list: list[DyckPath]) -> BiPoly:
-    """Sum of q^{area(D)} t^{bounce(D)} over path_list: its (area, bounce)
-    pairs counted once."""
-    return BiPoly(Counter((d.area, _bounce(d)) for d in path_list))
+def _join_counts(n: int) -> tuple[Counter, Counter]:
+    """The count of each (area, bounce) and of each maj over the paths of
+    order n, read off the joins of _halves without building a path.
+
+    A first half ending at level a joins a second half starting at
+    (n - a, a).  The area is their height sums less n(n+1)/2.  The bounce
+    walk of path_stats, k -> e[k-1] from k = n, reads the second half's
+    north offsets while k > a, summing them to s, and ends in the first
+    half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.  The
+    maj adds the first half's maj, the second half's with each of its
+    valleys moved n steps on, and n when the first half ends east and the
+    second starts north.
+    """
+    firsts, seconds = _halves(n)
+    base = n * (n + 1) // 2
+    tails = {}
+    for a, halves in seconds.items():
+        bounce_rows, maj_rows = [], []
+        for word, _, _, _, offsets, height_sum in halves:
+            k = n
+            s = 0
+            while k > a:
+                k = offsets[k - 1 - a]
+                s += k
+            bounce_rows.append((height_sum - base, s, k))
+            valleys = _valleys(word)
+            maj_rows.append((sum(valleys) + n * len(valleys),
+                             word.startswith(NORTH)))
+        tails[a] = bounce_rows, maj_rows
+    pairs: Counter = Counter()
+    majs: Counter = Counter()
+    for word, a, _, _, offsets, height_sum in firsts:
+        f = [0]
+        for e in offsets:
+            f.append(e + f[e])
+        maj = sum(_valleys(word))
+        across = maj + n if word.endswith(EAST) else maj
+        bounce_rows, maj_rows = tails[a]
+        pairs.update((height_sum + hs, s + f[k]) for hs, s, k in bounce_rows)
+        majs.update(m + (across if north else maj) for m, north in maj_rows)
+    return pairs, majs
 
 
 def _q_pascal(top: int) -> list[list[list[int]]]:

@@ -158,8 +158,8 @@ def test_names_the_benchmark_reads_still_exist():
     assert "__matmul__" in vars(ExactMatrix)
     assert "__mul__" in vars(UniPoly) and "__mul__" in vars(BiPoly)
     for module, names in [
-            (qt, ("_gh_term", "path_stats", "qt_catalan", "gh_evaluate",
-                  "gh_sample_points")),
+            (qt, ("_gh_term", "enumerate_paths", "path_stats", "qt_catalan",
+                  "gh_evaluate", "gh_sample_points")),
             (parking, ("enumerate_labelled_paths",)),
             (tableaux, ("maxchain_tableau_bijection_check", "build_poset",
                         "maximal_chains")),

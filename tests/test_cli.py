@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -369,6 +371,12 @@ def _one_more_path(attr):
                  f(*args) + BiPoly.monomial(1, 1))
 
 
+def _break_joins(edit):
+    """Pass the (area, bounce) and maj counts of qt._join_counts through
+    edit."""
+    return _wrap(qt, "_join_counts", lambda f: lambda n: edit(*f(n)))
+
+
 def _cross_check(name, argv, *patches):
     """A table row: with every patch applied, the agree check called name
     fails, and argv exits 4 with empty stdout."""
@@ -433,7 +441,9 @@ class TestCrossChecks:
     test_qt_count_must_match_catalan = _cross_check(
         "q,t-Catalan value at (1, 1) and the Catalan number",
         ("qt", "--n", "4"),
-        _one_more_path("_area_bounce"), _one_more_path("_bounce_recurrence"))
+        _break_joins(lambda pairs, majs: (
+            pairs + Counter({(1, 1): 1}), majs)),
+        _one_more_path("_bounce_recurrence"))
     test_qt_partition_sum_must_agree = _cross_check(
         "q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
         ("qt", "--n", "4"), _plus_one(qt, "gh_evaluate"))
@@ -447,7 +457,8 @@ class TestCrossChecks:
     # the maj of every path one higher
     test_qt_maj_must_match_the_quotient = _cross_check(
         "maj q-analog path sum and quotient", ("qt", "--n", "4"),
-        _plus_one(qt, "_maj"))
+        _break_joins(lambda pairs, majs: (
+            pairs, Counter({m + 1: c for m, c in majs.items()}))))
     # one labelling more on every path
     test_parking_counts_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",
@@ -543,23 +554,30 @@ class TestOrderLimits:
         assert code == PINNED["parking --n 7"]["exit"]
         assert out == PINNED["parking --n 7"]["stdout"]
 
-    @staticmethod
-    def _orders_enumerated(capsys, monkeypatch, module, command):
+    def test_qt_builds_no_path_and_sweeps_halves_once(self, capsys,
+                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a DyckPath was built")
+        monkeypatch.setattr(paths.DyckPath, "__init__", refuse)
+        monkeypatch.setattr(paths.DyckPath, "_walked", staticmethod(refuse))
+        swept = []
+
+        def counted(n):
+            swept.append(n)
+            return paths._halves(n)
+        monkeypatch.setattr(qt, "_halves", counted)
+        assert run_cli(capsys, "qt", "--n", "5")[0] == EXIT_OK
+        assert swept == [5]
+
+    def test_parking_enumerates_paths_once(self, capsys, monkeypatch):
         calls = []
 
         def counted(n):
             calls.append(n)
             return paths.enumerate_paths(n)
-        monkeypatch.setattr(module, "enumerate_paths", counted)
-        assert run_cli(capsys, command, "--n", "5")[0] == EXIT_OK
-        return calls
-
-    def test_qt_enumerates_paths_once(self, capsys, monkeypatch):
-        assert self._orders_enumerated(capsys, monkeypatch, qt, "qt") == [5]
-
-    def test_parking_enumerates_paths_once(self, capsys, monkeypatch):
-        assert self._orders_enumerated(capsys, monkeypatch, parking,
-                                       "parking") == [5]
+        monkeypatch.setattr(parking, "enumerate_paths", counted)
+        assert run_cli(capsys, "parking", "--n", "5")[0] == EXIT_OK
+        assert calls == [5]
 
     def test_antichains_at_limit_fit_in_memory(self, capsys):
         # every order the table allows must run without exhausting memory;
@@ -644,6 +662,26 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, *op.split())
         assert code == GOLDEN_OPS[op]["exit"]
         assert out == GOLDEN_OPS[op]["stdout"]
+
+    def test_stdout_does_not_depend_on_the_hash_seed(self):
+        # set and dict order of str keys moves with the hash seed, which the
+        # in-process runs above share; the six runs go at once
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        runs = {(argv, seed): subprocess.Popen(
+                    [sys.executable, "-m", "dyckposet.cli", *argv],
+                    env=dict(env, PYTHONHASHSEED=seed),
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for argv in (("qt", "--n", "8"),
+                             ("antichains", "--n", "5", "--mode", "maximal"),
+                             ("--format", "csv", "antichains", "--n", "6"))
+                for seed in ("1", "12345")}
+        outs = {}
+        for (argv, seed), run in runs.items():
+            out, err = run.communicate(timeout=60)
+            assert run.returncode == EXIT_OK, (argv, seed, err)
+            outs.setdefault(argv, set()).add(out)
+        assert all(len(seen) == 1 and b"" not in seen
+                   for seen in outs.values()), outs
 
     def test_csv_and_json_agree(self, capsys):
         # the A141622 and A000272 descriptions hold a comma

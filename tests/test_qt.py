@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import comb, prod
 
 import pytest
@@ -40,6 +41,50 @@ def _per_path_sums(n):
         return BiPoly(Counter(map(key, stats)))
     return (total(lambda s: (s.area, s.bounce)), total(lambda s: (s.area, 0)),
             total(lambda s: (s.inv, 0)), total(lambda s: (s.maj, 0)))
+
+
+def _word_counts(n):
+    """Oracle for qt._join_counts, from the definitions and nothing of
+    dyckposet.paths: the count of each (area, bounce) and of each maj over
+    the N/E words with n norths whose prefixes never hold more easts than
+    norths."""
+    pairs, majs = Counter(), Counter()
+    for norths in combinations(range(2 * n), n):
+        word = ["E"] * (2 * n)
+        for i in norths:
+            word[i] = "N"
+        if min(accumulate(1 if s == "N" else -1 for s in word),
+               default=0) < 0:
+            continue
+        # area: the north step from (x, y) leaves y - x full cells between
+        # the path and the diagonal in row y
+        area = x = y = 0
+        tops = []  # tops[x]: the height of the east step from column x
+        for step in word:
+            if step == "N":
+                area += y - x
+                y += 1
+            else:
+                tops.append(y)
+                x += 1
+        # bounce path from (0, 0): north until an east step of the path
+        # starts, east to the diagonal, again; each touch (j, j) adds n - j
+        bounce = j = 0
+        while j < n:
+            j = tops[j]
+            bounce += n - j
+        pairs[area, bounce] += 1
+        majs[sum(i for i in range(1, 2 * n)
+                 if word[i - 1] == "E" and word[i] == "N")] += 1
+    return pairs, majs
+
+
+def _refuse_paths(monkeypatch):
+    """Make qt's bindings of enumerate_paths and _halves raise."""
+    def refuse(n):
+        raise AssertionError(f"paths of order {n} enumerated")
+    monkeypatch.setattr(qt, "enumerate_paths", refuse)
+    monkeypatch.setattr(qt, "_halves", refuse)
 
 
 QT_TABLE = {
@@ -125,9 +170,7 @@ class TestQtCatalan:
             qt_specialize(2, "weight")
 
     def test_unknown_mode_rejected_before_any_path(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"paths of order {n} enumerated")
-        monkeypatch.setattr(qt, "enumerate_paths", refuse)
+        _refuse_paths(monkeypatch)
         with pytest.raises(ValueError, match="unknown specialization mode"):
             qt_specialize(4, "weight")
 
@@ -158,11 +201,21 @@ class TestBounceRecurrence:
 
     @pytest.mark.parametrize("n", range(9))
     def test_one_pass_matches_the_separate_sums(self, n):
-        # the (area, bounce) count that qt_census and qt_catalan share, and
-        # its t = 1 specialization, which qt_census reads as the area analog
-        poly, area, _inv, _maj = _per_path_sums(n)
-        pairs = qt._area_bounce(enumerate_paths(n))
-        assert (pairs, pairs.substitute_t_one()) == (poly, area)
+        # the (area, bounce) and maj counts that qt_census, qt_catalan,
+        # cn_area and cn_maj share, and the t = 1 specialization of the
+        # first, which qt_census reads as the area analog
+        poly, area, _inv, maj = _per_path_sums(n)
+        pairs, majs = qt._join_counts(n)
+        pairs = BiPoly(pairs)
+        assert (pairs, pairs.substitute_t_one(),
+                BiPoly({(m, 0): c for m, c in majs.items()})) == \
+            (poly, area, maj)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_joins_match_the_word_oracle(self, n):
+        # the joins and the per-path sums share paths._sweep; the words are
+        # listed and read without it
+        assert qt._join_counts(n) == _word_counts(n)
 
 
 class TestCensus:
@@ -174,9 +227,7 @@ class TestCensus:
         assert census.count == catalan_closed(n)
 
     def test_inv_analog_enumerates_no_path(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError("paths enumerated")
-        monkeypatch.setattr(qt, "enumerate_paths", refuse)
+        _refuse_paths(monkeypatch)
         assert cn_inv(6)(1, 1) == catalan_closed(6)
 
 
