@@ -31,7 +31,7 @@ def main() -> None:
         poly = qt_catalan(n)
         print(f"order {n}: C_n(q,t) has {len(poly.coeffs)} terms, "
               f"C_n(1,1) = {poly(1, 1)}")
-        recurrence = _bounce_recurrence(n, _q_pascal(2 * n))
+        recurrence = _bounce_recurrence(n, *_q_pascal(2 * n))
         status = "ok" if recurrence == poly else "MISMATCH"
         print(f"  bounce recurrence -> {len(recurrence.coeffs)} terms "
               f"[{status}]")

@@ -28,8 +28,8 @@ from typing import NamedTuple
 from . import tableaux
 from .checks import agree
 from .paths import catalan_closed
-from .polynomials import UniPoly
-from .poset import DyckPoset, _bits, _unpack
+from .polynomials import UniPoly, _unpack
+from .poset import DyckPoset, _bits
 
 
 class ExactMatrix:

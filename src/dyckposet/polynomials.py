@@ -6,12 +6,34 @@ and every operation that does not look inside a key; each class adds the
 key-dependent parts (multiplication, terms, evaluation, printing) and its
 own conversions.  Zero coefficients are never stored, and term iteration is
 in a fixed canonical order so serialized output is deterministic.
+
+Where a layer's polynomial arithmetic is hot, it carries a polynomial as one
+int instead, a big-int sum or product per operation, and _unpack reads its
+coefficients back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+
+def _unpack(packed: int, width: int) -> tuple[int, ...]:
+    """The coefficients, lowest first, of the polynomial P packed width bits
+    apiece as the int P(2^width) (Kronecker substitution).
+
+    The packing is exact only while every coefficient of P lies in
+    [0, 2^width): a larger one carries into the next.  When P and every sum
+    and product that built it have nonnegative coefficients, the bound on
+    P's coefficients is enough, as no intermediate one exceeds its final
+    one; each caller states the bound that sets its width.
+    """
+    digit = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & digit)
+        packed >>= width
+    return tuple(coeffs)
 
 
 def power_table(x: int, top: int) -> list[int]:
@@ -30,10 +52,6 @@ class _SparsePoly:
 
     def __init__(self, coeffs: Mapping | None = None):
         self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -124,30 +142,6 @@ class UniPoly(_SparsePoly):
     def __call__(self, x):
         return sum(c * x ** e for e, c in self.coeffs.items())
 
-    def divide_exact(self, divisor: "UniPoly") -> "UniPoly":
-        """Exact division; raises if the remainder is nonzero or a division
-        step would leave the integers."""
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.coeffs)
-        quot: dict[int, int] = {}
-        dd = divisor.degree
-        lead = divisor.coeffs[dd]
-        while rem:
-            rd = max(rem)
-            if rd < dd:
-                raise ArithmeticError("nonzero remainder in exact division")
-            c, r = divmod(rem[rd], lead)
-            if r != 0:
-                raise ArithmeticError("non-integer quotient in exact division")
-            quot[rd - dd] = c
-            for e, dc in divisor.coeffs.items():
-                key = rd - dd + e
-                rem[key] = rem.get(key, 0) - c * dc
-                if rem[key] == 0:
-                    del rem[key]
-        return UniPoly(quot)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -167,14 +161,6 @@ class BiPoly(_SparsePoly):
 
     __slots__ = ()
     _CONST = (0, 0)
-
-    @staticmethod
-    def monomial(qe: int, te: int, coeff: int = 1) -> "BiPoly":
-        return BiPoly({(qe, te): coeff})
-
-    @staticmethod
-    def from_q(poly: UniPoly) -> "BiPoly":
-        return BiPoly({(e, 0): c for e, c in poly.coeffs.items()})
 
     def terms(self) -> list[tuple[int, int, int]]:
         """(q-exponent, t-exponent, coefficient) in canonical order."""
@@ -199,7 +185,7 @@ class BiPoly(_SparsePoly):
         """The value at rational (q0, t0) = (a/b, c/d), homogenised to
         sum coeff a^i b^(Q-i) c^j d^(T-j) / (b^Q d^T), with Q and T the top
         exponents, in integers and one Fraction."""
-        if not self.coeffs:
+        if not self:
             return Fraction(0)
         q0, t0 = Fraction(q0), Fraction(t0)
         top_q = max(qe for qe, _te in self.coeffs)

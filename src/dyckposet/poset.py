@@ -45,6 +45,7 @@ from typing import NamedTuple
 from .checks import agree
 from .config import check_order
 from .paths import DyckPath, enumerate_paths
+from .polynomials import _unpack
 from .qt import cn_inv
 
 
@@ -201,16 +202,6 @@ def _first_fit_chains(size: int, inc: list[int]) -> list[int]:
         else:
             chains.append(1 << i)
     return chains
-
-
-def _unpack(packed: int, width: int) -> tuple[int, ...]:
-    """The coefficients of a polynomial packed width bits apiece."""
-    digit = (1 << width) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & digit)
-        packed >>= width
-    return tuple(coeffs)
 
 
 def _antichain_sizes(size: int, inc: list[int]) -> tuple[int, ...]:

@@ -5,19 +5,28 @@ C_n(q, t) = sum q^area t^bounce over the Dyck paths of order n has three
 routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 (_bounce_recurrence), which enumerates no path; and the Garsia-Haiman
 partition sum (gh_evaluate), which does not use bounce and is compared at
-exact rational points.  The path sums build no Dyck path: _join_counts
-sweeps the half paths of paths._halves once and reads the area, bounce and
-maj of each join of a first half with a second from values worked out once
-per half, counting the (area, bounce) pairs and the maj values.  qt_census
-runs every check of the qt command on one such count: it reads C_n(q, t),
-as qt_catalan does, and the area analog as C_n(q, 1), which the inv
-reversal reads once it is checked; one q-Pascal table (_q_pascal) serves
-the bounce recurrence and the maj quotient [2n choose n]_q / [n+1]_q.
-cn_area and cn_maj read their one statistic and run its check alone,
-through the helpers qt_census calls (_checked_area, _checked_maj).  The
-tests keep the factorial quotient [n]! / ([k]! [n-k]!) as the oracle for
-that table, and the step words listed by itertools as the oracle for the
-joins.
+exact rational points.  The path sums build no Dyck path: they sweep the
+half paths of paths._halves once and read the statistics of each join of a
+first half with a second from values worked out once per half.
+_join_counts counts the (area, bounce) pairs join by join; _maj_sum sums
+q^maj level by level, as products of the first halves' sums and the second
+halves'.
+
+The recurrences and the maj sum carry each polynomial P as the one int
+P(2^B), B bits per coefficient (Kronecker substitution, as in
+poset._antichain_sizes): a product or sum of polynomials is one big-int
+product or sum.  Each states the bound on its coefficients that sets B, and
+each route is unpacked once (polynomials._unpack) into the BiPoly that its
+check compares.  qt_census runs every check of the qt command: it reads
+C_n(q, t), as qt_catalan does, and the area analog as C_n(q, 1), which the
+inv reversal reads once it is checked; one q-Pascal table (_q_pascal)
+serves the bounce recurrence and the maj identity
+maj(q) [n+1]_q = [2n choose n]_q, checked on the packed ints.  cn_area and
+cn_maj read their one statistic and run its check alone, through the
+helpers qt_census calls (_checked_area, _checked_maj).  The tests keep the
+recurrences on BiPoly, and the factorial quotient [n]! / ([k]! [n-k]!), as
+oracles for the packed routes, and the step words listed by itertools as
+the oracle for the joins.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ from .config import check_order
 # as qt.enumerate_paths and qt.path_stats: bench/tests/test_harness.py checks
 # that the tracer rebinds them by name, and tests/test_boundary.py that the
 # bindings stay
-from .paths import (EAST, NORTH, CellStats, Partition, _halves, _valleys,
+from .paths import (EAST, CellStats, Partition, _halves, _valleys,
                     catalan_closed, cell_stats, enumerate_paths,
                     path_stats)  # noqa: F401
-from .polynomials import BiPoly, UniPoly, power_table
+from .polynomials import BiPoly, _unpack, power_table
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
 # The point at which the qt command checks C_n(q, t) against the partition
@@ -46,10 +55,6 @@ GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
 # i = j = 0: no denominator factor q^a - t^(l+1) or t^l - q^(a+1) vanishes
 # at any order.  Neither is 0 or +-1, where the check would test little.
 GH_CHECK_POINT = (Fraction(2, 3), Fraction(-5, 7))
-
-
-def _q_int_uni(n: int) -> UniPoly:
-    return UniPoly({e: 1 for e in range(n)})
 
 
 def _partitions(n: int) -> list[Partition]:
@@ -68,16 +73,25 @@ def _partitions(n: int) -> list[Partition]:
     return results
 
 
+def _q_poly(coeffs: tuple[int, ...]) -> BiPoly:
+    """The polynomial in q alone with these coefficients, lowest first."""
+    return BiPoly({(e, 0): c for e, c in enumerate(coeffs)})
+
+
 def _carlitz(n: int, shift: Callable[[int, int], int]) -> BiPoly:
     """C_n(q) by the Carlitz-Riordan recurrence C_0 = 1,
     C_{m+1}(q) = sum_k q^{shift(k, m)} C_k(q) C_{m-k}(q): the shift k gives
-    the area analog, (k + 1)(m - k) the inv analog."""
-    polys = [BiPoly.one()]
+    the area analog, (k + 1)(m - k) the inv analog.
+
+    C_m is carried as C_m(2^B).  A coefficient of C_k C_{m-k} counts pairs
+    of paths, and one of C_{m+1} paths, so each is at most C_n; B is the bit
+    length of C_n and one spare bit, and no coefficient carries."""
+    width = catalan_closed(n).bit_length() + 1
+    packed = [1]
     for m in range(n):
-        polys.append(sum((BiPoly.monomial(shift(k, m), 0) * polys[k]
-                          * polys[m - k] for k in range(m + 1)),
-                         BiPoly.zero()))
-    return polys[n]
+        packed.append(sum((packed[k] * packed[m - k]) << width * shift(k, m)
+                          for k in range(m + 1)))
+    return _q_poly(_unpack(packed[n], width))
 
 
 def _inv_analog(n: int, area: BiPoly) -> BiPoly:
@@ -101,14 +115,15 @@ def qt_census(n: int) -> QtCensus:
     """From one sweep of half paths: C_n(q, t) must equal the bounce
     recurrence, its value at (1, 1) C_n and its value at GH_CHECK_POINT the
     partition sum; the area analog must equal the area recurrence, the inv
-    analog that recurrence reversed, and the maj analog
-    [2n choose n]_q / [n+1]_q.  A disagreement raises AssertionError."""
-    pairs, majs = _join_counts(n)
-    poly = BiPoly(pairs)
-    # one q-Pascal table serves the bounce recurrence and the maj quotient
-    pascal = _q_pascal(2 * n)
+    analog that recurrence reversed, and the maj analog times [n+1]_q
+    [2n choose n]_q.  A disagreement raises AssertionError."""
+    # one sweep of half paths serves the two path sums, and one q-Pascal
+    # table the bounce recurrence and the maj identity
+    halves = _halves(n)
+    poly = BiPoly(_join_counts(n, halves))
+    width, pascal = _q_pascal(2 * n)
     agree("q,t-Catalan path sum and the bounce recurrence",
-          poly, _bounce_recurrence(n, pascal))
+          poly, _bounce_recurrence(n, width, pascal))
     count = agree("q,t-Catalan value at (1, 1) and the Catalan number",
                   poly(1, 1), catalan_closed(n))
     # the partition sum is the one route that does not use bounce
@@ -119,7 +134,7 @@ def qt_census(n: int) -> QtCensus:
     # the analog has passed its own check
     area = _checked_area(n, poly.substitute_t_one())
     inv = _inv_analog(n, area)
-    maj = _checked_maj(n, majs, pascal)
+    maj = _checked_maj(n, _maj_sum(n, width, halves), width, pascal)
     return QtCensus(poly=poly, area=area, inv=inv, maj=maj, count=count)
 
 
@@ -130,19 +145,27 @@ def _checked_area(n: int, area: BiPoly) -> BiPoly:
                  area, _carlitz(n, lambda k, m: k))
 
 
-def _checked_maj(n: int, majs: Counter,
-                 pascal: list[list[list[int]]]) -> BiPoly:
-    """The maj analog of order n from the count of each maj, checked
-    against [2n choose n]_q / [n+1]_q; pascal must reach row 2n."""
-    return agree("maj q-analog path sum and quotient",
-                 BiPoly({(maj, 0): c for maj, c in majs.items()}),
-                 BiPoly.from_q(UniPoly.from_list(pascal[2 * n][n])
-                               .divide_exact(_q_int_uni(n + 1))))
+def _checked_maj(n: int, maj: int, width: int,
+                 pascal: list[list[int]]) -> BiPoly:
+    """The maj analog of order n, once maj(q) [n+1]_q = [2n choose n]_q;
+    maj is _maj_sum's, and width and pascal are those of _q_pascal(2n).
+
+    The identity is checked at q = 2^B, where [n+1]_q is
+    (2^(B(n+1)) - 1) / (2^B - 1).  A coefficient of maj [n+1]_q is at most
+    the sum of maj's coefficients, the number of joins, C_n, and one of
+    [2n choose n]_q at most C(2n, n): both sides are below 2^B in every
+    coefficient, so equal ints mean equal polynomials.  They are compared
+    unpacked, which is the same test and shows coefficients when it
+    fails."""
+    q_int = ((1 << width * (n + 1)) - 1) // ((1 << width) - 1)
+    agree("maj q-analog path sum and quotient",
+          _unpack(maj * q_int, width), _unpack(pascal[2 * n][n], width))
+    return _q_poly(_unpack(maj, width))
 
 
 def cn_area(n: int) -> BiPoly:
     """Sum of q^{area(D)}, checked against the area recurrence."""
-    return _checked_area(n, BiPoly(_join_counts(n)[0]).substitute_t_one())
+    return _checked_area(n, qt_catalan(n).substitute_t_one())
 
 
 def cn_inv(n: int) -> BiPoly:
@@ -152,104 +175,126 @@ def cn_inv(n: int) -> BiPoly:
 
 
 def cn_maj(n: int) -> BiPoly:
-    """Sum of q^{maj(D)}, checked against [2n choose n]_q / [n+1]_q."""
-    return _checked_maj(n, _join_counts(n)[1], _q_pascal(2 * n))
+    """Sum of q^{maj(D)}, checked by maj(q) [n+1]_q = [2n choose n]_q."""
+    width, pascal = _q_pascal(2 * n)
+    return _checked_maj(n, _maj_sum(n, width, _halves(n)), width, pascal)
 
 
 def qt_catalan(n: int) -> BiPoly:
     """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    return BiPoly(_join_counts(n)[0])
+    return BiPoly(_join_counts(n, _halves(n)))
 
 
-def _join_counts(n: int) -> tuple[Counter, Counter]:
-    """The count of each (area, bounce) and of each maj over the paths of
-    order n, read off the joins of _halves without building a path.
+def _join_counts(n: int, halves: tuple[list[tuple], dict]) -> Counter:
+    """The count of each (area, bounce) over the paths of order n, read off
+    the joins of halves, _halves(n), without building a path.
 
     A first half ending at level a joins a second half starting at
     (n - a, a).  The area is their height sums less n(n+1)/2.  The bounce
     walk of path_stats, k -> e[k-1] from k = n, reads the second half's
     north offsets while k > a, summing them to s, and ends in the first
-    half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.  The
-    maj adds the first half's maj, the second half's with each of its
-    valleys moved n steps on, and n when the first half ends east and the
-    second starts north.
+    half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.
     """
-    firsts, seconds = _halves(n)
+    firsts, seconds = halves
     base = n * (n + 1) // 2
     tails = {}
-    for a, halves in seconds.items():
-        bounce_rows, maj_rows = [], []
-        for word, _, _, _, offsets, height_sum in halves:
+    for a, level in seconds.items():
+        rows = []
+        for _, _, _, _, offsets, height_sum in level:
             k = n
             s = 0
             while k > a:
                 k = offsets[k - 1 - a]
                 s += k
-            bounce_rows.append((height_sum - base, s, k))
-            valleys = _valleys(word)
-            maj_rows.append((sum(valleys) + n * len(valleys),
-                             word.startswith(NORTH)))
-        tails[a] = bounce_rows, maj_rows
+            rows.append((height_sum - base, s, k))
+        tails[a] = rows
     pairs: Counter = Counter()
-    majs: Counter = Counter()
-    for word, a, _, _, offsets, height_sum in firsts:
+    for _, a, _, _, offsets, height_sum in firsts:
         f = [0]
         for e in offsets:
             f.append(e + f[e])
-        maj = sum(_valleys(word))
-        across = maj + n if word.endswith(EAST) else maj
-        bounce_rows, maj_rows = tails[a]
-        pairs.update((height_sum + hs, s + f[k]) for hs, s, k in bounce_rows)
-        majs.update(m + (across if north else maj) for m, north in maj_rows)
-    return pairs, majs
+        pairs.update((height_sum + hs, s + f[k]) for hs, s, k in tails[a])
+    return pairs
 
 
-def _q_pascal(top: int) -> list[list[list[int]]]:
-    """Rows 0..top of the q-binomials: row m lists [m choose k]_q for
-    k = 0..m as ascending coefficient lists, by the q-Pascal rule
-    [m choose k]_q = [m-1 choose k-1]_q + q^k [m-1 choose k]_q."""
-    rows = [[[1]]]
+def _maj_sum(n: int, width: int, halves: tuple[list[tuple], dict]) -> int:
+    """sum q^maj over the paths of order n at q = 2^width, from the joins
+    of halves, _halves(n).
+
+    A join's valleys are the first half's, the second half's moved n steps
+    on, and step n itself when the first half ends east and the second
+    starts north.  So the sum over the joins at level a is
+    N (S_N + S_E) + E (q^n S_N + S_E), where N and E sum q^maj over the
+    first halves ending north and east, and S_N and S_E sum q^maj over the
+    second halves (valleys moved on) starting north and east.  Every
+    coefficient of these sums and products counts halves or joins that
+    share a maj, so is at most C_n, which the caller's width must exceed.
+    """
+    firsts, seconds = halves
+    heads = {a: [0, 0] for a in seconds}  # [N, E] by level
+    for word, a, _, _, _, _ in firsts:
+        heads[a][word.endswith(EAST)] += 1 << width * sum(_valleys(word))
+    total = 0
+    for a, level in seconds.items():
+        north, east = 0, 0
+        for word, _, _, _, _, _ in level:
+            valleys = _valleys(word)
+            term = 1 << width * (sum(valleys) + n * len(valleys))
+            if word.startswith(EAST):
+                east += term
+            else:
+                north += term
+        ends_north, ends_east = heads[a]
+        total += (ends_north * (north + east)
+                  + ends_east * ((north << width * n) + east))
+    return total
+
+
+def _q_pascal(top: int) -> tuple[int, list[list[int]]]:
+    """The width B and rows 0..top of the q-binomials at q = 2^B: row m
+    lists [m choose k]_q(2^B) for k = 0..m, by the q-Pascal rule
+    [m choose k]_q = [m-1 choose k-1]_q + q^k [m-1 choose k]_q.
+
+    The coefficients of [m choose k]_q sum to C(m, k), at most
+    C(top, top // 2); B is its bit length and one spare bit, so no
+    coefficient carries."""
+    width = comb(top, top // 2).bit_length() + 1
+    rows = [[1]]
     for m in range(1, top + 1):
         prev = rows[-1]
-        row = [[1]]
-        for k in range(1, m):
-            # [m choose k]_q has degree k (m - k)
-            coeffs = prev[k - 1] + [0] * (k * (m - k) + 1 - len(prev[k - 1]))
-            for e, c in enumerate(prev[k], k):
-                coeffs[e] += c
-            row.append(coeffs)
-        row.append([1])
-        rows.append(row)
-    return rows
+        rows.append([1] + [prev[k - 1] + (prev[k] << width * k)
+                           for k in range(1, m)] + [1])
+    return width, rows
 
 
-def _bounce_recurrence(n: int, pascal: list[list[list[int]]]) -> BiPoly:
+def _bounce_recurrence(n: int, width: int,
+                       pascal: list[list[int]]) -> BiPoly:
     """C_n(q, t) by the Garsia-Haglund recurrence, enumerating no path:
     F_{m,m} = q^C(m,2) and, for 1 <= k < m,
     F_{m,k} = t^(m-k) q^C(k,2) sum_{r=1}^{m-k} [r+k-1 choose r]_q F_{m-k,r},
     with C_n = sum_k F_{n,k}.  F_{m,k} sums over the paths of order m that
     end in exactly k east steps, the first leg of their bounce path from
-    (m, m); pascal must reach row n - 1."""
-    if n == 0:
-        return BiPoly.one()
-    # f[m][k] is F_{m,k} as a dict from (q, t) exponents to coefficients
-    f: list[dict[int, Counter]] = [{}]
+    (m, m); width and pascal are those of _q_pascal(2n).
+
+    F_{m,k} is carried as one int: q^i t^j at digit i + j S, width bits per
+    digit, with S = C(n,2) + 1 q slots per t power.  Its terms have
+    i + j <= C(m,2) < S, so no q power spills into the next t power, and
+    every coefficient, of F and of each product and sum that builds it,
+    counts paths of order at most n: at most C_n < C(2n, n), below
+    2^width."""
+    stride = width * (comb(n, 2) + 1)
+    f = [[1]]  # f[m][k] is F_{m,k} packed; C_0 = 1
     for m in range(1, n + 1):
-        row = {m: Counter({(comb(m, 2), 0): 1})}
+        row = [0] * m + [1 << width * comb(m, 2)]
         for k in range(1, m):
-            q_shift, t_exp = comb(k, 2), m - k
-            total: Counter = Counter()
-            for r in range(1, m - k + 1):
-                binomial = pascal[r + k - 1][r]
-                for (qe, te), c in f[m - k][r].items():
-                    for e, b in enumerate(binomial, qe + q_shift):
-                        total[e, te + t_exp] += b * c
-            row[k] = total
+            total = sum(pascal[r + k - 1][r] * f[m - k][r]
+                        for r in range(1, m - k + 1))
+            row[k] = total << width * comb(k, 2) + stride * (m - k)
         f.append(row)
-    c_n: Counter = Counter()
-    for poly in f[n].values():
-        c_n.update(poly)
-    return BiPoly(c_n)
+    # unpacked one t power at a time, then each power's q coefficients
+    return BiPoly({(qe, te): c
+                   for te, row in enumerate(_unpack(sum(f[n]), stride))
+                   for qe, c in enumerate(_unpack(row, width))})
 
 
 def qt_specialize(n: int, mode: str):
@@ -307,11 +352,11 @@ def _gh_cells(n: int, q0: Fraction, t0: Fraction):
 
 
 def _gh_term(hooks: tuple[CellStats, ...], den: int,
-             powers: tuple[list[int], ...]) -> Fraction:
+             powers: tuple[list[int], ...]) -> tuple[int, int]:
     """One partition's summand
     t^(2 sum l) q^(2 sum a) (1-t)(1-q) prod'(1 - q^a' t^l') sum q^a' t^l'
     / prod (q^a - t^(l+1))(t^l - q^(a+1)),
-    as integer products and one Fraction; the product prod' skips the
+    as its integer numerator and denominator; the product prod' skips the
     corner cell (a', l') = (0, 0), and den comes from _gh_cells."""
     qn, qd, tn, td = powers
     sum_a = sum(h[0] for h in hooks)
@@ -341,7 +386,7 @@ def _gh_term(hooks: tuple[CellStats, ...], den: int,
         num *= td[-exp_d]
     else:
         den *= td[exp_d]
-    return Fraction(num, den)
+    return num, den
 
 
 def gh_pole_check(n: int, q0: Fraction, t0: Fraction) -> bool:
@@ -359,8 +404,13 @@ def gh_evaluate(n: int, q0: Fraction, t0: Fraction) -> Fraction:
     powers, cells = _gh_cells(n, q0, t0)
     if not all(den for _hooks, den in cells):
         raise PoleError(f"({q0}, {t0}) is a pole for n = {n}")
-    return sum((_gh_term(hooks, den, powers) for hooks, den in cells),
-               Fraction(0))
+    # the terms over one common denominator, reduced once
+    total, common = 0, 1
+    for hooks, den in cells:
+        num, den = _gh_term(hooks, den, powers)
+        total = total * den + num * common
+        common *= den
+    return Fraction(total, common)
 
 
 def gh_sample_points(n: int, count: int,

@@ -52,9 +52,12 @@ ALLOWED = {
     "polynomials.UniPoly.__pow__": ARITHMETIC,
     "polynomials.UniPoly.__repr__": SHOWN,
     "polynomials.BiPoly.__repr__": SHOWN,
-    # bench/tracer.py patches both __mul__s; bench/tests/test_harness.py
-    # expects the binding qt.path_stats and calls enumerate_labelled_paths
+    # bench/tracer.py patches both __mul__s, and no command multiplies
+    # polynomials since the qt recurrences run on packed ints;
+    # bench/tests/test_harness.py expects the binding qt.path_stats and
+    # calls enumerate_labelled_paths
     "polynomials.UniPoly.__mul__": BENCH,
+    "polynomials.BiPoly.__mul__": BENCH,
     "paths.path_stats": BENCH,
     "parking.enumerate_labelled_paths": BENCH,
     "parking._increasing_fillings": BENCH,

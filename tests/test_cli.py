@@ -368,13 +368,7 @@ def _break_carlitz(inv, extra):
 def _one_more_path(attr):
     """One more path of area 1 and bounce 1 on the qt route attr."""
     return _wrap(qt, attr, lambda f: lambda *args:
-                 f(*args) + BiPoly.monomial(1, 1))
-
-
-def _break_joins(edit):
-    """Pass the (area, bounce) and maj counts of qt._join_counts through
-    edit."""
-    return _wrap(qt, "_join_counts", lambda f: lambda n: edit(*f(n)))
+                 f(*args) + BiPoly({(1, 1): 1}))
 
 
 def _cross_check(name, argv, *patches):
@@ -441,8 +435,8 @@ class TestCrossChecks:
     test_qt_count_must_match_catalan = _cross_check(
         "q,t-Catalan value at (1, 1) and the Catalan number",
         ("qt", "--n", "4"),
-        _break_joins(lambda pairs, majs: (
-            pairs + Counter({(1, 1): 1}), majs)),
+        _wrap(qt, "_join_counts", lambda f: lambda n, halves:
+              f(n, halves) + Counter({(1, 1): 1})),
         _one_more_path("_bounce_recurrence"))
     test_qt_partition_sum_must_agree = _cross_check(
         "q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
@@ -453,12 +447,12 @@ class TestCrossChecks:
         _break_carlitz(False, BiPoly({(1, 0): 1, (2, 0): -1})))
     test_qt_inv_must_match_the_reversed_area = _cross_check(
         "inv q-analog recurrence and reversed area recurrence",
-        ("qt", "--n", "4"), _break_carlitz(True, BiPoly.monomial(1, 0)))
-    # the maj of every path one higher
+        ("qt", "--n", "4"), _break_carlitz(True, BiPoly({(1, 0): 1})))
+    # the maj of every path one higher: the packed maj sum times q
     test_qt_maj_must_match_the_quotient = _cross_check(
         "maj q-analog path sum and quotient", ("qt", "--n", "4"),
-        _break_joins(lambda pairs, majs: (
-            pairs, Counter({m + 1: c for m, c in majs.items()}))))
+        _wrap(qt, "_maj_sum", lambda f: lambda n, width, halves:
+              f(n, width, halves) << width))
     # one labelling more on every path
     test_parking_counts_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyckposet import BiPoly, UniPoly
+from oracles import divide_exact
 
 COEFF = st.integers(-4, 4)
 UNI = st.dictionaries(st.integers(0, 5), COEFF, max_size=6).map(UniPoly)
@@ -176,9 +177,9 @@ def test_bipoly_evaluation(p, q0, t0):
 
 
 def test_constants_on_the_class():
-    assert UniPoly.zero() == 0 and not UniPoly.zero()
+    assert UniPoly() == 0 and not UniPoly()
     assert UniPoly.one() == 1 and UniPoly.one().terms() == [(0, 1)]
-    assert BiPoly.zero() == 0 and not BiPoly.zero()
+    assert BiPoly() == 0 and not BiPoly()
     assert BiPoly.one() == 1 and BiPoly.one().terms() == [(0, 0, 1)]
 
 
@@ -200,7 +201,7 @@ def test_constants_hash_as_their_int(c):
     for const in (UniPoly({0: c}), BiPoly({(0, 0): c})):
         assert const == c and hash(const) == hash(c)
         assert len({c, const}) == 1
-    assert len({1, UniPoly.one()}) == len({0, BiPoly.zero()}) == 1
+    assert len({1, UniPoly.one()}) == len({0, BiPoly()}) == 1
 
 
 @pytest.mark.parametrize("c", [0, 1, -2])
@@ -212,16 +213,9 @@ def test_unipoly_never_equals_bipoly(c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=UNI)
-def test_from_q_round_trip(p):
-    lifted = BiPoly.from_q(p)
-    assert lifted.coeffs == {(e, 0): c for e, c in p.coeffs.items()}
-
-
-@settings(max_examples=60, deadline=None)
 @given(a=UNI, b=NONZERO_UNI)
 def test_divide_exact_recovers_factor(a, b):
-    assert (a * b).divide_exact(b) == a
+    assert divide_exact(a * b, b) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,11 +226,11 @@ def test_divide_exact_rejects_remainder(a, b, data):
         st.integers(0, b.degree - 1), COEFF, max_size=3).map(UniPoly)
         .filter(bool))
     with pytest.raises(ArithmeticError):
-        (a * b + remainder).divide_exact(b)
+        divide_exact(a * b + remainder, b)
 
 
 def test_divide_exact_rejects_fractional_quotient():
     with pytest.raises(ArithmeticError):
-        UniPoly({0: 1, 1: 1}).divide_exact(UniPoly({1: 2}))
+        divide_exact(UniPoly({0: 1, 1: 1}), UniPoly({1: 2}))
     with pytest.raises(ZeroDivisionError):
-        UniPoly.one().divide_exact(UniPoly.zero())
+        divide_exact(UniPoly.one(), UniPoly())

@@ -11,17 +11,25 @@ from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
                        gh_evaluate, gh_pole_check, gh_sample_points,
                        path_stats, qt, qt_catalan, qt_census, qt_specialize,
                        symmetry_check)
-from dyckposet.polynomials import UniPoly
-from dyckposet.qt import (_bounce_recurrence, _partitions, _q_int_uni,
+from dyckposet.config import MAX_ORDER
+from dyckposet.paths import _halves
+from dyckposet.polynomials import UniPoly, _unpack
+from dyckposet.qt import (_bounce_recurrence, _carlitz, _maj_sum, _partitions,
                           _q_pascal)
+from oracles import divide_exact
 
 
 def _bipoly(coeffs):
     return BiPoly(dict(coeffs))
 
 
+def _q_int(n):
+    """[n]_q = 1 + q + ... + q^(n-1)."""
+    return UniPoly({e: 1 for e in range(n)})
+
+
 def _q_factorial(n):
-    return prod(map(_q_int_uni, range(1, n + 1)), start=UniPoly.one())
+    return prod(map(_q_int, range(1, n + 1)), start=UniPoly.one())
 
 
 def q_binomial(n, k):
@@ -29,8 +37,76 @@ def q_binomial(n, k):
     division."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    quotient = _q_factorial(n).divide_exact(_q_factorial(k))
-    return BiPoly.from_q(quotient.divide_exact(_q_factorial(n - k)))
+    quotient = divide_exact(_q_factorial(n), _q_factorial(k))
+    return divide_exact(quotient, _q_factorial(n - k))
+
+
+# Oracles for the packed routes of qt: the recurrences on BiPoly and
+# coefficient lists, as written before they were packed
+
+
+def _carlitz_oracle(n, shift):
+    polys = [BiPoly.one()]
+    for m in range(n):
+        polys.append(sum((BiPoly({(shift(k, m), 0): 1}) * polys[k]
+                          * polys[m - k] for k in range(m + 1)), BiPoly()))
+    return polys[n]
+
+
+def _q_pascal_oracle(top):
+    """Rows 0..top of the q-binomials as ascending coefficient lists."""
+    rows = [[[1]]]
+    for m in range(1, top + 1):
+        prev = rows[-1]
+        row = [[1]]
+        for k in range(1, m):
+            # [m choose k]_q has degree k (m - k)
+            coeffs = prev[k - 1] + [0] * (k * (m - k) + 1 - len(prev[k - 1]))
+            for e, c in enumerate(prev[k], k):
+                coeffs[e] += c
+            row.append(coeffs)
+        row.append([1])
+        rows.append(row)
+    return rows
+
+
+def _bounce_oracle(n, pascal):
+    """The Garsia-Haglund recurrence of qt._bounce_recurrence on Counters;
+    pascal as from _q_pascal_oracle, reaching row n - 1."""
+    if n == 0:
+        return BiPoly.one()
+    f = [{}]
+    for m in range(1, n + 1):
+        row = {m: Counter({(comb(m, 2), 0): 1})}
+        for k in range(1, m):
+            q_shift, t_exp = comb(k, 2), m - k
+            total = Counter()
+            for r in range(1, m - k + 1):
+                binomial = pascal[r + k - 1][r]
+                for (qe, te), c in f[m - k][r].items():
+                    for e, b in enumerate(binomial, qe + q_shift):
+                        total[e, te + t_exp] += b * c
+            row[k] = total
+        f.append(row)
+    c_n = Counter()
+    for poly in f[n].values():
+        c_n.update(poly)
+    return BiPoly(c_n)
+
+
+def _area_shift(k, m):
+    return k
+
+
+def _inv_shift(k, m):
+    return (k + 1) * (m - k)
+
+
+def _maj_poly(n):
+    """qt._maj_sum unpacked, at the width of _q_pascal(2n)."""
+    width = _q_pascal(2 * n)[0]
+    maj = _maj_sum(n, width, _halves(n))
+    return BiPoly({(e, 0): c for e, c in enumerate(_unpack(maj, width))})
 
 
 def _per_path_sums(n):
@@ -106,16 +182,15 @@ QT_TABLE = {
 
 class TestQBasics:
     def test_q_int_and_factorial(self):
-        assert _q_int_uni(4)(1) == 4
+        assert _q_int(4)(1) == 4
         assert _q_factorial(4)(1) == 24
-        assert _q_int_uni(0) == UniPoly.zero()
+        assert _q_int(0) == UniPoly()
 
     def test_q_binomial_values(self):
-        assert q_binomial(4, 2) == _bipoly(
-            {(0, 0): 1, (1, 0): 1, (2, 0): 2, (3, 0): 1, (4, 0): 1})
+        assert q_binomial(4, 2) == UniPoly.from_list([1, 1, 2, 1, 1])
         for n in range(7):
             for k in range(n + 1):
-                assert q_binomial(n, k)(1, 1) == comb(n, k)
+                assert q_binomial(n, k)(1) == comb(n, k)
 
     def test_q_binomial_symmetry(self):
         for n in range(7):
@@ -183,39 +258,80 @@ class TestQtCatalan:
 class TestBounceRecurrence:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_the_path_sum(self, n):
-        assert _bounce_recurrence(n, _q_pascal(2 * n)) == qt_catalan(n)
+        assert _bounce_recurrence(n, *_q_pascal(2 * n)) == qt_catalan(n)
 
     @pytest.mark.parametrize("n", sorted(QT_TABLE))
     def test_table_values(self, n):
-        assert _bounce_recurrence(n, _q_pascal(2 * n)) == _bipoly(QT_TABLE[n])
+        assert _bounce_recurrence(n, *_q_pascal(2 * n)) == \
+            _bipoly(QT_TABLE[n])
 
     def test_q_pascal_rows_match_the_factorial_quotient(self):
-        pascal = _q_pascal(16)
+        width, pascal = _q_pascal(16)
         assert len(pascal) == 17
         for m, row in enumerate(pascal):
             assert len(row) == m + 1
-            for k, coeffs in enumerate(row):
-                assert coeffs[-1] != 0
-                assert BiPoly.from_q(UniPoly.from_list(coeffs)) == \
-                    q_binomial(m, k)
+            for k, packed in enumerate(row):
+                coeffs = _unpack(packed, width)
+                assert len(coeffs) == k * (m - k) + 1
+                assert UniPoly.from_list(coeffs) == q_binomial(m, k)
 
     @pytest.mark.parametrize("n", range(9))
     def test_one_pass_matches_the_separate_sums(self, n):
-        # the (area, bounce) and maj counts that qt_census, qt_catalan,
-        # cn_area and cn_maj share, and the t = 1 specialization of the
-        # first, which qt_census reads as the area analog
+        # the (area, bounce) counts that qt_census, qt_catalan and cn_area
+        # share, the t = 1 specialization that qt_census reads as the area
+        # analog, and the maj sum that qt_census and cn_maj share
         poly, area, _inv, maj = _per_path_sums(n)
-        pairs, majs = qt._join_counts(n)
-        pairs = BiPoly(pairs)
-        assert (pairs, pairs.substitute_t_one(),
-                BiPoly({(m, 0): c for m, c in majs.items()})) == \
+        pairs = BiPoly(qt._join_counts(n, _halves(n)))
+        assert (pairs, pairs.substitute_t_one(), _maj_poly(n)) == \
             (poly, area, maj)
 
     @pytest.mark.parametrize("n", range(9))
     def test_joins_match_the_word_oracle(self, n):
         # the joins and the per-path sums share paths._sweep; the words are
         # listed and read without it
-        assert qt._join_counts(n) == _word_counts(n)
+        pairs, majs = _word_counts(n)
+        assert (qt._join_counts(n, _halves(n)), _maj_poly(n)) == \
+            (pairs, BiPoly({(m, 0): c for m, c in majs.items()}))
+
+    # past the cap of 8: the widths are set by bounds that grow with n
+    @pytest.mark.parametrize("n", range(11))
+    def test_packed_routes_match_the_oracles(self, n, monkeypatch):
+        monkeypatch.setitem(MAX_ORDER, "paths", 10)
+        width, pascal = _q_pascal(2 * n)
+        lists = _q_pascal_oracle(2 * n)
+        assert [[list(_unpack(packed, width)) for packed in row]
+                for row in pascal] == lists
+        for shift in (_area_shift, _inv_shift):
+            assert _carlitz(n, shift) == _carlitz_oracle(n, shift)
+        assert _bounce_recurrence(n, width, pascal) == _bounce_oracle(n, lists)
+        assert _maj_poly(n) == BiPoly({
+            (e, 0): c for e, c in divide_exact(
+                q_binomial(2 * n, n), _q_int(n + 1)).coeffs.items()})
+
+    def test_every_packed_coefficient_leaves_a_spare_bit(self, monkeypatch):
+        # each width is its bound's bit length and one spare bit: at n = 10
+        # every coefficient a route unpacks, and every q-binomial, stays
+        # below 2^(B - 1).  A route's sums and products have nonnegative
+        # coefficients, none above its result's
+        monkeypatch.setitem(MAX_ORDER, "paths", 10)
+        unpacked = []
+
+        def recording(packed, width):
+            coeffs = _unpack(packed, width)
+            unpacked.append((width, coeffs))
+            return coeffs
+        monkeypatch.setattr(qt, "_unpack", recording)
+        census = qt_census(10)
+        assert census.count == catalan_closed(10)
+        width, pascal = _q_pascal(20)
+        unpacked += [(width, _unpack(packed, width))
+                     for row in pascal for packed in row]
+        # the two Carlitz routes, the bounce recurrence by t power and by
+        # q power within each, both sides of the maj identity and the maj
+        # sum, and the q-Pascal table
+        assert len(unpacked) > 2 + 1 + comb(10, 2) + 3
+        assert all(0 <= c < 1 << width - 1
+                   for width, coeffs in unpacked for c in coeffs)
 
 
 class TestCensus:
@@ -357,7 +473,7 @@ class TestEvaluateExact:
               (Fraction(1), Fraction(-1)), (Fraction(7), Fraction(1, 9))]
 
     @pytest.mark.parametrize("poly", [
-        BiPoly.zero(), BiPoly.one(), BiPoly({(0, 0): -4}),
+        BiPoly(), BiPoly.one(), BiPoly({(0, 0): -4}),
         BiPoly({(3, 0): 2, (0, 2): -1}), BiPoly({(2, 5): 3, (1, 1): -7}),
         qt_catalan(5)], ids=repr)
     def test_matches_the_generic_call(self, poly):
@@ -367,7 +483,7 @@ class TestEvaluateExact:
             assert value == poly(q0, t0)
 
     def test_zero_polynomial_is_fraction_zero(self):
-        value = BiPoly.zero().evaluate_exact(Fraction(1, 2), Fraction(3))
+        value = BiPoly().evaluate_exact(Fraction(1, 2), Fraction(3))
         assert type(value) is Fraction and value == 0
 
     @settings(max_examples=100, deadline=None)

@@ -6,6 +6,8 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,16 @@ from dyckposet import (DyckPath, LabelledDyckPath, ParkingFunction, Partition,
 from dyckposet import oeis
 
 SRC = Path(dyckposet.__file__).parent
+# The stdlib packages and modules, by top-level name, that
+# `import dyckposet.cli` loads on a bare CPython 3.11 interpreter;
+# underscore-named accelerator modules are left out
+CLI_STDLIB_IMPORTS = frozenset("""
+    __future__ argparse ast bisect bz2 collections contextlib copy copyreg
+    dataclasses decimal dis enum errno fnmatch fractions functools
+    genericpath gettext importlib inspect ipaddress itertools json keyword
+    linecache lzma math ntpath numbers opcode operator os pathlib posixpath
+    random re reprlib shutil stat tempfile token tokenize types typing urllib
+    warnings weakref zlib""".split())
 
 
 def _examples():
@@ -198,3 +210,20 @@ class TestStartUp:
                 if any(name.split(".")[0] == "dataclasses" for name in names):
                     importers.add(module)
         assert importers == {"oeis"}
+
+    def test_cli_import_loads_no_stdlib_module_beyond_the_pinned_set(self):
+        # set-up time is most of every benchmark workload: what the CLI
+        # imports may shrink, not grow.  -S skips site and the .pth files,
+        # which preload modules of their own
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "before = set(sys.modules); import dyckposet.cli; "
+                  "print(*sorted(set(sys.modules) - before))")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script, str(SRC.parent)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        loaded = {name.partition(".")[0] for name in result.stdout.split()}
+        assert "dyckposet" in loaded
+        extra = {name for name in loaded - CLI_STDLIB_IMPORTS
+                 if name != "dyckposet" and not name.startswith("_")}
+        assert extra == set()
