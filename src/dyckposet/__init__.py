@@ -17,8 +17,8 @@ from .paths import (CellStats, DyckPath, Partition, PathStats, catalan_closed,
 from .polynomials import BiPoly, UniPoly
 from .poset import (AntichainCensus, DyckPoset, PosetCensus, antichain_census,
                     build_poset, maximal_chains, min_antichain_cover,
-                    min_chain_cover, order_ideal_count, path_ideal,
-                    poset_census, rank_sizes)
+                    min_chain_cover, order_ideal_count, poset_census,
+                    rank_sizes)
 from .incidence import (ChainCensus, ExactMatrix, chain_census,
                         chain_polynomial, interval_count,
                         invert_unitriangular, maximal_chain_count,

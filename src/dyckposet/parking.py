@@ -3,7 +3,9 @@
 Rows of the n x n grid are numbered 1..n bottom to top; the label of the
 north step in row i is the car parked there, and columns are numbered 1..n
 left to right.  parking_census runs every check of the parking command on
-one path list.
+the joined words of one sweep of paths._halves, and builds no path: a word's
+labellings are read off its runs of north steps, and the content groups are
+the distinct words.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
-from .paths import DyckPath, catalan_closed, enumerate_paths
+from .paths import (EAST, DyckPath, _halves, catalan_closed,
+                    enumerate_paths)
 
 
 class _ParkingFunctionFields(NamedTuple):
@@ -68,7 +71,7 @@ class LabelledDyckPath(_LabelledDyckPathFields):
 
     def columns(self) -> tuple[int, ...]:
         """Column (1-based) of the north step in each row."""
-        return _columns(self.path)
+        return tuple(e + 1 for e in self.path.north_offsets())
 
 
 class AreaLabelPair(NamedTuple):
@@ -181,10 +184,10 @@ def _increasing_fillings(runs: tuple[int, ...],
     return [head + rest for head, rest in fillings]
 
 
-def _column_runs(d: DyckPath) -> tuple[int, ...]:
-    """The number of north steps in each column the path climbs."""
-    return tuple(len(list(rows))
-                 for _col, rows in itertools.groupby(d.north_offsets()))
+def _column_runs(word: str) -> tuple[int, ...]:
+    """The number of north steps in each column the path of the step word
+    climbs: its runs of norths."""
+    return tuple(len(run) for run in word.split(EAST) if run)
 
 
 def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
@@ -195,19 +198,15 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     labels = tuple(range(1, n + 1))
     return [LabelledDyckPath(path=d, labels=filling)
             for d in enumerate_paths(n)
-            for filling in _increasing_fillings(_column_runs(d), labels)]
+            for filling in _increasing_fillings(_column_runs(d.steps),
+                                                labels)]
 
 
-def _columns(d: DyckPath) -> tuple[int, ...]:
-    """The column (1-based) of each north step, bottom to top."""
-    return tuple(e + 1 for e in d.north_offsets())
-
-
-def _labellings(d: DyckPath) -> int:
-    """n!/(r_1!...r_k!) for the column runs r_1..r_k of d: one labelling
-    per choice of each column's block."""
-    return math.factorial(d.order) // math.prod(map(math.factorial,
-                                                    _column_runs(d)))
+def _labellings(word: str) -> int:
+    """n!/(r_1!...r_k!) for the column runs r_1..r_k of the step word of
+    order n: one labelling per choice of each column's block."""
+    return math.factorial(len(word) // 2) // math.prod(
+        map(math.factorial, _column_runs(word)))
 
 
 class ParkingCensus(NamedTuple):
@@ -217,13 +216,16 @@ class ParkingCensus(NamedTuple):
 
 def parking_census(n: int) -> ParkingCensus:
     """The closed form, the filter and the labelled paths must give one
-    count, and the distinct group representatives must number C_n; the
-    paths are enumerated once.  A disagreement raises AssertionError."""
+    count, and the distinct group representatives, the step words, must
+    number C_n; the words are joined from one sweep of half paths.  A
+    disagreement raises AssertionError."""
     check_order(n, "paths")
-    path_list = enumerate_paths(n)
+    firsts, seconds = _halves(n)
+    words = [word + tail for word, a, _, _, _ in firsts
+             for tail, _, _, _, _ in seconds[a]]
     count = agree("parking counts by closed form, filter and labelled paths",
                   count_parking_functions(n), count_parking_by_filter(n),
-                  sum(map(_labellings, path_list)))
+                  sum(map(_labellings, words)))
     groups = agree("content groups and the Catalan number",
-                   len(set(map(_columns, path_list))), catalan_closed(n))
+                   len(set(words)), catalan_closed(n))
     return ParkingCensus(count=count, groups=groups)

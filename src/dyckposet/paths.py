@@ -5,17 +5,20 @@ marks whose every prefix has at least as many norths as easts.  The canonical
 ordering used throughout the package (and for all matrix indexing) is
 ascending area with lexicographic tie-break taking N < E.
 
-enumerate_paths meets in the middle.  After n steps every path stands on the
-anti-diagonal, at (n - a, a) with a >= n/2, so its words are the first halves
-that end at level a joined to the second halves that start there.  _halves
-makes both with one prefix sweep, extending every prefix north before east:
-from the origin for the first halves, and from (n - a, a) for the second
-halves of each level.  Each half carries its column heights, north offsets
+The paths are made by meeting in the middle.  After n steps every path
+stands on the anti-diagonal, at (n - a, a) with a >= n/2, so its words are
+the first halves that end at level a joined to the second halves that start
+there.  _halves makes both with one prefix sweep, extending every prefix
+north before east: from the origin for the first halves, and from (n - a, a)
+for the second halves of each level.  Each half carries its north offsets
 and height sum, absolute because its start point is fixed, so a join
-concatenates them and adds the sums.  Halves have equal lengths, so the
-joins come out in lexicographic order, and a stable sort by area keeps that
-order among paths of equal area.  The q,t sums of the qt module read their
-statistics off the same joins without building a path.
+concatenates the offsets and adds the sums.  Halves have equal lengths, so
+the joins come out in lexicographic order, and a stable sort by area keeps
+that order among paths of equal area.  Every command reads the joins
+without building a path: the poset module ORs each half's area cells into
+its elements' masks, the parking module counts the labellings of each
+joined word, and the qt module reads its statistics off values worked out
+once per half.  enumerate_paths builds a DyckPath from each joined word.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ class DyckPath:
 
     Equality, hashing and repr depend on steps alone; the column heights,
     north offsets and area are read off the word by the one walk in
-    __init__ (or handed to _walked by enumerate_paths).  Instances are
-    immutable: __setattr__ refuses every assignment.
+    __init__.  Instances are immutable: __setattr__ refuses every
+    assignment.
     """
 
     __slots__ = ("steps", "_heights", "_offsets", "area")
@@ -62,28 +65,13 @@ class DyckPath:
         if len(offsets) != len(heights):
             raise ValueError("unbalanced step word")
         n = len(heights)
-        _set_steps(self, steps)
-        _set_heights(self, tuple(heights))
-        _set_offsets(self, tuple(offsets))
+        # object.__setattr__ fills the slots past the refusing __setattr__
+        set_field = object.__setattr__
+        set_field(self, "steps", steps)
+        set_field(self, "_heights", tuple(heights))
+        set_field(self, "_offsets", tuple(offsets))
         # area = sum over columns j of h[j] - j
-        _set_area(self, sum(heights) - n * (n + 1) // 2)
-
-    @classmethod
-    def _walked(cls, steps: str, heights: tuple[int, ...],
-                offsets: tuple[int, ...], area: int) -> "DyckPath":
-        """Trusted constructor: store a walk the caller has already made.
-
-        No check runs; the caller vouches that steps is a Dyck word and that
-        heights, offsets and area are the values __init__ would read off
-        it.  The slots are filled through their descriptors, which
-        __setattr__ does not guard.
-        """
-        path = object.__new__(cls)
-        _set_steps(path, steps)
-        _set_heights(path, heights)
-        _set_offsets(path, offsets)
-        _set_area(path, area)
-        return path
+        set_field(self, "area", sum(heights) - n * (n + 1) // 2)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -131,13 +119,6 @@ class DyckPath:
             easts = e
         word.append(EAST * (n - easts))
         return DyckPath("".join(word))
-
-
-# the slot setters of DyckPath, bound once for __init__ and _walked
-_set_steps = DyckPath.steps.__set__
-_set_heights = DyckPath._heights.__set__
-_set_offsets = DyckPath._offsets.__set__
-_set_area = DyckPath.area.__set__
 
 
 class _PartitionFields(NamedTuple):
@@ -239,19 +220,18 @@ def _sweep(n: int, steps: int, prefixes: list[tuple]) -> list[tuple]:
     """Extend each prefix by steps steps that stay inside the n x n square
     and weakly above the diagonal, north before east.
 
-    An entry is (word, norths, easts, heights, offsets, height_sum): a north
-    records the easts so far as its offset, an east records the norths so
-    far as its column height.
+    An entry is (word, norths, easts, offsets, height_sum): a north records
+    the easts so far as its offset, an east adds the norths so far, its
+    column height, to the height sum.
     """
     for _ in range(steps):
         grown = []
-        for word, norths, easts, heights, offsets, height_sum in prefixes:
+        for word, norths, easts, offsets, height_sum in prefixes:
             if norths < n:
-                grown.append((word + NORTH, norths + 1, easts, heights,
+                grown.append((word + NORTH, norths + 1, easts,
                               offsets + (easts,), height_sum))
             if easts < norths:
-                grown.append((word + EAST, norths, easts + 1,
-                              heights + (norths,), offsets,
+                grown.append((word + EAST, norths, easts + 1, offsets,
                               height_sum + norths))
         prefixes = grown
     return prefixes
@@ -261,21 +241,16 @@ def _halves(n: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
     """The first halves of the paths of order n, and their second halves by
     the level a at which they start; entries are as in _sweep."""
     check_order(n, "paths")
-    return (_sweep(n, n, [("", 0, 0, (), (), 0)]),
-            {a: _sweep(n, n, [("", a, n - a, (), (), 0)])
+    return (_sweep(n, n, [("", 0, 0, (), 0)]),
+            {a: _sweep(n, n, [("", a, n - a, (), 0)])
              for a in range((n + 1) // 2, n + 1)})
 
 
 def enumerate_paths(n: int) -> list[DyckPath]:
     """All Dyck paths of order n in canonical order."""
     firsts, seconds = _halves(n)
-    base = n * (n + 1) // 2  # area = sum over columns j of h[j] - j
-    walked = DyckPath._walked
-    joined = [walked(word + tail, heights + tail_heights,
-                     offsets + tail_offsets, height_sum + tail_sum - base)
-              for word, a, _, heights, offsets, height_sum in firsts
-              for tail, _, _, tail_heights, tail_offsets, tail_sum
-              in seconds[a]]
+    joined = [DyckPath(word + tail) for word, a, _, _, _ in firsts
+              for tail, _, _, _, _ in seconds[a]]
     # the joins are lexicographic with N < E; a stable sort by area alone
     # keeps that tie-break
     joined.sort(key=attrgetter("area"))

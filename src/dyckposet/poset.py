@@ -2,16 +2,19 @@
 
 D_n is the distributive lattice J(P_n), and each element is stored once, as
 its order ideal of P_n: the bitmask of its area cells.  An area cell is
-(column j, row y) with j < y <= h_j, h_j being the path's height at its j-th
-east step; the cells with 1 <= j < y <= n are the points of P_n, where (j, y)
-lies above (j', y') iff j' >= j and y' <= y.  Bits are numbered by distance
-y - j from the diagonal, then by column: a linear extension of P_n.
+(column j, row y) with e_y < j < y, e_y being the x-offset of the path's
+north step in row y; the cells with 1 <= j < y <= n are the points of P_n,
+where (j, y) lies above (j', y') iff j' >= j and y' <= y.  Bits are numbered
+by distance y - j from the diagonal, then by column: a linear extension of
+P_n.
 
 Inclusion is mask inclusion, a cover adds one cell and the rank (area) is the
 popcount.  Element i is the i-th path of enumerate_paths(n), the canonical
 order, a linear extension of D_n, so zeta-type matrices built on it are
 upper triangular; up- and down-sets are bitmasks over that order.  Nothing
 else is kept per element: a caller that needs the paths enumerates them.
+build_poset builds none: it joins the masks of the half paths of
+paths._halves, each the union of one row mask per north step.
 
 Antichains are counted by size without listing them: a memoised split on
 bitmasks of candidate elements that takes off one chain's part at a time,
@@ -44,7 +47,10 @@ from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
-from .paths import DyckPath, enumerate_paths
+# enumerate_paths is no longer called here, but stays bound as
+# poset.enumerate_paths: bench/tests/test_harness.py checks that the tracer
+# rebinds it by name, and tests/test_boundary.py that the binding stays
+from .paths import _halves, enumerate_paths  # noqa: F401
 from .polynomials import _unpack
 from .qt import cn_inv
 
@@ -91,41 +97,54 @@ def _cell_bit(n: int, j: int, y: int) -> int:
 
 
 @functools.cache
-def _column_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry j - 1 lists, by the height h from 0 to n, the mask of the area
-    cells (j, y) with j < y <= h of column j; it depends on n alone, so it
-    is built once per order."""
+def _row_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry y - 1 lists, by the offset e of row y's north step from 0 to
+    y - 1, the mask of the area cells (j, y) with e < j < y of row y; it
+    depends on n alone, so it is built once per order."""
     table = []
-    for j in range(1, n + 1):
-        masks = [0] * (n + 1)
-        for h in range(j + 1, n + 1):
-            masks[h] = masks[h - 1] | 1 << _cell_bit(n, j, h)
+    for y in range(1, n + 1):
+        masks = [0] * y
+        for e in reversed(range(y - 1)):
+            masks[e] = masks[e + 1] | 1 << _cell_bit(n, e + 1, y)
         table.append(tuple(masks))
     return tuple(table)
 
 
-def path_ideal(d: DyckPath) -> int:
-    """The order ideal of P_n formed by the area cells of the path."""
-    mask = 0
-    for masks, h in zip(_column_masks(d.order), d.column_heights()):
-        mask |= masks[h]
-    return mask
-
-
 def build_poset(n: int) -> DyckPoset:
     """D_n with element i the i-th path of enumerate_paths(n)."""
-    path_list = enumerate_paths(n)
-    size = len(path_list)
-    ideals = tuple(map(path_ideal, path_list))
+    firsts, seconds = _halves(n)
+    rows = _row_masks(n)
+
+    def half_mask(a: int, offsets: tuple[int, ...]) -> int:
+        # a half that starts at level a climbs rows a + 1 on; its offsets
+        # are absolute, so its mask is too
+        mask = 0
+        for masks, e in zip(rows[a:], offsets):
+            mask |= masks[e]
+        return mask
+
+    tails = {a: [half_mask(a, offsets) for _, _, _, offsets, _ in level]
+             for a, level in seconds.items()}
+    joined = []
+    for _, a, _, offsets, _ in firsts:
+        head = half_mask(0, offsets)
+        joined += [head | tail for tail in tails[a]]
+    # the joins are lexicographic with N < E, as in enumerate_paths, whose
+    # stable sort by area this sort by popcount repeats
+    ideals = tuple(sorted(joined, key=int.bit_count))
+    size = len(ideals)
     index = {mask: i for i, mask in enumerate(ideals)}
-    cover_up = [0] * size
-    for i, d in enumerate(path_list):
-        h = d.column_heights()
-        # column j can grow by cell (j, h_j + 1) while it stays below h_{j+1}
-        for j in range(1, n):
-            if h[j - 1] < h[j]:
-                grown = ideals[i] | 1 << _cell_bit(n, j, h[j - 1] + 1)
-                cover_up[i] |= 1 << index[grown]
+    points = [1 << b for b in range(comb(n, 2))]
+    # j covers i iff ideal j is ideal i and one point of P_n more
+    cover_up = []
+    for ideal in ideals:
+        grown = 0
+        for point in points:
+            if not ideal & point:
+                j = index.get(ideal | point)
+                if j is not None:
+                    grown |= 1 << j
+        cover_up.append(grown)
     # covers raise the area by one, so they point forward in element order:
     # one pass each way closes them into down- and up-sets
     down = [1 << i for i in range(size)]
@@ -233,15 +252,8 @@ def _antichain_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
         below += [(1 << len(order)) - 1] * chain.bit_count()
         order += sorted(_bits(chain), reverse=True)
     bit = {v: 1 << k for k, v in enumerate(order)}
-    relabelled = []
-    for v in order:
-        mask, left = 0, inc[v]
-        while left:
-            low = left & -left
-            mask |= bit[low.bit_length() - 1]
-            left ^= low
-        relabelled.append(mask)
-    inc = relabelled
+    # the labels' bits are distinct, so their sum is their union
+    inc = [sum(bit[u] for u in _bits(inc[v])) for v in order]
     memo = {0: 1}
 
     def count(cand: int) -> int:

@@ -200,7 +200,7 @@ def _join_counts(n: int, halves: tuple[list[tuple], dict]) -> Counter:
     tails = {}
     for a, level in seconds.items():
         rows = []
-        for _, _, _, _, offsets, height_sum in level:
+        for _, _, _, offsets, height_sum in level:
             k = n
             s = 0
             while k > a:
@@ -209,7 +209,7 @@ def _join_counts(n: int, halves: tuple[list[tuple], dict]) -> Counter:
             rows.append((height_sum - base, s, k))
         tails[a] = rows
     pairs: Counter = Counter()
-    for _, a, _, _, offsets, height_sum in firsts:
+    for _, a, _, offsets, height_sum in firsts:
         f = [0]
         for e in offsets:
             f.append(e + f[e])
@@ -232,12 +232,12 @@ def _maj_sum(n: int, width: int, halves: tuple[list[tuple], dict]) -> int:
     """
     firsts, seconds = halves
     heads = {a: [0, 0] for a in seconds}  # [N, E] by level
-    for word, a, _, _, _, _ in firsts:
+    for word, a, _, _, _ in firsts:
         heads[a][word.endswith(EAST)] += 1 << width * sum(_valleys(word))
     total = 0
     for a, level in seconds.items():
         north, east = 0, 0
-        for word, _, _, _, _, _ in level:
+        for word, _, _, _, _ in level:
             valleys = _valleys(word)
             term = 1 << width * (sum(valleys) + n * len(valleys))
             if word.startswith(EAST):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import dyckposet
 import test_acceptance
-from dyckposet import build_poset, cli, parking, qt, tableaux
+from dyckposet import build_poset, cli, parking, poset, qt, tableaux
 from dyckposet.incidence import ExactMatrix
 from dyckposet.polynomials import BiPoly, UniPoly
 
@@ -163,6 +163,7 @@ def test_names_the_benchmark_reads_still_exist():
     for module, names in [
             (qt, ("_gh_term", "enumerate_paths", "path_stats", "qt_catalan",
                   "gh_evaluate", "gh_sample_points")),
+            (poset, ("enumerate_paths",)),
             (parking, ("enumerate_labelled_paths",)),
             (tableaux, ("maxchain_tableau_bijection_check", "build_poset",
                         "maximal_chains")),

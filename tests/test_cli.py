@@ -67,12 +67,12 @@ REFUSED = _refused_cases()
 # each job's top order with a tracemalloc bound in MiB on the call's peak;
 # the peaks were read in a fresh process
 AT_LIMIT = [
-    # peaks near 1.56 MiB; a dense 1,430 x 1,430 zeta matrix alone would
+    # peaks near 1.28 MiB; a dense 1,430 x 1,430 zeta matrix alone would
     # hold over 15 MiB of pointers
     (("chains", "--n", "8"), "paths", 3),
-    # peaks near 1.3 MiB, 0.9 MiB of it the 1,430 paths
+    # peaks near 0.23 MiB, building no path
     (("qt", "--n", "8"), "paths", 3),
-    # peaks near 1.09 MiB; listing the 4,782,969 parking functions takes
+    # peaks near 0.37 MiB; listing the 4,782,969 parking functions takes
     # about 860 MB of RSS
     (("parking", "--n", "8"), "paths", 2),
     # peaks near 0.24 MiB
@@ -306,31 +306,20 @@ class TestParserReuse:
         assert json.loads(out)["mode"] == "all"
 
     def test_paths_are_built_anew_on_every_call(self, capsys, monkeypatch):
-        # a path memo shared between calls would build fewer the second time;
-        # paths are built by the validating constructor or, in
-        # enumerate_paths, by the trusted one, so both are counted
-        built = 0
-        validate = paths.DyckPath.__init__
-        walked = paths.DyckPath._walked
+        # a memo of half paths shared between calls would sweep fewer the
+        # second time
+        swept = []
 
-        def counted(self, steps):
-            nonlocal built
-            built += 1
-            validate(self, steps)
+        def counted(n):
+            swept.append(n)
+            return paths._halves(n)
 
-        def counted_walk(*fields):
-            nonlocal built
-            built += 1
-            return walked(*fields)
-
-        monkeypatch.setattr(paths.DyckPath, "__init__", counted)
-        monkeypatch.setattr(paths.DyckPath, "_walked",
-                            staticmethod(counted_walk))
-        assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK
-        once = built
-        assert run_cli(capsys, "parking", "--n", "4")[0] == EXIT_OK
-        assert once > 0
-        assert built == 2 * once
+        monkeypatch.setattr(parking, "_halves", counted)
+        monkeypatch.setattr(poset, "_halves", counted)
+        for command in ("parking", "poset"):
+            assert run_cli(capsys, command, "--n", "4")[0] == EXIT_OK
+            assert run_cli(capsys, command, "--n", "4")[0] == EXIT_OK
+        assert swept == [4, 4, 4, 4]
 
 
 def _wrap(owner, attr, make):
@@ -460,10 +449,11 @@ class TestCrossChecks:
     test_parking_filter_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",
         ("parking", "--n", "3"), _plus_one(parking, "count_parking_by_filter"))
-    # a representative that forgets its last column merges groups
+    # a group more than C_n; a word dropped from the groups would drop its
+    # labellings from the count, whose check runs first
     test_content_groups_must_match_catalan = _cross_check(
         "content groups and the Catalan number", ("parking", "--n", "3"),
-        _wrap(parking, "_columns", lambda f: lambda d: f(d)[:-1]))
+        _plus_one(parking, "catalan_closed"))
     # no command walks a chain into a filling; the chain (0, 4) of D_3
     # skips covers
     test_cover_step_must_add_one_cell = _cross_check(
@@ -501,15 +491,15 @@ class TestCrossChecks:
 
 
 def _forbid_path_enumeration(monkeypatch):
-    """Make every binding of enumerate_paths raise."""
+    """Make every binding of enumerate_paths and of paths._halves raise."""
     def refuse(n):
         raise AssertionError(f"paths of order {n} enumerated")
-    original = paths.enumerate_paths
+    originals = (paths.enumerate_paths, paths._halves)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "dyckposet":
             continue
         for attr, value in list(vars(module).items()):
-            if value is original:
+            if any(value is original for original in originals):
                 monkeypatch.setattr(module, attr, refuse)
 
 
@@ -553,7 +543,6 @@ class TestOrderLimits:
         def refuse(*args):
             raise AssertionError("a DyckPath was built")
         monkeypatch.setattr(paths.DyckPath, "__init__", refuse)
-        monkeypatch.setattr(paths.DyckPath, "_walked", staticmethod(refuse))
         swept = []
 
         def counted(n):
@@ -563,15 +552,15 @@ class TestOrderLimits:
         assert run_cli(capsys, "qt", "--n", "5")[0] == EXIT_OK
         assert swept == [5]
 
-    def test_parking_enumerates_paths_once(self, capsys, monkeypatch):
-        calls = []
+    def test_parking_sweeps_halves_once(self, capsys, monkeypatch):
+        swept = []
 
         def counted(n):
-            calls.append(n)
-            return paths.enumerate_paths(n)
-        monkeypatch.setattr(parking, "enumerate_paths", counted)
+            swept.append(n)
+            return paths._halves(n)
+        monkeypatch.setattr(parking, "_halves", counted)
         assert run_cli(capsys, "parking", "--n", "5")[0] == EXIT_OK
-        assert calls == [5]
+        assert swept == [5]
 
     def test_antichains_at_limit_fit_in_memory(self, capsys):
         # every order the table allows must run without exhausting memory;
@@ -656,6 +645,16 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, *op.split())
         assert code == GOLDEN_OPS[op]["exit"]
         assert out == GOLDEN_OPS[op]["stdout"]
+
+    def test_no_op_builds_a_path(self, capsys, monkeypatch):
+        # every command reads the half paths of paths._halves
+        def refuse(self, steps):
+            raise AssertionError(f"DyckPath({steps!r}) built")
+        monkeypatch.setattr(paths.DyckPath, "__init__", refuse)
+        for op, golden in GOLDEN_OPS.items():
+            code, out, err = run_cli(capsys, *op.split())
+            assert (code, out) == (golden["exit"], golden["stdout"]), \
+                (op, err)
 
     def test_stdout_does_not_depend_on_the_hash_seed(self):
         # set and dict order of str keys moves with the hash seed, which the

@@ -219,12 +219,6 @@ class TestStatistics:
     def test_canonical_order_breaks_area_ties_lexicographically(self, n):
         assert [d.steps for d in enumerate_paths(n)] == _canonical_words(n)
 
-    def test_enumeration_runs_no_validating_walk(self, monkeypatch):
-        def refuse(self, steps):
-            raise AssertionError("validating walk run")
-        monkeypatch.setattr(DyckPath, "__init__", refuse)
-        assert len(enumerate_paths(8)) == 1430
-
 
 class TestPartitions:
     def test_path_to_partition_is_injective(self):

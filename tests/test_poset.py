@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
                        antichain_census, catalan_closed, enumerate_paths,
                        maximal_chains, min_antichain_cover, min_chain_cover,
-                       mobius_matrix, order_ideal_count, path_ideal,
-                       poset_census, rank_sizes)
+                       mobius_matrix, order_ideal_count, poset_census,
+                       rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from oracles import covers, is_below
@@ -25,6 +25,16 @@ ANTICHAINS_6 = (1, 132, 4059, 54706, 390885, 1648100, 4380095, 7682096,
                 785, 38, 1)
 MAXIMAL_TOTALS = [1, 1, 2, 4, 17, 379]
 MAXIMUM_SIZE_COUNT = [(1, 1), (1, 1), (1, 2), (2, 1), (3, 6), (7, 2)]
+
+
+def path_ideal(d):
+    """Oracle: the order ideal of P_n formed by the area cells of the path,
+    read column by column: (j, y) with j < y <= h_j."""
+    mask = 0
+    for j, h in enumerate(d.column_heights(), start=1):
+        for y in range(j + 1, h + 1):
+            mask |= 1 << poset._cell_bit(d.order, j, y)
+    return mask
 
 
 class TestStructure:
@@ -453,11 +463,12 @@ class TestPointPosetIsomorphism:
 
     @pytest.mark.parametrize("n", range(9))
     def test_ideal_equals_a_cell_by_cell_walk(self, n):
-        # oracle: set the bit of each area cell (j, y), j < y <= h_j
+        # the area cells read row by row, (j, y) with e_y < j < y, as
+        # build_poset's row masks read them, are the column oracle's
         for d in enumerate_paths(n):
             mask = 0
-            for j, h in enumerate(d.column_heights(), start=1):
-                for y in range(j + 1, h + 1):
+            for y, e in enumerate(d.north_offsets(), start=1):
+                for j in range(e + 1, y):
                     mask |= 1 << poset._cell_bit(n, j, y)
             assert path_ideal(d) == mask
 

@@ -114,14 +114,6 @@ class TestContract:
 
 
 class TestDyckPathIdentity:
-    def test_equality_and_hash_read_the_steps_only(self):
-        # _walked trusts its caller: stored values that disagree with the
-        # word change neither equality nor the hash
-        trusted = DyckPath._walked("NNEE", (9, 9), (9, 9), 99)
-        assert trusted == DyckPath("NNEE")
-        assert hash(trusted) == hash(DyckPath("NNEE"))
-        assert trusted != DyckPath._walked("NENE", (9, 9), (9, 9), 99)
-
     def test_equal_to_no_other_type(self):
         assert DyckPath("NE") != "NE"
         assert DyckPath("NE") != ("NE",)
