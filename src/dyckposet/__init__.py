@@ -2,7 +2,8 @@
 
 Every headline quantity is computed by at least two independent routes that
 are required to agree: Catalan counts (closed form vs recurrence), q-analogs
-(statistic sums vs recurrences and quotients), maximal chains (incidence
+(statistic sums vs recurrences and quotients), the chain polynomial (a DP
+over the poset vs the k-fan product formula), maximal chains (incidence
 algebra vs hook-length formula), and the q,t-Catalan polynomial (path
 statistics vs the bounce recurrence, and vs exact rational evaluation of the
 partition sum).  Reference routes that no command runs, such as Stanley's
@@ -16,14 +17,14 @@ from .paths import (CellStats, DyckPath, Partition, PathStats, catalan_closed,
                     path_to_partition)
 from .polynomials import BiPoly, UniPoly
 from .poset import (AntichainCensus, DyckPoset, PosetCensus, antichain_census,
-                    build_poset, maximal_chains, min_antichain_cover,
-                    min_chain_cover, order_ideal_count, poset_census,
-                    rank_sizes)
+                    build_poset, cover_edge_count, maximal_chains,
+                    min_antichain_cover, min_chain_cover, order_ideal_count,
+                    poset_census, rank_sizes)
 from .incidence import (ChainCensus, ExactMatrix, chain_census,
-                        chain_polynomial, interval_count,
-                        invert_unitriangular, maximal_chain_count,
-                        maximal_chain_solve, mobius_matrix,
-                        total_chain_solve, total_chains, zeta_matrix)
+                        chain_polynomial, fan_chain_polynomial,
+                        interval_count, invert_unitriangular,
+                        maximal_chain_count, maximal_chain_solve,
+                        mobius_matrix, total_chains, zeta_matrix)
 from .tableaux import (HookDiagram, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)

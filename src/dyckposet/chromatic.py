@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .checks import agree
 from .config import check_order
 from .polynomials import UniPoly
 from .poset import DyckPoset
@@ -93,9 +94,13 @@ def chromatic_polynomial(g: SimpleGraph) -> UniPoly:
 
 
 def hasse_chromatic(p: DyckPoset) -> UniPoly:
-    """Chromatic polynomial of the Hasse diagram of D_n."""
+    """Chromatic polynomial of the Hasse diagram of D_n.  The diagram is
+    connected and rank parity 2-colours it, so its value at 2 must be 2; a
+    disagreement raises AssertionError."""
     check_order(p.n, "chromatic")
-    return chromatic_polynomial(hasse_graph(p))
+    poly = chromatic_polynomial(hasse_graph(p))
+    agree("2-colourings of the Hasse diagram and two", poly(2), 2)
+    return poly
 
 
 def count_colourings_brute(g: SimpleGraph, colours: int) -> int:

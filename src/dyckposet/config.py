@@ -20,7 +20,7 @@ class LimitExceededError(Exception):
 #                       at n = 1001 takes 0.3 s
 #   paths               scope: no order past 8 is in the project's scope.
 #                       qt --n 9 takes 0.05 s and 19 MB.  At n = 8 chains
-#                       takes 0.2-0.4 s and 18 MB, the parking census 0.05 s
+#                       takes 0.19-0.27 s and 19 MB, the parking census 0.05 s
 #                       and 17 MB; the two parking listers no command runs
 #                       take 38 s and 25 s, each near 860 MB
 #   antichains          cost: antichains --n 7 exhausted memory with the

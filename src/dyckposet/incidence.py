@@ -1,22 +1,18 @@
 """Exact integer matrix realization of the incidence algebra of D_n.
 
 Rows and columns are indexed by the canonical element order, under which
-zeta, delta, eta and (2*delta - zeta) are upper triangular, so Mobius and
-total-chain matrices come from unit-triangular back substitution with no
-division by non-units.  The same order is a linear extension of D_n, so the
-chain polynomial is one pass over it that builds no matrix; it keeps each
-element's chain counts by length packed in one integer, at a bit width that
-the rank levels bound (137 bits at n = 8).
+zeta, delta, eta and (2*delta - zeta) are upper triangular, so Mobius
+matrices come from unit-triangular back substitution with no division by
+non-units.  The same order is a linear extension of D_n, so the chain
+polynomial is one pass over it that builds no matrix, with each element's
+chain counts by length packed in one integer (137 bits apiece at n = 8).
 
-The chain counts are the paper's two inversions, each taken as one
-triangular solve that reads only its matrix's nonzero entries: the entry sum
-of (2*delta - zeta)^{-1} is the sum of x with (2*delta - zeta) x = 1, read
-from area-cell mask inclusion, and the (min, max) entry of (delta - eta)^{-1}
-is the first entry of the last column, solved over the covers.  chain_census
-checks the chain polynomial against both, and the maximal count also against
-the hook-length formula (tableaux.staircase_maxchain).  The dense zeta and
-Mobius matrices, by invert_unitriangular, remain as library functions; the
-dense (2*delta - zeta)^{-1} and (delta - eta)^{-1} are oracles in the tests.
+chain_census checks every coefficient of that polynomial against a k-fan
+product formula that reads no poset, and its top one also against the
+paper's inversion of (delta - eta), one triangular solve over the covers,
+and the hook-length formula.  The dense zeta and Mobius matrices remain as
+library functions; the dense (2*delta - zeta)^{-1} and (delta - eta)^{-1}
+are oracles in the tests.
 """
 
 from __future__ import annotations
@@ -113,22 +109,27 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
     return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
 
 
-def total_chain_solve(p: DyckPoset) -> list[int]:
-    """x with (2*delta - zeta) x = 1: x_i is the sum of row i of
-    (2*delta - zeta)^{-1}, the number of chains whose least element is i.
+def fan_chain_polynomial(n: int) -> UniPoly:
+    """The chain polynomial of D_n from k-fans of Dyck paths: no poset.
 
-    Back substitution gives x_i = 1 + sum of x_k over k > i with i <= k.  The
-    relation is read from area-cell mask inclusion, as in zeta_matrix, so this
-    route shares nothing with the up- and down-sets the chain DP walks.
+    A multichain x_1 <= ... <= x_k of D_n is a k-fan of nested Dyck paths,
+    and there are M(k) = prod_{1 <= i <= j <= n-1} (i + j + 2k)/(i + j) of
+    them (Desainte-Catherine and Viennot, LNM 1234, 1986).  One with j
+    distinct elements comes from a j-element chain in C(k-1, j-1) ways, so
+    M(k) = sum_j C(k-1, j-1) s_j (Stanley, EC1 3.12), a triangle that
+    Newton's forward differences solve: s_{j+1} = (Delta^j M)(1); s_0 = 1.
     """
-    ideals = p.ideals
-    size = len(ideals)
-    x = [0] * size
-    for i in reversed(range(size)):
-        cells = ideals[i]
-        x[i] = 1 + sum(x[k] for k in range(i + 1, size)
-                       if cells & ~ideals[k] == 0)
-    return x
+    sums = [i + j for i in range(1, n) for j in range(i, n)]
+    denom = prod(sums)
+    quotients = [divmod(prod(s + 2 * k for s in sums), denom)
+                 for k in range(1, comb(n, 2) + 2)]
+    if any(rem != 0 for _, rem in quotients):
+        raise ArithmeticError("k-fan product does not divide")
+    fans, coeffs = [count for count, _ in quotients], [1]
+    while fans:
+        coeffs.append(fans[0])
+        fans = [b - a for a, b in zip(fans, fans[1:])]
+    return UniPoly.from_list(coeffs)
 
 
 def maximal_chain_solve(p: DyckPoset) -> list[int]:
@@ -154,26 +155,23 @@ class ChainCensus(NamedTuple):
 def chain_census(p: DyckPoset) -> ChainCensus:
     """The chain polynomial and the total and maximal chain counts.
 
-    The chain DP runs once.  Its value at t = 1 must equal the entry sum of
-    (2*delta - zeta)^{-1} plus the empty chain, and its top coefficient the
-    (min, max) entry of (delta - eta)^{-1} and the hook-length count of
-    staircase tableaux; each inversion is one triangular solve.  A
-    disagreement raises AssertionError.  Both totals give 2 for
-    the one-element order-0 poset, but the published count table gives it a
-    single chain; we mirror that convention so the bundled-sequence
+    The chain DP runs once, and every coefficient must equal the k-fan
+    route's.  The top one must also equal the (min, max) entry of
+    (delta - eta)^{-1} and the hook-length count of staircase tableaux.  A
+    disagreement raises AssertionError.  The total is the value at t = 1,
+    but 1 at n = 0, where the published count table gives the one-element
+    poset a single chain; we mirror that so the bundled-sequence
     verification is meaningful.
     """
-    polynomial = chain_polynomial(p)
-    total = agree("total chain counts by solve and by chain DP",
-                  sum(total_chain_solve(p)) + 1, polynomial(1))
+    polynomial = agree("chain polynomials by chain DP and by k-fans",
+                       chain_polynomial(p), fan_chain_polynomial(p.n))
     # read through the module, so that a test can replace the formula
     maximal = agree(
         "maximal chain counts by solve, by chain DP and by hook lengths",
         maximal_chain_solve(p)[0],
         polynomial.coeffs.get(comb(p.n, 2) + 1, 0),
         tableaux.staircase_maxchain(p.n))
-    return ChainCensus(polynomial=polynomial,
-                       total=1 if p.n == 0 else total, maximal=maximal)
+    return ChainCensus(polynomial, polynomial(1) if p.n else 1, maximal)
 
 
 def total_chains(p: DyckPoset) -> int:

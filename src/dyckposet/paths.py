@@ -210,10 +210,12 @@ def catalan_count(n: int) -> int:
 
 def count_bad_paths(n: int) -> int:
     """Monotone (n,n)-paths that dip below the diagonal, via the reflection
-    into an (n+1) x (n-1) grid."""
+    into an (n+1) x (n-1) grid; they must be the C(2n, n) - C_n monotone
+    paths that are not Dyck paths.  A disagreement raises AssertionError."""
     if n < 1:
         raise ValueError("n must be positive")
-    return comb(2 * n, n - 1)
+    return agree("bad paths by reflection and by complement",
+                 comb(2 * n, n - 1), comb(2 * n, n) - catalan_closed(n))
 
 
 def _sweep(n: int, steps: int, prefixes: list[tuple]) -> list[tuple]:

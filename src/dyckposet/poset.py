@@ -34,8 +34,9 @@ checks its width against Dilworth's minimum chain cover, and its total must
 equal the ideal count, as downward closure maps antichains one to one onto
 ideals.  The rank sizes of the inversion recurrence must equal the
 popcount histogram; the cover edges, each adding one cell at a valley, the
-C(2n-1, n-2) valleys of the paths of order n; the minimum antichain cover,
-the C(n, 2) + 1 rank levels.
+C(2n-1, n-2) valleys of the paths of order n (cover_edge_count, which the
+chromatic command runs too); the minimum antichain cover, the C(n, 2) + 1
+rank levels.
 """
 
 from __future__ import annotations
@@ -395,6 +396,14 @@ def maximal_chains(p: DyckPoset) -> list[tuple[int, ...]]:
 # the census of the poset command
 
 
+def cover_edge_count(p: DyckPoset) -> int:
+    """Cover edges of D_n, one per valley of a path: they must number
+    C(2n-1, n-2).  A disagreement raises AssertionError."""
+    return agree("cover edges and the valley count C(2n-1, n-2)",
+                 len(p.cover_edges()),
+                 comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0)
+
+
 class PosetCensus(NamedTuple):
     rank_sizes: tuple[int, ...]  # element counts by decreasing rank
     order_ideals: int
@@ -415,12 +424,10 @@ def poset_census(p: DyckPoset) -> PosetCensus:
           sizes, tuple(by_rank[r] for r in range(max(by_rank), -1, -1)))
     ideal_count = agree("order ideal and antichain counts",
                         order_ideal_count(p), census.total)
-    cover_edges = agree("cover edges and the valley count C(2n-1, n-2)",
-                        len(p.cover_edges()),
-                        comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0)
     antichain_cover = agree(
         "minimum antichain cover and the C(n, 2) + 1 rank levels",
         min_antichain_cover(p), comb(p.n, 2) + 1)
     return PosetCensus(rank_sizes=sizes, order_ideals=ideal_count,
-                       cover_edges=cover_edges, width=max(census.by_size),
+                       cover_edges=cover_edge_count(p),
+                       width=max(census.by_size),
                        antichain_cover=antichain_cover)

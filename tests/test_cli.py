@@ -15,12 +15,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import incidence, parking, paths, poset, qt, tableaux
+from dyckposet import (chromatic, incidence, parking, paths, poset, qt,
+                       tableaux)
 from dyckposet.cli import (COMMANDS, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MISMATCH,
                            EXIT_OK, EXIT_USAGE, build_parser, main)
 from dyckposet.config import MAX_ORDER
 from dyckposet.oeis import REGISTRY
-from dyckposet.polynomials import BiPoly
+from dyckposet.polynomials import BiPoly, UniPoly
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dyckposet"
@@ -381,6 +382,12 @@ class TestCrossChecks:
     test_catalan_routes_must_agree = _cross_check(
         "Catalan closed form and recurrence", ("catalan", "--n", "4"),
         _plus_one(paths, "catalan_recurrence"))
+    # the reflection count C(2n, n - 1) one higher; no other binomial of
+    # the command has a = 2b + 2
+    test_bad_paths_must_match_the_complement = _cross_check(
+        "bad paths by reflection and by complement", ("catalan", "--n", "4"),
+        _wrap(paths, "comb", lambda f: lambda a, b:
+              f(a, b) + (a == 2 * b + 2)))
     # D_3 has rank sizes 1;1;2;1 from the top: read upside down, they keep
     # the right total
     test_rank_sizes_must_match_the_poset = _cross_check(
@@ -394,6 +401,13 @@ class TestCrossChecks:
         "cover edges and the valley count C(2n-1, n-2)",
         ("poset", "--n", "3"),
         _wrap(poset.DyckPoset, "cover_edges", lambda f: lambda p: f(p)[1:]))
+    test_chromatic_edges_must_match_the_valleys = _cross_check(
+        "cover edges and the valley count C(2n-1, n-2)",
+        ("chromatic", "--n", "3"),
+        _wrap(poset.DyckPoset, "cover_edges", lambda f: lambda p: f(p)[1:]))
+    test_two_colourings_must_be_two = _cross_check(
+        "2-colourings of the Hasse diagram and two", ("chromatic", "--n", "3"),
+        _plus_one(chromatic, "chromatic_polynomial"))
     test_antichain_cover_must_match_the_ranks = _cross_check(
         "minimum antichain cover and the C(n, 2) + 1 rank levels",
         ("poset", "--n", "3"), _plus_one(poset, "min_antichain_cover"))
@@ -410,10 +424,16 @@ class TestCrossChecks:
     test_two_element_antichains_must_match_the_pairs = _cross_check(
         "2-element antichain and incomparable pair counts",
         ("antichains", "--n", "3"), _antichain_size_plus_one(2))
-    # one chain more
+    # one 1-element chain more, so the totals differ too
     test_total_chains_must_agree = _cross_check(
-        "total chain counts by solve and by chain DP", ("chains", "--n", "3"),
-        _wrap(incidence, "total_chain_solve", lambda f: lambda p: f(p) + [1]))
+        "chain polynomials by chain DP and by k-fans", ("chains", "--n", "3"),
+        _wrap(incidence, "fan_chain_polynomial", lambda f: lambda n:
+              f(n) + UniPoly({1: 1})))
+    # a chain moved from t to t^2: the total and the top coefficient hold
+    test_interior_chain_coefficients_must_match_the_fans = _cross_check(
+        "chain polynomials by chain DP and by k-fans", ("chains", "--n", "6"),
+        _wrap(incidence, "chain_polynomial", lambda f: lambda p:
+              f(p) + UniPoly({1: -1, 2: 1})))
     test_maximal_chains_must_match_the_hook_formula = _cross_check(
         "maximal chain counts by solve, by chain DP and by hook lengths",
         ("chains", "--n", "3"), _plus_one(tableaux, "staircase_maxchain"))

@@ -4,11 +4,11 @@ from math import comb, prod
 import pytest
 
 from dyckposet import (ExactMatrix, build_poset, chain_census,
-                       chain_polynomial, incidence, interval_count,
-                       invert_unitriangular, maximal_chain_count,
-                       maximal_chain_solve, mobius_matrix, poset,
-                       staircase_maxchain, total_chain_solve, total_chains,
-                       zeta_matrix)
+                       chain_polynomial, fan_chain_polynomial, incidence,
+                       interval_count, invert_unitriangular,
+                       maximal_chain_count, maximal_chain_solve,
+                       mobius_matrix, paths, poset, staircase_maxchain,
+                       total_chains, zeta_matrix)
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from dyckposet.polynomials import UniPoly
 from oracles import covers
@@ -190,6 +190,23 @@ class TestChainCounts:
             assert prod(size + 1 for size in levels) >= \
                 chain_census(p).total
 
+    def test_fans_match_both_dps(self, posets):
+        for n in range(9):
+            fans = fan_chain_polynomial(n)
+            if n <= 4:
+                assert fans == _list_chain_polynomial(posets(n))
+            assert fans == chain_polynomial(posets(n))
+
+    def test_fans_read_no_poset_and_no_path(self):
+        # no global name the k-fan route reads, in its body or in its
+        # comprehensions, is defined in poset or paths
+        codes = [fan_chain_polynomial.__code__]
+        for code in codes:
+            codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+            for name in code.co_names:
+                owner = getattr(vars(incidence).get(name), "__module__", "")
+                assert owner not in (poset.__name__, paths.__name__), name
+
     def test_chain_polynomial_order_zero(self, posets):
         assert chain_polynomial(posets(0)) == UniPoly.from_list([1, 1])
 
@@ -207,15 +224,13 @@ class TestChainCounts:
 
 
 class TestSolves:
-    def test_total_solve_is_row_sums_of_inverse(self, posets):
-        # x solves (2*delta - zeta) x = 1, so it holds the row sums of
-        # (2*delta - zeta)^{-1}, and its sum is that matrix's entry sum
+    def test_total_chains_are_the_entry_sum_of_the_inverse(self, posets):
+        # the paper's inversion: the entry sum of (2*delta - zeta)^{-1}
+        # counts the nonempty chains, so with the empty one it is the value
+        # at t = 1 of the k-fan chain polynomial
         for n in range(6):
-            p = posets(n)
-            inverse = total_chain_matrix(p)
-            x = total_chain_solve(p)
-            assert x == [sum(row) for row in inverse.rows]
-            assert sum(x) == _entry_sum(inverse)
+            assert _entry_sum(total_chain_matrix(posets(n))) + 1 == \
+                fan_chain_polynomial(n)(1)
 
     def test_maximal_solve_is_last_column_of_inverse(self, posets):
         for n in range(6):
@@ -226,8 +241,7 @@ class TestSolves:
             assert x == [row[-1] for row in inverse.rows]
             assert x[0] == MAXIMAL[n]
 
-    @pytest.mark.parametrize("solve", ["total_chain_solve",
-                                       "maximal_chain_solve"])
+    @pytest.mark.parametrize("solve", ["maximal_chain_solve"])
     def test_corrupted_solve_must_agree(self, posets, monkeypatch, capsys,
                                         solve):
         original = getattr(incidence, solve)
@@ -238,15 +252,11 @@ class TestSolves:
         assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
         assert capsys.readouterr().out == ""
 
-    def test_total_solve_reads_the_ideals(self, posets, monkeypatch, capsys):
-        # the solve reads the order from the area-cell masks alone, never
-        # from the up- and down-sets the chain DP walks
+    def test_dropped_relation_must_fail(self, posets, monkeypatch, capsys):
+        # the k-fan route reads n alone, so the minimum taken out of the
+        # maximum's down-set, which the chain DP walks, must fail the check
         p = posets(3)
-        no_closure = p._replace(up=(0,) * p.size, down=(0,) * p.size)
-        assert total_chain_solve(no_closure) == total_chain_solve(p)
-        # an empty ideal for the maximum puts it above the minimum alone
-        corrupted = p._replace(ideals=p.ideals[:-1] + (0,))
-        assert total_chain_solve(corrupted) != total_chain_solve(p)
+        corrupted = p._replace(down=p.down[:-1] + (p.down[-1] & ~1,))
         with pytest.raises(AssertionError):
             chain_census(corrupted)
         monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)
