@@ -32,7 +32,8 @@ from .qt import (GH_CHECK_POINT, GH_POINT_SEED, PoleError, QtCensus, cn_area,
                  cn_inv, cn_maj, gh_evaluate, gh_pole_check, gh_sample_points,
                  qt_catalan, qt_census, qt_specialize, symmetry_check)
 from .chromatic import (SimpleGraph, chromatic_polynomial,
-                        count_colourings_brute, hasse_chromatic, hasse_graph)
+                        count_colourings_brute, hasse_chromatic, hasse_graph,
+                        hasse_vertex_count)
 from .parking import (AreaLabelPair, LabelledDyckPath, ParkingCensus,
                       ParkingFunction, area_from_parking,
                       count_parking_by_filter, count_parking_functions,

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
+from .paths import catalan_closed
 from .polynomials import UniPoly
 from .poset import DyckPoset
 
@@ -91,6 +92,13 @@ def chromatic_polynomial(g: SimpleGraph) -> UniPoly:
         states = placed
     (coeffs,) = states.values()
     return UniPoly.from_list(coeffs)
+
+
+def hasse_vertex_count(p: DyckPoset) -> int:
+    """Vertices of the Hasse diagram of D_n, one per Dyck path: they must
+    number C_n.  A disagreement raises AssertionError."""
+    return agree("Hasse diagram vertices and the Catalan number",
+                 p.size, catalan_closed(p.n))
 
 
 def hasse_chromatic(p: DyckPoset) -> UniPoly:

@@ -19,7 +19,7 @@ import sys
 from typing import Callable
 
 from . import incidence, oeis, parking, paths, poset, qt
-from .chromatic import hasse_chromatic
+from .chromatic import hasse_chromatic, hasse_vertex_count
 from .config import MAX_ORDER, LimitExceededError, check_order
 from .polynomials import BiPoly, UniPoly
 
@@ -113,13 +113,15 @@ def cmd_qt(args: argparse.Namespace) -> Result:
 def cmd_chromatic(args: argparse.Namespace) -> Result:
     check_order(args.n, "paths", "chromatic")
     p = poset.build_poset(args.n)
-    # the edge count is checked against the valleys, and the polynomial's
-    # value at 2 against the two rank-parity colourings
+    # the vertex count is checked against C_n, the edge count against the
+    # valleys, and the polynomial's value at 2 against the two rank-parity
+    # colourings
+    vertices = hasse_vertex_count(p)
     edges = poset.cover_edge_count(p)
     poly = hasse_chromatic(p)
     return [
         ("order", p.n),
-        ("vertex_count", p.size),
+        ("vertex_count", vertices),
         ("edge_count", edges),
         ("chromatic_polynomial", poly),
         ("two_colourings", poly(2)),

@@ -6,6 +6,10 @@ matrices come from unit-triangular back substitution with no division by
 non-units.  The same order is a linear extension of D_n, so the chain
 polynomial is one pass over it that builds no matrix, with each element's
 chain counts by length packed in one integer (137 bits apiece at n = 8).
+D_n is a distributive lattice, so the pass sums over each strict down-set
+by inclusion-exclusion over the lower covers, at most n - 1 of them: the
+lattice case of the fast zeta transform of Bjorklund, Husfeldt, Kaski,
+Koivisto, Nederlof and Parviainen (SODA 2012).
 
 chain_census checks every coefficient of that polynomial against a k-fan
 product formula that reads no poset, and its top one also against the
@@ -90,22 +94,57 @@ def mobius_matrix(p: DyckPoset) -> ExactMatrix:
 def chain_polynomial(p: DyckPoset) -> UniPoly:
     """1 + sum_k c_k t^{k+1} with c_k the number of k-edge chains.
 
-    ends[j] = sum_k e_k 2^{Bk}, e_k the number of k-edge chains whose top is
-    j, packs B bits per coefficient.  The element order is a linear
-    extension, so each strict predecessor i of j comes first and ends[j] is
-    1 + (sum of ends[i] over them << B), one edge longer.  A chain meets each
-    rank level at most once, so there are at most as many chains, the empty
-    one included, as the product of (level size + 1).  B is that product's
-    bit length, so every coefficient of every sum is below 2^B and none
-    carries into the next.
+    end(j) = sum_k e_k 2^{Bk}, e_k the number of k-edge chains whose top is
+    j, packs B bits per coefficient, and total[j] sums end over the down-set
+    of j.  The element order is a linear extension, so all of j's strict
+    down-set comes first, and end(j) is 1 + (below << B), below the sum of
+    end over that strict down-set: each chain one edge longer.
+
+    D_n is a distributive lattice, so the strict down-set of j is the union
+    of the down-sets of its lower covers, and those of a set T of lower
+    covers meet in the down-set of the meet of T, whose top bit is that
+    meet.  By inclusion-exclusion, below is the sum over the nonempty T of
+    (-1)^{|T|+1} total[meet T].  An element of D_n has at most n - 1 lower
+    covers: 19,363 terms at n = 8, against 377,806 over the strict
+    down-sets.  An empty meet means that p is not a lattice: ValueError.
+
+    A chain meets each rank level at most once, so there are at most as
+    many chains, the empty one included, as the product of
+    (level size + 1).  B is that product's bit length, so every coefficient
+    of every sum is below 2^B and none carries into the next; the sums are
+    linear, so a negative partial sum does no harm.
     """
     levels = Counter(mask.bit_count() for mask in p.ideals).values()
     width = prod(size + 1 for size in levels).bit_length()
-    ends: list[int] = []
-    for j, down in enumerate(p.down):
-        below = sum(ends[i] for i in _bits(down & ~(1 << j)))
-        ends.append(1 + (below << width))
-    totals = _unpack(sum(ends), width)
+    lower: list[list[int]] = [[] for _ in p.cover_up]
+    for i, j in p.cover_edges():
+        lower[j].append(i)
+    down = p.down
+    chains = 0
+    total: list[int] = []
+    for j, covers in enumerate(lower):
+        if len(covers) == 1:
+            below = total[covers[0]]
+        else:
+            # the down-set mask of the meet of each nonempty set of lower
+            # covers, and whether the set is odd
+            meets: list[tuple[int, bool]] = []
+            for c in covers:
+                meets += [(m & down[c], not odd) for m, odd in meets]
+                meets.append((down[c], True))
+            below = 0
+            for m, odd in meets:
+                if not m:
+                    raise ValueError(f"lower covers of element {j} have no "
+                                     "common lower bound: not a lattice")
+                if odd:
+                    below += total[m.bit_length() - 1]
+                else:
+                    below -= total[m.bit_length() - 1]
+        end = 1 + (below << width)
+        chains += end
+        total.append(end + below)
+    totals = _unpack(chains, width)
     return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
 
 

@@ -363,12 +363,13 @@ def min_chain_cover(p: DyckPoset) -> int:
 
 
 def min_antichain_cover(p: DyckPoset) -> int:
-    """1 + length of the longest chain; the rank levels witness it."""
+    """1 + length of the longest chain; the rank levels witness it.
+
+    A longest chain is saturated, so it climbs by covers alone, and covers
+    point forward in element order: one pass over the cover edges."""
     longest = [1] * p.size
-    for j in range(p.size):
-        strict_below = p.down[j] & ~(1 << j)
-        for i in _bits(strict_below):
-            longest[j] = max(longest[j], longest[i] + 1)
+    for i, j in p.cover_edges():
+        longest[j] = max(longest[j], longest[i] + 1)
     return max(longest, default=0)
 
 

@@ -68,7 +68,7 @@ REFUSED = _refused_cases()
 # each job's top order with a tracemalloc bound in MiB on the call's peak;
 # the peaks were read in a fresh process
 AT_LIMIT = [
-    # peaks near 1.28 MiB; a dense 1,430 x 1,430 zeta matrix alone would
+    # peaks near 1.55 MiB; a dense 1,430 x 1,430 zeta matrix alone would
     # hold over 15 MiB of pointers
     (("chains", "--n", "8"), "paths", 3),
     # peaks near 0.23 MiB, building no path
@@ -87,10 +87,11 @@ AT_LIMIT = [
 ]
 # the stdout of the AT_LIMIT ops that have no golden entry, and of parking
 # --n 7, each from a run whose in-run checks passed: the chains census
-# checks its totals by solve and by chain DP, and its maximal count by the
-# hook-length formula; the poset census checks each field against a second
-# route; the parking census checks the closed form, the filter and the
-# labelled paths against each other, and the groups against C_n
+# checks every coefficient of its chain DP against the k-fans, and its
+# maximal count by solve and by the hook-length formula; the poset census
+# checks each field against a second route; the parking census checks the
+# closed form, the filter and the labelled paths against each other, and
+# the groups against C_n
 PINNED = {
     "chains --n 8": {"exit": EXIT_OK, "stdout": (
         '{"order":"8","total_chains":"31491961129357837056",'
@@ -227,7 +228,7 @@ class TestExitCodes:
 
 
 # the orders span every cap; each one a cap admits runs in under 0.5 s,
-# chains --n 8 the slowest
+# poset --n 6 the slowest
 ORDER_TOKENS = [str(n) for n in range(-1, 10)] + ["", "x", "2.5", "0x3"]
 MODES = ["all", "maximal", "maximum", "bogus"]
 SEQUENCES = sorted(REGISTRY) + ["A000000"]
@@ -405,6 +406,9 @@ class TestCrossChecks:
         "cover edges and the valley count C(2n-1, n-2)",
         ("chromatic", "--n", "3"),
         _wrap(poset.DyckPoset, "cover_edges", lambda f: lambda p: f(p)[1:]))
+    test_chromatic_vertices_must_match_catalan = _cross_check(
+        "Hasse diagram vertices and the Catalan number",
+        ("chromatic", "--n", "3"), _plus_one(chromatic, "catalan_closed"))
     test_two_colourings_must_be_two = _cross_check(
         "2-colourings of the Hasse diagram and two", ("chromatic", "--n", "3"),
         _plus_one(chromatic, "chromatic_polynomial"))

@@ -190,6 +190,19 @@ class TestChainCounts:
             assert prod(size + 1 for size in levels) >= \
                 chain_census(p).total
 
+    def test_lower_covers_bound_the_dp_terms(self, posets):
+        # the DP sums 2^c - 1 meets for an element with c lower covers, at
+        # most n - 1 of them; the strict down-sets hold 377,806 terms at n = 8
+        for n in range(1, 9):
+            p = posets(n)
+            lower = Counter(j for grown in p.cover_up
+                            for j in poset._bits(grown))
+            assert max(lower.values(), default=0) == n - 1
+            if n == 8:
+                assert sum(2 ** c - 1 for c in lower.values()) == 19_363
+                assert sum(mask.bit_count() - 1 for mask in p.down) == \
+                    377_806
+
     def test_fans_match_both_dps(self, posets):
         for n in range(9):
             fans = fan_chain_polynomial(n)
@@ -253,15 +266,24 @@ class TestSolves:
         assert capsys.readouterr().out == ""
 
     def test_dropped_relation_must_fail(self, posets, monkeypatch, capsys):
-        # the k-fan route reads n alone, so the minimum taken out of the
-        # maximum's down-set, which the chain DP walks, must fail the check
+        # the k-fan route reads n alone, so a relation the chain DP reads,
+        # taken out, must fail the census: the cover 0 < 1 of D_3, which
+        # leaves the atom 1 no lower cover, or the minimum out of the atom
+        # 1's down-set, which leaves the atoms 1 and 2 an empty meet, a mask
+        # of 0 that must not be read as the maximum's total
         p = posets(3)
-        corrupted = p._replace(down=p.down[:-1] + (p.down[-1] & ~1,))
-        with pytest.raises(AssertionError):
-            chain_census(corrupted)
-        monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)
-        assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
-        assert capsys.readouterr().out == ""
+        dropped_cover = p._replace(
+            cover_up=(p.cover_up[0] & ~0b10,) + p.cover_up[1:])
+        dropped_minimum = p._replace(
+            down=p.down[:1] + (p.down[1] & ~1,) + p.down[2:])
+        for corrupted, error, match in [
+                (dropped_cover, AssertionError, "by chain DP and by k-fans"),
+                (dropped_minimum, ValueError, "not a lattice")]:
+            with pytest.raises(error, match=match):
+                chain_census(corrupted)
+            monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)
+            assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
+            assert capsys.readouterr().out == ""
 
     def test_dense_matrices_off_the_cli_path(self, monkeypatch, capsys):
         def dense(*args, **kwargs):
