@@ -123,24 +123,18 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
     chains = 0
     total: list[int] = []
     for j, covers in enumerate(lower):
-        if len(covers) == 1:
-            below = total[covers[0]]
-        else:
-            # the down-set mask of the meet of each nonempty set of lower
-            # covers, and whether the set is odd
-            meets: list[tuple[int, bool]] = []
-            for c in covers:
-                meets += [(m & down[c], not odd) for m, odd in meets]
-                meets.append((down[c], True))
-            below = 0
-            for m, odd in meets:
-                if not m:
-                    raise ValueError(f"lower covers of element {j} have no "
-                                     "common lower bound: not a lattice")
-                if odd:
-                    below += total[m.bit_length() - 1]
-                else:
-                    below -= total[m.bit_length() - 1]
+        # the down-set mask of the meet of each nonempty set of lower covers,
+        # and (-1)^{|T|+1}
+        meets: list[tuple[int, int]] = []
+        for c in covers:
+            meets += [(m & down[c], -sign) for m, sign in meets]
+            meets.append((down[c], 1))
+        below = 0
+        for m, sign in meets:
+            if not m:
+                raise ValueError(f"lower covers of element {j} have no "
+                                 "common lower bound: not a lattice")
+            below += sign * total[m.bit_length() - 1]
         end = 1 + (below << width)
         chains += end
         total.append(end + below)

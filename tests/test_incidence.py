@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from math import comb, prod
 
@@ -202,6 +203,27 @@ class TestChainCounts:
                 assert sum(2 ** c - 1 for c in lower.values()) == 19_363
                 assert sum(mask.bit_count() - 1 for mask in p.down) == \
                     377_806
+
+    def test_dp_runs_fewer_lines_than_down_set_terms(self, posets):
+        # the DP's own work: every Python line chain_polynomial runs at
+        # n = 8 (about 158,000), against one line or more per term for a DP
+        # that walks each strict down-set (about 1.9 million)
+        p = posets(8)
+        lines = 0
+
+        def count(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count
+
+        outer = sys.gettrace()
+        sys.settrace(count)
+        try:
+            chain_polynomial(p)
+        finally:
+            sys.settrace(outer)
+        assert lines < 377_806
 
     def test_fans_match_both_dps(self, posets):
         for n in range(9):
