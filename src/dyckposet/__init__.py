@@ -2,12 +2,13 @@
 
 Every headline quantity is computed by at least two independent routes that
 are required to agree: Catalan counts (closed form vs recurrence), q-analogs
-(statistic sums vs recurrences and quotients), the chain polynomial (a DP
-over the poset vs the k-fan product formula), maximal chains (incidence
-algebra vs hook-length formula), and the q,t-Catalan polynomial (path
-statistics vs the bounce recurrence, and vs exact rational evaluation of the
-partition sum).  Reference routes that no command runs, such as Stanley's
-Mobius criterion on J(P_n), are oracles in the tests.
+(specializations of the q,t-Catalan path sum vs recurrences and quotients),
+the chain polynomial (a DP over the poset vs the k-fan product formula),
+maximal chains (incidence algebra vs hook-length formula), and the
+q,t-Catalan polynomial (path statistics vs the bounce recurrence, and vs
+exact rational evaluation of the partition sum).  Reference routes that no
+command runs, such as Stanley's Mobius criterion on J(P_n), are oracles in
+the tests.
 """
 
 from .config import MAX_ORDER, LimitExceededError, check_order

@@ -13,14 +13,16 @@ class LimitExceededError(Exception):
 # second route to trust a value past the vendored snapshot.  Work that rides
 # on a job checks that job's entry: the chain census and the parking census
 # ride on paths, the order-ideal count on antichains.  Costs in-process on
-# Python 3.11.7, one core of a shared 2-core x86-64 VM:
+# Python 3.11.7, one core of a shared 2-core x86-64 VM; a range is the
+# minimum-median of one CLI call in each of 14 fresh processes, with its
+# peak RSS:
 #   counts              scope: every printed integer stays under Python's
 #                       4300-digit str limit (the parking count (n+1)^(n-1)
 #                       has 2998 digits at n = 1000); the Catalan recurrence
 #                       at n = 1001 takes 0.3 s
 #   paths               scope: no order past 8 is in the project's scope.
-#                       qt --n 9 takes 0.05 s and 19 MB.  At n = 8 chains
-#                       takes 0.19-0.27 s and 19 MB, the parking census 0.05 s
+#                       qt --n 9 takes 9-14 ms and 17 MB.  At n = 8 chains
+#                       takes 25-47 ms and 18 MB, the parking census 24-38 ms
 #                       and 17 MB; the two parking listers no command runs
 #                       take 38 s and 25 s, each near 860 MB
 #   antichains          cost: antichains --n 7 exhausted memory with the
@@ -29,7 +31,7 @@ class LimitExceededError(Exception):
 #                       time, the packed memo passed 1 M states and 312 MB
 #                       in 4.5 s, where a probe stopped it.  The ideal
 #                       count's chain-cut prototype passed 21 M states in
-#                       114 s.  At n = 6 poset takes 0.18 s and 29 MB
+#                       114 s.  At n = 6 poset takes 0.11-0.18 s and 29 MB
 #   maximal_antichains  two-route trust: the DFS is the only route and the
 #                       A143674 snapshot ends at 5; n = 6 takes 66.9 s and
 #                       16 MB, visiting all 37,620,704 antichains

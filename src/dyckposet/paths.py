@@ -259,13 +259,6 @@ def enumerate_paths(n: int) -> list[DyckPath]:
     return joined
 
 
-def _valleys(word: str) -> list[int]:
-    """The 1-based positions i with step i east and step i + 1 north; maj
-    is their sum."""
-    return [i for i in range(1, len(word))
-            if word[i - 1] == EAST and word[i] == NORTH]
-
-
 def path_stats(d: DyckPath) -> PathStats:
     n = d.order
     area = d.area
@@ -278,8 +271,13 @@ def path_stats(d: DyckPath) -> PathStats:
     while k > 0:
         k = offsets[k - 1]
         bounce += k
-    return PathStats(area=area, inv=comb(n, 2) - area,
-                     maj=sum(_valleys(d.steps)), bounce=bounce,
+    # maj sums the 1-based positions i of the valleys: step i east and
+    # step i + 1 north
+    word = d.steps
+    maj = sum(i for i in range(1, 2 * n)
+              if word[i - 1] == EAST and word[i] == NORTH)
+    return PathStats(area=area, inv=comb(n, 2) - area, maj=maj,
+                     bounce=bounce,
                      area_vector=tuple(i - e for i, e in enumerate(offsets)))
 
 

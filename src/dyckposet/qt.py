@@ -5,28 +5,28 @@ C_n(q, t) = sum q^area t^bounce over the Dyck paths of order n has three
 routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 (_bounce_recurrence), which enumerates no path; and the Garsia-Haiman
 partition sum (gh_evaluate), which does not use bounce and is compared at
-exact rational points.  The path sums build no Dyck path: they sweep the
-half paths of paths._halves once and read the statistics of each join of a
-first half with a second from values worked out once per half.
-_join_counts counts the (area, bounce) pairs join by join; _maj_sum sums
-q^maj level by level, as products of the first halves' sums and the second
-halves'.
+exact rational points.  The path sum builds no Dyck path: it sweeps the
+half paths of paths._halves once and counts the (area, bounce) pairs join
+by join, from values worked out once per half.  The area analog is
+C_n(q, 1) and the maj analog q^C(n,2) C_n(q, 1/q) (Garsia and Haiman,
+J. Algebraic Combin. 5, 1996); each is read off the path sum and checked
+by a route that does not use it.
 
-The recurrences and the maj sum carry each polynomial P as the one int
-P(2^B), B bits per coefficient (Kronecker substitution, as in
-poset._antichain_sizes): a product or sum of polynomials is one big-int
-product or sum.  Each states the bound on its coefficients that sets B, and
-each route is unpacked once (polynomials._unpack) into the BiPoly that its
-check compares.  qt_census runs every check of the qt command: it reads
-C_n(q, t), as qt_catalan does, and the area analog as C_n(q, 1), which the
-inv reversal reads once it is checked; one q-Pascal table (_q_pascal)
-serves the bounce recurrence and the maj identity
-maj(q) [n+1]_q = [2n choose n]_q, checked on the packed ints.  cn_area and
-cn_maj read their one statistic and run its check alone, through the
-helpers qt_census calls (_checked_area, _checked_maj).  The tests keep the
-recurrences on BiPoly, and the factorial quotient [n]! / ([k]! [n-k]!), as
-oracles for the packed routes, and the step words listed by itertools as
-the oracle for the joins.
+The recurrences carry each polynomial P as the one int P(2^B), B bits per
+coefficient (Kronecker substitution, as in poset._antichain_sizes): a
+product or sum of polynomials is one big-int product or sum.  Each states
+the bound on its coefficients that sets B, and each route is unpacked once
+(polynomials._unpack) into the BiPoly that its check compares.  qt_census
+runs every check of the qt command on one C_n(q, t): the area analog
+against the area recurrence, which the inv reversal reads once it is
+checked, and the maj analog by MacMahon's identity
+maj(q) [n+1]_q = [2n choose n]_q, checked on packed ints.  One q-Pascal
+table (_q_pascal) serves the bounce recurrence and the maj identity.
+cn_area and cn_maj read their one specialization and run its check alone,
+through the helpers qt_census calls (_checked_area, _checked_maj).  The
+tests keep the recurrences on BiPoly, and the factorial quotient
+[n]! / ([k]! [n-k]!), as oracles for the packed routes, and the step words
+listed by itertools as the oracle for the joins.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .config import check_order
 # as qt.enumerate_paths and qt.path_stats: bench/tests/test_harness.py checks
 # that the tracer rebinds them by name, and tests/test_boundary.py that the
 # bindings stay
-from .paths import (EAST, CellStats, Partition, _halves, _valleys,
-                    catalan_closed, cell_stats, enumerate_paths,
-                    path_stats)  # noqa: F401
+from .paths import (CellStats, Partition, _halves, catalan_closed,
+                    cell_stats, enumerate_paths, path_stats)  # noqa: F401
 from .polynomials import BiPoly, _unpack, power_table
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
@@ -112,15 +111,14 @@ class QtCensus(NamedTuple):
 
 
 def qt_census(n: int) -> QtCensus:
-    """From one sweep of half paths: C_n(q, t) must equal the bounce
-    recurrence, its value at (1, 1) C_n and its value at GH_CHECK_POINT the
-    partition sum; the area analog must equal the area recurrence, the inv
-    analog that recurrence reversed, and the maj analog times [n+1]_q
-    [2n choose n]_q.  A disagreement raises AssertionError."""
-    # one sweep of half paths serves the two path sums, and one q-Pascal
-    # table the bounce recurrence and the maj identity
-    halves = _halves(n)
-    poly = BiPoly(_join_counts(n, halves))
+    """From one path sum: C_n(q, t) must equal the bounce recurrence, its
+    value at (1, 1) C_n and its value at GH_CHECK_POINT the partition sum;
+    its area analog C_n(q, 1) must equal the area recurrence, the inv
+    analog that recurrence reversed, and its maj analog
+    q^C(n,2) C_n(q, 1/q) times [n+1]_q [2n choose n]_q.  A disagreement
+    raises AssertionError."""
+    poly = qt_catalan(n)
+    # one q-Pascal table serves the bounce recurrence and the maj identity
     width, pascal = _q_pascal(2 * n)
     agree("q,t-Catalan path sum and the bounce recurrence",
           poly, _bounce_recurrence(n, width, pascal))
@@ -134,7 +132,7 @@ def qt_census(n: int) -> QtCensus:
     # the analog has passed its own check
     area = _checked_area(n, poly.substitute_t_one())
     inv = _inv_analog(n, area)
-    maj = _checked_maj(n, _maj_sum(n, width, halves), width, pascal)
+    maj = _checked_maj(n, poly.t_to_inverse_q(comb(n, 2)), width, pascal)
     return QtCensus(poly=poly, area=area, inv=inv, maj=maj, count=count)
 
 
@@ -145,27 +143,30 @@ def _checked_area(n: int, area: BiPoly) -> BiPoly:
                  area, _carlitz(n, lambda k, m: k))
 
 
-def _checked_maj(n: int, maj: int, width: int,
+def _checked_maj(n: int, maj: BiPoly, width: int,
                  pascal: list[list[int]]) -> BiPoly:
-    """The maj analog of order n, once maj(q) [n+1]_q = [2n choose n]_q;
-    maj is _maj_sum's, and width and pascal are those of _q_pascal(2n).
+    """maj, the maj analog of order n, once maj(q) [n+1]_q =
+    [2n choose n]_q; width and pascal are those of _q_pascal(2n).
 
     The identity is checked at q = 2^B, where [n+1]_q is
-    (2^(B(n+1)) - 1) / (2^B - 1).  A coefficient of maj [n+1]_q is at most
-    the sum of maj's coefficients, the number of joins, C_n, and one of
-    [2n choose n]_q at most C(2n, n): both sides are below 2^B in every
-    coefficient, so equal ints mean equal polynomials.  They are compared
-    unpacked, which is the same test and shows coefficients when it
-    fails."""
+    (2^(B(n+1)) - 1) / (2^B - 1).  maj's coefficients are non-negative
+    counts of joins that sum to C_n, so each is below 2^B and maj(2^B)
+    packs them B bits apiece.  A coefficient of maj [n+1]_q is at most that
+    sum, C_n, and one of [2n choose n]_q at most C(2n, n), whose bit length
+    B exceeds: both sides are below 2^B in every coefficient, so equal ints
+    mean equal polynomials.  They are compared unpacked, which is the same
+    test and shows coefficients when it fails."""
     q_int = ((1 << width * (n + 1)) - 1) // ((1 << width) - 1)
-    agree("maj q-analog path sum and quotient",
-          _unpack(maj * q_int, width), _unpack(pascal[2 * n][n], width))
-    return _q_poly(_unpack(maj, width))
+    agree("maj q-analog C_n(q, 1/q) and quotient",
+          _unpack(maj(1 << width, 1) * q_int, width),
+          _unpack(pascal[2 * n][n], width))
+    return maj
 
 
 def cn_area(n: int) -> BiPoly:
-    """Sum of q^{area(D)}, checked against the area recurrence."""
-    return _checked_area(n, qt_catalan(n).substitute_t_one())
+    """Sum of q^{area(D)}, C_n(q, 1), checked against the area
+    recurrence."""
+    return _checked_area(n, qt_specialize(n, "area"))
 
 
 def cn_inv(n: int) -> BiPoly:
@@ -175,19 +176,14 @@ def cn_inv(n: int) -> BiPoly:
 
 
 def cn_maj(n: int) -> BiPoly:
-    """Sum of q^{maj(D)}, checked by maj(q) [n+1]_q = [2n choose n]_q."""
-    width, pascal = _q_pascal(2 * n)
-    return _checked_maj(n, _maj_sum(n, width, _halves(n)), width, pascal)
+    """Sum of q^{maj(D)}, q^C(n,2) C_n(q, 1/q), checked by
+    maj(q) [n+1]_q = [2n choose n]_q."""
+    return _checked_maj(n, qt_specialize(n, "maj"), *_q_pascal(2 * n))
 
 
 def qt_catalan(n: int) -> BiPoly:
-    """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n."""
-    return BiPoly(_join_counts(n, _halves(n)))
-
-
-def _join_counts(n: int, halves: tuple[list[tuple], dict]) -> Counter:
-    """The count of each (area, bounce) over the paths of order n, read off
-    the joins of halves, _halves(n), without building a path.
+    """Sum of q^{area(D)} t^{bounce(D)} over all paths of order n, counted
+    off the joins of the half paths of _halves(n) without building a path.
 
     A first half ending at level a joins a second half starting at
     (n - a, a).  The area is their height sums less n(n+1)/2.  The bounce
@@ -195,7 +191,7 @@ def _join_counts(n: int, halves: tuple[list[tuple], dict]) -> Counter:
     north offsets while k > a, summing them to s, and ends in the first
     half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.
     """
-    firsts, seconds = halves
+    firsts, seconds = _halves(n)
     base = n * (n + 1) // 2
     tails = {}
     for a, level in seconds.items():
@@ -214,40 +210,7 @@ def _join_counts(n: int, halves: tuple[list[tuple], dict]) -> Counter:
         for e in offsets:
             f.append(e + f[e])
         pairs.update((height_sum + hs, s + f[k]) for hs, s, k in tails[a])
-    return pairs
-
-
-def _maj_sum(n: int, width: int, halves: tuple[list[tuple], dict]) -> int:
-    """sum q^maj over the paths of order n at q = 2^width, from the joins
-    of halves, _halves(n).
-
-    A join's valleys are the first half's, the second half's moved n steps
-    on, and step n itself when the first half ends east and the second
-    starts north.  So the sum over the joins at level a is
-    N (S_N + S_E) + E (q^n S_N + S_E), where N and E sum q^maj over the
-    first halves ending north and east, and S_N and S_E sum q^maj over the
-    second halves (valleys moved on) starting north and east.  Every
-    coefficient of these sums and products counts halves or joins that
-    share a maj, so is at most C_n, which the caller's width must exceed.
-    """
-    firsts, seconds = halves
-    heads = {a: [0, 0] for a in seconds}  # [N, E] by level
-    for word, a, _, _, _ in firsts:
-        heads[a][word.endswith(EAST)] += 1 << width * sum(_valleys(word))
-    total = 0
-    for a, level in seconds.items():
-        north, east = 0, 0
-        for word, _, _, _, _ in level:
-            valleys = _valleys(word)
-            term = 1 << width * (sum(valleys) + n * len(valleys))
-            if word.startswith(EAST):
-                east += term
-            else:
-                north += term
-        ends_north, ends_east = heads[a]
-        total += (ends_north * (north + east)
-                  + ends_east * ((north << width * n) + east))
-    return total
+    return BiPoly(pairs)
 
 
 def _q_pascal(top: int) -> tuple[int, list[list[int]]]:

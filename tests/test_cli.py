@@ -448,9 +448,7 @@ class TestCrossChecks:
     test_qt_count_must_match_catalan = _cross_check(
         "q,t-Catalan value at (1, 1) and the Catalan number",
         ("qt", "--n", "4"),
-        _wrap(qt, "_join_counts", lambda f: lambda n, halves:
-              f(n, halves) + Counter({(1, 1): 1})),
-        _one_more_path("_bounce_recurrence"))
+        _one_more_path("qt_catalan"), _one_more_path("_bounce_recurrence"))
     test_qt_partition_sum_must_agree = _cross_check(
         "q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
         ("qt", "--n", "4"), _plus_one(qt, "gh_evaluate"))
@@ -461,11 +459,11 @@ class TestCrossChecks:
     test_qt_inv_must_match_the_reversed_area = _cross_check(
         "inv q-analog recurrence and reversed area recurrence",
         ("qt", "--n", "4"), _break_carlitz(True, BiPoly({(1, 0): 1})))
-    # the maj of every path one higher: the packed maj sum times q
+    # the maj of every path one higher: the maj analog times q
     test_qt_maj_must_match_the_quotient = _cross_check(
-        "maj q-analog path sum and quotient", ("qt", "--n", "4"),
-        _wrap(qt, "_maj_sum", lambda f: lambda n, width, halves:
-              f(n, width, halves) << width))
+        "maj q-analog C_n(q, 1/q) and quotient", ("qt", "--n", "4"),
+        _wrap(qt, "_checked_maj", lambda f: lambda n, maj, *rest:
+              f(n, maj * BiPoly({(1, 0): 1}), *rest)))
     # one labelling more on every path
     test_parking_counts_must_agree = _cross_check(
         "parking counts by closed form, filter and labelled paths",

@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb, prod
 from types import SimpleNamespace
@@ -318,6 +320,31 @@ class TestIdealsAndAntichains:
             tracemalloc.stop()
         assert count == sum(ANTICHAINS_6)
         assert peak < 16 * 2**20
+
+    def test_split_work_at_order_six(self, posets):
+        # the calls of each split's inner count, memo hits included: the
+        # ideal split makes two per state it adds (94,012 states), the
+        # antichain split one per candidate it reads (7,038 states).  Both
+        # counts are exact, so a split that does more work, such as the
+        # antichain split without the chain relabelling (186,905 states),
+        # fails here at once
+        p = posets(6)
+        inc = [p.incomparable(i) for i in range(p.size)]
+        calls = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "count":
+                calls[frame.f_code.co_qualname] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            poset._antichain_sizes(p.size, inc)
+            poset._ideal_count(p.size, p.down)
+        finally:
+            sys.setprofile(previous)
+        assert calls == {"_antichain_sizes.<locals>.count": 25_963,
+                         "_ideal_count.<locals>.count": 188_023}
 
     def test_maximal_totals(self, posets):
         for n in range(6):

@@ -12,10 +12,8 @@ from dyckposet import (GH_CHECK_POINT, BiPoly, PoleError, catalan_closed,
                        path_stats, qt, qt_catalan, qt_census, qt_specialize,
                        symmetry_check)
 from dyckposet.config import MAX_ORDER
-from dyckposet.paths import _halves
 from dyckposet.polynomials import UniPoly, _unpack
-from dyckposet.qt import (_bounce_recurrence, _carlitz, _maj_sum, _partitions,
-                          _q_pascal)
+from dyckposet.qt import _bounce_recurrence, _carlitz, _partitions, _q_pascal
 from oracles import divide_exact
 
 
@@ -102,13 +100,6 @@ def _inv_shift(k, m):
     return (k + 1) * (m - k)
 
 
-def _maj_poly(n):
-    """qt._maj_sum unpacked, at the width of _q_pascal(2n)."""
-    width = _q_pascal(2 * n)[0]
-    maj = _maj_sum(n, width, _halves(n))
-    return BiPoly({(e, 0): c for e, c in enumerate(_unpack(maj, width))})
-
-
 def _per_path_sums(n):
     """C_n(q, t) and the area, inv and maj analogs, summed path by path."""
     stats = [path_stats(d) for d in enumerate_paths(n)]
@@ -120,7 +111,7 @@ def _per_path_sums(n):
 
 
 def _word_counts(n):
-    """Oracle for qt._join_counts, from the definitions and nothing of
+    """Oracle for qt_catalan and cn_maj, from the definitions and nothing of
     dyckposet.paths: the count of each (area, bounce) and of each maj over
     the N/E words with n norths whose prefixes never hold more easts than
     norths."""
@@ -277,12 +268,13 @@ class TestBounceRecurrence:
 
     @pytest.mark.parametrize("n", range(9))
     def test_one_pass_matches_the_separate_sums(self, n):
-        # the (area, bounce) counts that qt_census, qt_catalan and cn_area
-        # share, the t = 1 specialization that qt_census reads as the area
-        # analog, and the maj sum that qt_census and cn_maj share
+        # the (area, bounce) counts that qt_census, cn_area and cn_maj
+        # read, the t = 1 specialization that qt_census reads as the area
+        # analog, and the maj analog q^C(n,2) C_n(q, 1/q), checked against
+        # the maj of each path
         poly, area, _inv, maj = _per_path_sums(n)
-        pairs = BiPoly(qt._join_counts(n, _halves(n)))
-        assert (pairs, pairs.substitute_t_one(), _maj_poly(n)) == \
+        pairs = qt_catalan(n)
+        assert (pairs, pairs.substitute_t_one(), cn_maj(n)) == \
             (poly, area, maj)
 
     @pytest.mark.parametrize("n", range(9))
@@ -290,8 +282,8 @@ class TestBounceRecurrence:
         # the joins and the per-path sums share paths._sweep; the words are
         # listed and read without it
         pairs, majs = _word_counts(n)
-        assert (qt._join_counts(n, _halves(n)), _maj_poly(n)) == \
-            (pairs, BiPoly({(m, 0): c for m, c in majs.items()}))
+        assert (qt_catalan(n), cn_maj(n)) == \
+            (BiPoly(pairs), BiPoly({(m, 0): c for m, c in majs.items()}))
 
     # past the cap of 8: the widths are set by bounds that grow with n
     @pytest.mark.parametrize("n", range(11))
@@ -304,7 +296,9 @@ class TestBounceRecurrence:
         for shift in (_area_shift, _inv_shift):
             assert _carlitz(n, shift) == _carlitz_oracle(n, shift)
         assert _bounce_recurrence(n, width, pascal) == _bounce_oracle(n, lists)
-        assert _maj_poly(n) == BiPoly({
+        # the maj analog read off C_n(q, t) against the quotient, which
+        # uses no path
+        assert cn_maj(n) == BiPoly({
             (e, 0): c for e, c in divide_exact(
                 q_binomial(2 * n, n), _q_int(n + 1)).coeffs.items()})
 
@@ -323,13 +317,13 @@ class TestBounceRecurrence:
         monkeypatch.setattr(qt, "_unpack", recording)
         census = qt_census(10)
         assert census.count == catalan_closed(10)
+        # the two Carlitz routes, the bounce recurrence by t power and by
+        # q power within each of its C(10, 2) + 1 t powers, and both sides
+        # of the maj identity; the maj analog comes unpacked from C_n(q, t)
+        assert len(unpacked) == 2 + 1 + comb(10, 2) + 1 + 2
         width, pascal = _q_pascal(20)
         unpacked += [(width, _unpack(packed, width))
                      for row in pascal for packed in row]
-        # the two Carlitz routes, the bounce recurrence by t power and by
-        # q power within each, both sides of the maj identity and the maj
-        # sum, and the q-Pascal table
-        assert len(unpacked) > 2 + 1 + comb(10, 2) + 3
         assert all(0 <= c < 1 << width - 1
                    for width, coeffs in unpacked for c in coeffs)
 
