@@ -3,9 +3,9 @@
 Rows of the n x n grid are numbered 1..n bottom to top; the label of the
 north step in row i is the car parked there, and columns are numbered 1..n
 left to right.  parking_census runs every check of the parking command on
-the joined words of one sweep of paths._halves, and builds no path: a word's
-labellings are read off its runs of north steps, and the content groups are
-the distinct words.
+the joined north offsets of one sweep of paths._halves, and builds no path:
+a join's labellings are read off its equal offsets, the north steps of one
+column, and the content groups are the distinct joins.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 from .checks import agree
 from .config import check_order
-from .paths import (EAST, DyckPath, _halves, catalan_closed,
-                    enumerate_paths)
+from .paths import DyckPath, _halves, catalan_closed, enumerate_paths
 
 
 class _ParkingFunctionFields(NamedTuple):
@@ -184,12 +183,6 @@ def _increasing_fillings(runs: tuple[int, ...],
     return [head + rest for head, rest in fillings]
 
 
-def _column_runs(word: str) -> tuple[int, ...]:
-    """The number of north steps in each column the path of the step word
-    climbs: its runs of norths."""
-    return tuple(len(run) for run in word.split(EAST) if run)
-
-
 def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     """Each path with every labelling that increases up its columns: the
     rows of one column take an increasing block of labels.  Paths come in
@@ -198,15 +191,16 @@ def enumerate_labelled_paths(n: int) -> list[LabelledDyckPath]:
     labels = tuple(range(1, n + 1))
     return [LabelledDyckPath(path=d, labels=filling)
             for d in enumerate_paths(n)
-            for filling in _increasing_fillings(_column_runs(d.steps),
-                                                labels)]
+            for filling in _increasing_fillings(
+                tuple(Counter(d.north_offsets()).values()), labels)]
 
 
-def _labellings(word: str) -> int:
-    """n!/(r_1!...r_k!) for the column runs r_1..r_k of the step word of
-    order n: one labelling per choice of each column's block."""
-    return math.factorial(len(word) // 2) // math.prod(
-        map(math.factorial, _column_runs(word)))
+def _labellings(offsets: tuple[int, ...]) -> int:
+    """n!/(m_1!...m_k!) for the multiplicities m_1..m_k of the equal north
+    offsets of a path of order n, the north steps of each column: one
+    labelling per choice of each column's block."""
+    return math.factorial(len(offsets)) // math.prod(
+        map(math.factorial, Counter(offsets).values()))
 
 
 class ParkingCensus(NamedTuple):
@@ -216,16 +210,15 @@ class ParkingCensus(NamedTuple):
 
 def parking_census(n: int) -> ParkingCensus:
     """The closed form, the filter and the labelled paths must give one
-    count, and the distinct group representatives, the step words, must
-    number C_n; the words are joined from one sweep of half paths.  A
-    disagreement raises AssertionError."""
+    count, and the distinct group representatives, the north offsets of the
+    paths, must number C_n; they are joined from one sweep of half paths.
+    A disagreement raises AssertionError."""
     check_order(n, "paths")
     firsts, seconds = _halves(n)
-    words = [word + tail for word, a, _, _, _ in firsts
-             for tail, _, _, _, _ in seconds[a]]
+    joins = [head + tail for head in firsts for tail in seconds[len(head)]]
     count = agree("parking counts by closed form, filter and labelled paths",
                   count_parking_functions(n), count_parking_by_filter(n),
-                  sum(map(_labellings, words)))
+                  sum(map(_labellings, joins)))
     groups = agree("content groups and the Catalan number",
-                   len(set(words)), catalan_closed(n))
+                   len(set(joins)), catalan_closed(n))
     return ParkingCensus(count=count, groups=groups)

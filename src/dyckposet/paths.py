@@ -10,15 +10,17 @@ stands on the anti-diagonal, at (n - a, a) with a >= n/2, so its words are
 the first halves that end at level a joined to the second halves that start
 there.  _halves makes both with one prefix sweep, extending every prefix
 north before east: from the origin for the first halves, and from (n - a, a)
-for the second halves of each level.  Each half carries its north offsets
-and height sum, absolute because its start point is fixed, so a join
-concatenates the offsets and adds the sums.  Halves have equal lengths, so
-the joins come out in lexicographic order, and a stable sort by area keeps
-that order among paths of equal area.  Every command reads the joins
-without building a path: the poset module ORs each half's area cells into
-its elements' masks, the parking module counts the labellings of each
-joined word, and the qt module reads its statistics off values worked out
-once per half.  enumerate_paths builds a DyckPath from each joined word.
+for the second halves of each level.  A half is the tuple of the x-offsets
+of its north steps, absolute because its start point is fixed, so a join
+concatenates the tuples and a first half ends at the level given by its
+length.  Halves have equal lengths, so the joins come out in lexicographic
+order, and a stable sort by area keeps that order among paths of equal
+area.  Every command reads the joins without building a path: the poset
+module ORs each half's area cells into its elements' masks, the parking
+module counts the labellings of each join by its equal offsets, and the qt
+module reads its statistics off values worked out once per half, the area
+being C(n, 2) less the offset sum.  enumerate_paths builds a DyckPath from
+the north offsets of each join.
 """
 
 from __future__ import annotations
@@ -218,41 +220,42 @@ def count_bad_paths(n: int) -> int:
                  comb(2 * n, n - 1), comb(2 * n, n) - catalan_closed(n))
 
 
-def _sweep(n: int, steps: int, prefixes: list[tuple]) -> list[tuple]:
-    """Extend each prefix by steps steps that stay inside the n x n square
-    and weakly above the diagonal, north before east.
+def _sweep(n: int, norths: int, easts: int) -> list[tuple[int, ...]]:
+    """The n-step walks from (easts, norths) that stay inside the n x n
+    square and weakly above the diagonal, north before east, each as the
+    tuple of the x-offsets of its north steps.
 
-    An entry is (word, norths, easts, offsets, height_sum): a north records
-    the easts so far as its offset, an east adds the norths so far, its
-    column height, to the height sum.
+    After k steps a walk with offsets e has made len(e) norths and
+    k - len(e) easts.
     """
-    for _ in range(steps):
+    prefixes: list[tuple[int, ...]] = [()]
+    for k in range(n):
         grown = []
-        for word, norths, easts, offsets, height_sum in prefixes:
-            if norths < n:
-                grown.append((word + NORTH, norths + 1, easts,
-                              offsets + (easts,), height_sum))
-            if easts < norths:
-                grown.append((word + EAST, norths, easts + 1, offsets,
-                              height_sum + norths))
+        for offsets in prefixes:
+            y = norths + len(offsets)
+            x = easts + k - len(offsets)
+            if y < n:
+                grown.append(offsets + (x,))
+            if x < y:
+                grown.append(offsets)
         prefixes = grown
     return prefixes
 
 
 def _halves(n: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
     """The first halves of the paths of order n, and their second halves by
-    the level a at which they start; entries are as in _sweep."""
+    the level a at which they start; each half is as in _sweep, and a first
+    half ends at the level of its length."""
     check_order(n, "paths")
-    return (_sweep(n, n, [("", 0, 0, (), 0)]),
-            {a: _sweep(n, n, [("", a, n - a, (), 0)])
-             for a in range((n + 1) // 2, n + 1)})
+    return (_sweep(n, 0, 0),
+            {a: _sweep(n, a, n - a) for a in range((n + 1) // 2, n + 1)})
 
 
 def enumerate_paths(n: int) -> list[DyckPath]:
     """All Dyck paths of order n in canonical order."""
     firsts, seconds = _halves(n)
-    joined = [DyckPath(word + tail) for word, a, _, _, _ in firsts
-              for tail, _, _, _, _ in seconds[a]]
+    joined = [DyckPath.from_north_offsets(head + tail) for head in firsts
+              for tail in seconds[len(head)]]
     # the joins are lexicographic with N < E; a stable sort by area alone
     # keeps that tie-break
     joined.sort(key=attrgetter("area"))

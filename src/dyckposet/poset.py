@@ -14,7 +14,7 @@ order, a linear extension of D_n, so zeta-type matrices built on it are
 upper triangular; up- and down-sets are bitmasks over that order.  Nothing
 else is kept per element: a caller that needs the paths enumerates them.
 build_poset builds none: it joins the masks of the half paths of
-paths._halves, each the union of one row mask per north step.
+paths._halves, each the union of one row mask per north offset.
 
 Antichains are counted by size without listing them: a memoised split on
 bitmasks of candidate elements that takes off one chain's part at a time,
@@ -124,12 +124,12 @@ def build_poset(n: int) -> DyckPoset:
             mask |= masks[e]
         return mask
 
-    tails = {a: [half_mask(a, offsets) for _, _, _, offsets, _ in level]
+    tails = {a: [half_mask(a, offsets) for offsets in level]
              for a, level in seconds.items()}
     joined = []
-    for _, a, _, offsets, _ in firsts:
+    for offsets in firsts:
         head = half_mask(0, offsets)
-        joined += [head | tail for tail in tails[a]]
+        joined += [head | tail for tail in tails[len(offsets)]]
     # the joins are lexicographic with N < E, as in enumerate_paths, whose
     # stable sort by area this sort by popcount repeats
     ideals = tuple(sorted(joined, key=int.bit_count))

@@ -7,7 +7,8 @@ routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 partition sum (gh_evaluate), which does not use bounce and is compared at
 exact rational points.  The path sum builds no Dyck path: it sweeps the
 half paths of paths._halves once and counts the (area, bounce) pairs join
-by join, from values worked out once per half.  The area analog is
+by join, from values worked out once per half: its north offset sum and
+its part of the bounce walk.  The area analog is
 C_n(q, 1) and the maj analog q^C(n,2) C_n(q, 1/q) (Garsia and Haiman,
 J. Algebraic Combin. 5, 1996); each is read off the path sum and checked
 by a route that does not use it.
@@ -186,30 +187,30 @@ def qt_catalan(n: int) -> BiPoly:
     off the joins of the half paths of _halves(n) without building a path.
 
     A first half ending at level a joins a second half starting at
-    (n - a, a).  The area is their height sums less n(n+1)/2.  The bounce
-    walk of path_stats, k -> e[k-1] from k = n, reads the second half's
-    north offsets while k > a, summing them to s, and ends in the first
-    half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.
+    (n - a, a).  The area is C(n, 2) less the sum of their north offsets.
+    The bounce walk of path_stats, k -> e[k-1] from k = n, reads the second
+    half's north offsets while k > a, summing them to s, and ends in the
+    first half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.
     """
     firsts, seconds = _halves(n)
-    base = n * (n + 1) // 2
     tails = {}
     for a, level in seconds.items():
         rows = []
-        for _, _, _, offsets, height_sum in level:
+        for offsets in level:
             k = n
             s = 0
             while k > a:
                 k = offsets[k - 1 - a]
                 s += k
-            rows.append((height_sum - base, s, k))
+            rows.append((sum(offsets), s, k))
         tails[a] = rows
     pairs: Counter = Counter()
-    for _, a, _, offsets, height_sum in firsts:
+    for offsets in firsts:
+        top = comb(n, 2) - sum(offsets)
         f = [0]
         for e in offsets:
             f.append(e + f[e])
-        pairs.update((height_sum + hs, s + f[k]) for hs, s, k in tails[a])
+        pairs.update((top - es, s + f[k]) for es, s, k in tails[len(offsets)])
     return BiPoly(pairs)
 
 

@@ -1,0 +1,110 @@
+"""D_n checked against networkx, on a poset built from the paper's
+definition alone: the N/E words of length 2n with no negative prefix height,
+one path below another when each of its column heights is.  Nothing here
+reads the path sweep or the masks of the package, so a mistake that both
+routes of a two-route check share would show here.  networkx is imported
+plainly: a missing package fails the module, it does not skip it."""
+
+from collections import Counter
+from itertools import combinations, product
+
+import networkx as nx
+import pytest
+
+from dyckposet import (antichain_census, build_poset, cover_edge_count,
+                       interval_count, maximal_chain_count, maximal_chains,
+                       min_chain_cover)
+
+
+def _words(n):
+    """The Dyck words of order n in canonical order: ascending area, ties
+    broken lexicographically with N < E, as product over "NE" lists them."""
+    words = []
+    for marks in product("NE", repeat=2 * n):
+        height = 0
+        for mark in marks:
+            height += 1 if mark == "N" else -1
+            if height < 0:
+                break
+        else:
+            if height == 0:
+                words.append(marks)
+    return sorted(words, key=lambda marks: sum(_heights(marks)))
+
+
+def _heights(marks):
+    """The number of north steps before each east step."""
+    heights = []
+    norths = 0
+    for mark in marks:
+        if mark == "N":
+            norths += 1
+        else:
+            heights.append(norths)
+    return heights
+
+
+def _order(n):
+    """D_n as the DiGraph of its strict relations i < j, on the indices of
+    _words(n)."""
+    heights = [_heights(marks) for marks in _words(n)]
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(heights)))
+    for i, j in combinations(range(len(heights)), 2):
+        if all(map(int.__le__, heights[i], heights[j])):
+            graph.add_edge(i, j)
+        elif all(map(int.__le__, heights[j], heights[i])):
+            graph.add_edge(j, i)
+    return graph
+
+
+@pytest.fixture(scope="module", params=range(1, 6))
+def case(request):
+    n = request.param
+    order = _order(n)
+    incomparable = nx.complement(order.to_undirected())
+    return n, order, incomparable, build_poset(n)
+
+
+def test_cover_edges(case):
+    n, order, _, p = case
+    covers = nx.transitive_reduction(order)
+    assert sorted(covers.edges) == sorted(p.cover_edges())
+    assert covers.number_of_edges() == cover_edge_count(p)
+
+
+def test_interval_count(case):
+    _, order, _, p = case
+    assert order.number_of_nodes() + order.number_of_edges() == \
+        interval_count(p)
+
+
+def test_antichains_by_size(case):
+    _, _, incomparable, p = case
+    by_size = Counter(map(len, nx.enumerate_all_cliques(incomparable)))
+    by_size[0] += 1  # the empty antichain
+    census = antichain_census(p)
+    assert census.by_size == dict(by_size)
+    assert census.total == sum(by_size.values())
+
+
+def test_maximal_antichains_by_size(case):
+    _, _, incomparable, p = case
+    by_size = Counter(map(len, nx.find_cliques(incomparable)))
+    assert antichain_census(p, "maximal").by_size == dict(by_size)
+
+
+def test_width(case):
+    _, _, incomparable, p = case
+    width = max(map(len, nx.find_cliques(incomparable)))
+    assert antichain_census(p, "maximum").width == width == \
+        min_chain_cover(p)
+
+
+def test_maximal_chains(case):
+    _, order, _, p = case
+    covers = nx.transitive_reduction(order)
+    chains = {tuple(path) for path in
+              nx.all_simple_paths(covers, 0, order.number_of_nodes() - 1)}
+    assert set(maximal_chains(p)) == chains
+    assert maximal_chain_count(p) == len(chains)

@@ -12,7 +12,8 @@ from dyckposet import (DyckPath, LabelledDyckPath, LimitExceededError,
                        enumerate_paths, is_parking_function,
                        labelled_to_parking, parking_census,
                        parking_to_labelled, vectors_of)
-from dyckposet.parking import _increasing_fillings
+from dyckposet.parking import _increasing_fillings, _labellings
+from dyckposet.paths import _halves
 
 
 def _parks_by_simulation(prefs):
@@ -199,11 +200,24 @@ class TestBijection:
                 _fillings_by_rescan(runs, labels)
 
     def test_labellings_per_path_are_multinomial(self):
+        # parking_census counts a path's labellings off its north offsets
         for n in range(7):
             per_path = Counter(lp.path for lp in enumerate_labelled_paths(n))
             for d in enumerate_paths(n):
-                assert per_path[d] == math.factorial(n) // math.prod(
-                    map(math.factorial, _column_runs(d)))
+                assert per_path[d] == _labellings(d.north_offsets()) == \
+                    math.factorial(n) // math.prod(
+                        map(math.factorial, _column_runs(d)))
+
+    def test_a_column_may_straddle_the_join(self):
+        # NENN | NEEE: the three north steps of column 2 begin in the
+        # first half and end in the second
+        head, tail = (0, 1, 1), (1,)
+        firsts, seconds = _halves(4)
+        assert head in firsts and tail in seconds[len(head)]
+        assert _labellings(head + tail) == 4 == \
+            math.factorial(4) // (math.factorial(1) * math.factorial(3))
+        assert Counter(lp.path for lp in enumerate_labelled_paths(4))[
+            DyckPath("NENNNEEE")] == 4
 
     def test_each_labelled_path_is_validated_once(self, monkeypatch):
         calls = 0

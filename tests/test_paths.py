@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 from itertools import product
 from math import comb
@@ -12,6 +13,7 @@ from dyckposet import (GH_CHECK_POINT, DyckPath, LimitExceededError,
                        enumerate_paths, gh_evaluate, gh_pole_check,
                        gh_sample_points, parking_census, path_stats,
                        path_to_partition, qt_catalan, qt_census)
+from dyckposet.paths import _halves
 from oracles import is_below
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -165,6 +167,29 @@ class TestStoredWalk:
             d.area = 0
         assert d.area == 1
         assert not hasattr(d, "__dict__")
+
+
+class TestHalves:
+    """The half paths that every command joins: tuples of north offsets."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_joins_are_the_offsets_of_the_words_in_order(self, n):
+        firsts, seconds = _halves(n)
+        joins = [head + tail for head in firsts
+                 for tail in seconds[len(head)]]
+        # product over "NE" lists the words lexicographically with N < E
+        words = [marks for marks in product("NE", repeat=2 * n)
+                 if marks.count("N") == n and not _dips_below(marks)]
+        assert joins == [_walk(marks)[1] for marks in words]
+
+    def test_sweep_work_at_order_eight(self):
+        firsts, seconds = _halves(8)
+        ends = Counter(map(len, firsts))
+        assert len(firsts) == 70
+        assert {a: len(level) for a, level in seconds.items()} == \
+            {4: 14, 5: 28, 6: 20, 7: 7, 8: 1}
+        assert sum(ends[a] * len(level) for a, level in seconds.items()) \
+            == 1430
 
 
 class TestStatistics:
