@@ -1,9 +1,9 @@
 """Dyck paths, their statistics, and Catalan counting by several routes.
 
-A path of order n is stored as its step word: a string of n 'N' and n 'E'
-marks whose every prefix has at least as many norths as easts.  The canonical
-ordering used throughout the package (and for all matrix indexing) is
-ascending area with lexicographic tie-break taking N < E.
+A path of order n is a word of n 'N' and n 'E' steps whose every prefix
+has at least as many norths as easts, stored as the x-offsets of its north
+steps.  The canonical ordering used throughout the package (and for all
+matrix indexing) is ascending area with lexicographic tie-break taking N < E.
 
 The paths are made by meeting in the middle.  After n steps every path
 stands on the anti-diagonal, at (n - a, a) with a >= n/2, so its words are
@@ -20,13 +20,14 @@ module ORs each half's area cells into its elements' masks, the parking
 module counts the labellings of each join by its equal offsets, and the qt
 module reads its statistics off values worked out once per half, the area
 being C(n, 2) less the offset sum.  enumerate_paths builds a DyckPath from
-the north offsets of each join.
+the north offsets of each join, writing no word.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, gt, index
 from typing import NamedTuple
 
 from .checks import agree
@@ -37,15 +38,16 @@ EAST = "E"
 
 
 class DyckPath:
-    """A Dyck path, stored as its step word.
+    """A Dyck path, stored as its north offsets e and its area.
 
-    Equality, hashing and repr depend on steps alone; the column heights,
-    north offsets and area are read off the word by the one walk in
-    __init__.  Instances are immutable: __setattr__ refuses every
-    assignment.
+    e[i] counts the easts before the i-th north step, 0 <= e[i] <= i weakly
+    increasing, and the area is C(n, 2) less their sum.  DyckPath(steps)
+    parses a step word, which steps writes back and repr shows; equality,
+    hashing and pickling use e.  Instances are immutable: __setattr__
+    refuses every assignment.
     """
 
-    __slots__ = ("steps", "_heights", "_offsets", "area")
+    __slots__ = ("_offsets", "area")
 
     def __init__(self, steps: str) -> None:
         if not isinstance(steps, str):
@@ -53,27 +55,37 @@ class DyckPath:
                 f"step word must be a str, not {type(steps).__name__}")
         if len(steps) % 2 != 0:
             raise ValueError("step word must have even length")
-        heights: list[int] = []  # norths before each east step
         offsets: list[int] = []  # easts before each north step
+        easts = 0
         for mark in steps:
             if mark == NORTH:
-                offsets.append(len(heights))
+                offsets.append(easts)
             elif mark == EAST:
-                heights.append(len(offsets))
-                if len(heights) > len(offsets):
+                easts += 1
+                if easts > len(offsets):
                     raise ValueError("path drops below the diagonal")
             else:
                 raise ValueError(f"invalid step mark {mark!r}")
-        if len(offsets) != len(heights):
+        if len(offsets) != easts:
             raise ValueError("unbalanced step word")
-        n = len(heights)
+        self._fill(tuple(offsets))
+
+    def _fill(self, offsets: tuple[int, ...]) -> None:
         # object.__setattr__ fills the slots past the refusing __setattr__
-        set_field = object.__setattr__
-        set_field(self, "steps", steps)
-        set_field(self, "_heights", tuple(heights))
-        set_field(self, "_offsets", tuple(offsets))
-        # area = sum over columns j of h[j] - j
-        set_field(self, "area", sum(heights) - n * (n + 1) // 2)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "area", comb(len(offsets), 2) - sum(offsets))
+
+    @classmethod
+    def from_north_offsets(cls, offsets) -> "DyckPath":
+        """The path whose i-th north step has x-coordinate offsets[i]."""
+        offsets = tuple(map(index, offsets))  # TypeError unless integers
+        if list(offsets) != sorted(offsets):
+            raise ValueError("north offsets must be weakly increasing")
+        if min(offsets, default=0) < 0 or any(map(gt, offsets, count())):
+            raise ValueError("north offsets must have 0 <= e[i] <= i")
+        path = object.__new__(cls)
+        path._fill(offsets)
+        return path
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,22 +95,26 @@ class DyckPath:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return self.steps == other.steps
+            return self._offsets == other._offsets
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.steps,))
+        return hash(self._offsets)
 
     def __reduce__(self):
-        return DyckPath, (self.steps,)
+        return DyckPath.from_north_offsets, (self._offsets,)
 
     @property
     def order(self) -> int:
-        return len(self.steps) // 2
+        return len(self._offsets)
 
-    def column_heights(self) -> tuple[int, ...]:
-        """Height of the path at each east step: h[j] = #N before the j-th E."""
-        return self._heights
+    @property
+    def steps(self) -> str:
+        """The step word: each north step after e[i] - e[i - 1] easts, and
+        the closing easts before a north past the end, which [:-1] drops."""
+        e = self._offsets
+        return "".join(EAST * (b - a) + NORTH
+                       for a, b in zip((0,) + e, e + (len(e),)))[:-1]
 
     def north_offsets(self) -> tuple[int, ...]:
         """x-coordinate of each north step: e[i] = #E before the i-th N."""
@@ -106,21 +122,6 @@ class DyckPath:
 
     def __repr__(self) -> str:
         return f"DyckPath({self.steps!r})"
-
-    @staticmethod
-    def from_north_offsets(offsets: tuple[int, ...] | list[int]) -> "DyckPath":
-        """Rebuild the step word from the x-coordinates of the north steps."""
-        n = len(offsets)
-        word = []
-        easts = 0
-        for e in offsets:
-            if e < easts:
-                raise ValueError("north offsets must be weakly increasing")
-            word.append(EAST * (e - easts))
-            word.append(NORTH)
-            easts = e
-        word.append(EAST * (n - easts))
-        return DyckPath("".join(word))
 
 
 class _PartitionFields(NamedTuple):
@@ -274,21 +275,20 @@ def path_stats(d: DyckPath) -> PathStats:
     while k > 0:
         k = offsets[k - 1]
         bounce += k
-    # maj sums the 1-based positions i of the valleys: step i east and
-    # step i + 1 north
-    word = d.steps
-    maj = sum(i for i in range(1, 2 * n)
-              if word[i - 1] == EAST and word[i] == NORTH)
+    # maj sums the 1-based positions i of the valleys, step i east and
+    # step i + 1 north: north step k follows an east iff e(k) > e(k - 1),
+    # and then that east is step k + e(k)
+    maj = sum(k + e for k, (before, e)
+              in enumerate(zip(offsets, offsets[1:]), start=1) if e > before)
     return PathStats(area=area, inv=comb(n, 2) - area, maj=maj,
                      bounce=bounce,
                      area_vector=tuple(i - e for i, e in enumerate(offsets)))
 
 
 def path_to_partition(d: DyckPath) -> Partition:
-    """The Young diagram filling the grid cells above the path."""
-    n = d.order
-    return Partition(tuple(n - h for h in d.column_heights()
-                           if h < n)).conjugate()
+    """The Young diagram filling the grid cells above the path: the row of
+    each north step holds the e cells to the left of it, top row first."""
+    return Partition(tuple(e for e in reversed(d.north_offsets()) if e))
 
 
 def cell_stats(partition: Partition) -> dict[tuple[int, int], CellStats]:

@@ -51,7 +51,7 @@ from .config import check_order
 # enumerate_paths is no longer called here, but stays bound as
 # poset.enumerate_paths: bench/tests/test_harness.py checks that the tracer
 # rebinds it by name, and tests/test_boundary.py that the binding stays
-from .paths import _halves, enumerate_paths  # noqa: F401
+from .paths import _halves, catalan_closed, enumerate_paths  # noqa: F401
 from .polynomials import _unpack
 from .qt import cn_inv
 
@@ -279,10 +279,10 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     those of maximum size (the width).
 
     "all" and "maximum" read the size polynomial of _antichain_sizes and
-    check it against three independent counts: its degree (the width)
-    against Dilworth's minimum chain cover, its x coefficient against the
-    element count, and its x^2 coefficient against the incomparable pairs
-    counted from the up-sets.  "maximal" counts, by size, the antichains
+    check its degree (the width) against Dilworth's minimum chain cover,
+    and two coefficients against counts that read no poset: x against C_n,
+    x^2 against the C(C_n, 2) pairs less the C_n C_{n+2} - C_{n+1}^2 - C_n
+    comparable ones (A005700).  "maximal" counts, by size, the antichains
     of one depth-first enumeration whose extension set is empty."""
     if mode not in ("all", "maximal", "maximum"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -298,12 +298,12 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     c = _antichain_sizes(p.size, inc)
     width = len(c) - 1
     padded = c + (0, 0)
-    pairs = comb(p.size, 2) - sum(mask.bit_count() - 1 for mask in p.up)
+    cn, cn1, cn2 = (catalan_closed(p.n + k) for k in range(3))
     agree("widths by antichain sizes and by Dilworth matching",
           width, min_chain_cover(p))
-    agree("1-element antichain and element counts", padded[1], p.size)
-    agree("2-element antichain and incomparable pair counts",
-          padded[2], pairs)
+    agree("1-element antichains and C_n", padded[1], cn)
+    agree("2-element antichains and incomparable pairs by closed form",
+          padded[2], comb(cn, 2) - (cn * cn2 - cn1 ** 2 - cn))
     if mode == "all":
         return AntichainCensus(by_size=dict(enumerate(c)), total=sum(c))
     return AntichainCensus(by_size={width: c[width]}, total=c[width],

@@ -4,13 +4,20 @@ against.  No command runs them, so they live with the tests."""
 from dyckposet import UniPoly
 
 
+def column_heights(d):
+    """Height of path d at each east step: h[j] counts the north steps
+    before the j-th east step (0-based), those with offset e <= j."""
+    return tuple(sum(e <= j for e in d.north_offsets())
+                 for j in range(d.order))
+
+
 def is_below(d1, d2):
     """True iff path d1 lies weakly below path d2: heights compared column
     by column."""
     if d1.order != d2.order:
         raise ValueError("paths must have the same order")
     return all(h1 <= h2 for h1, h2 in
-               zip(d1.column_heights(), d2.column_heights()))
+               zip(column_heights(d1), column_heights(d2)))
 
 
 def covers(p, i, j):

@@ -26,6 +26,8 @@ VALUE = "value semantics of a record: it compares, hashes and shows itself " \
         "by value, pickles, and refuses assignment"
 VALIDATES = "_replace builds through _make, so _make runs the checks of " \
             "__new__"
+WORD = "parses or writes the step word for callers of the library; " \
+       "test_paths checks it"
 ARITHMETIC = "polynomial arithmetic for callers of the library; " \
              "test_polynomials checks it"
 SHOWN = "shows the values in the message of a failed agree check (exit 4)"
@@ -34,6 +36,8 @@ BENCH = "the benchmark reads it by name until its harness is mended; see " \
 # module.qualname of each function that no CLI op and no acceptance test
 # calls, and why it stays in src
 ALLOWED = {
+    "paths.DyckPath.__init__": WORD,
+    "paths.DyckPath.steps": WORD,
     "paths.DyckPath.__setattr__": VALUE,
     "paths.DyckPath.__delattr__": VALUE,
     "paths.DyckPath.__eq__": VALUE,

@@ -344,6 +344,18 @@ def _antichain_size_plus_one(k):
     return _wrap(poset, "_antichain_sizes", make)
 
 
+def _bottom_below_top_dropped(build):
+    """build_poset with its bottom and top made incomparable."""
+    def broken(n):
+        p = build(n)
+        top = p.size - 1
+        up, down = list(p.up), list(p.down)
+        up[0] &= ~(1 << top)
+        down[top] &= ~1
+        return p._replace(up=tuple(up), down=tuple(down))
+    return broken
+
+
 def _break_carlitz(inv, extra):
     """Add extra to the Carlitz recurrence of the inv shift (k + 1)(m - k),
     or else of the area shift k: at k = 0, m = 1 only the inv shift is not
@@ -423,11 +435,18 @@ class TestCrossChecks:
         "widths by antichain sizes and by Dilworth matching",
         ("antichains", "--n", "3"), _plus_one(poset, "min_chain_cover"))
     test_one_element_antichains_must_match_the_size = _cross_check(
-        "1-element antichain and element counts", ("antichains", "--n", "3"),
+        "1-element antichains and C_n", ("antichains", "--n", "3"),
         _antichain_size_plus_one(1))
     test_two_element_antichains_must_match_the_pairs = _cross_check(
-        "2-element antichain and incomparable pair counts",
+        "2-element antichains and incomparable pairs by closed form",
         ("antichains", "--n", "3"), _antichain_size_plus_one(2))
+    # the census of such an order agrees with itself (8 antichains, 2 of
+    # size 2, and Dilworth's cover reads the same up-sets): only a count
+    # that reads no poset catches it
+    test_a_wrong_order_must_fail_the_pair_count = _cross_check(
+        "2-element antichains and incomparable pairs by closed form",
+        ("antichains", "--n", "3"), _wrap(poset, "build_poset",
+                                          _bottom_below_top_dropped))
     # one 1-element chain more, so the totals differ too
     test_total_chains_must_agree = _cross_check(
         "chain polynomials by chain DP and by k-fans", ("chains", "--n", "3"),
@@ -512,6 +531,16 @@ class TestCrossChecks:
                         (path, node.lineno)
 
 
+def _refuse_paths(monkeypatch):
+    """Make both DyckPath constructors raise: the word parser, and
+    from_north_offsets, which enumerate_paths calls and which bypasses
+    __init__."""
+    def refuse(*args):
+        raise AssertionError(f"a DyckPath built from {args[-1]!r}")
+    monkeypatch.setattr(paths.DyckPath, "__init__", refuse)
+    monkeypatch.setattr(paths.DyckPath, "from_north_offsets", refuse)
+
+
 def _forbid_path_enumeration(monkeypatch):
     """Make every binding of enumerate_paths and of paths._halves raise."""
     def refuse(n):
@@ -562,9 +591,7 @@ class TestOrderLimits:
 
     def test_qt_builds_no_path_and_sweeps_halves_once(self, capsys,
                                                       monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a DyckPath was built")
-        monkeypatch.setattr(paths.DyckPath, "__init__", refuse)
+        _refuse_paths(monkeypatch)
         swept = []
 
         def counted(n):
@@ -670,9 +697,7 @@ class TestDeterminism:
 
     def test_no_op_builds_a_path(self, capsys, monkeypatch):
         # every command reads the half paths of paths._halves
-        def refuse(self, steps):
-            raise AssertionError(f"DyckPath({steps!r}) built")
-        monkeypatch.setattr(paths.DyckPath, "__init__", refuse)
+        _refuse_paths(monkeypatch)
         for op, golden in GOLDEN_OPS.items():
             code, out, err = run_cli(capsys, *op.split())
             assert (code, out) == (golden["exit"], golden["stdout"]), \

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 
 import pytest
@@ -37,7 +37,8 @@ def _dips_below(word):
 
 
 def _walk(word):
-    """Oracle: column heights, north offsets and area by walking the word."""
+    """Oracle: north offsets and area by walking the word, the area summed
+    over the columns from their heights."""
     heights, offsets = [], []
     norths = easts = 0
     for mark in word:
@@ -48,7 +49,7 @@ def _walk(word):
             heights.append(norths)
             easts += 1
     area = sum(h - j for j, h in enumerate(heights, start=1))
-    return tuple(heights), tuple(offsets), area
+    return tuple(offsets), area
 
 
 def _canonical_words(n):
@@ -126,8 +127,11 @@ class TestDyckPathValidation:
             DyckPath(steps)
 
     def test_offset_roundtrip(self):
-        for d in enumerate_paths(4):
-            assert DyckPath.from_north_offsets(d.north_offsets()) == d
+        # and the word written from the offsets parses back to the path
+        for n in range(9):
+            for d in enumerate_paths(n):
+                assert DyckPath(d.steps) == d
+                assert DyckPath.from_north_offsets(d.north_offsets()) == d
 
     @pytest.mark.parametrize("word, message", [
         ("NNE", "even length"),
@@ -139,15 +143,32 @@ class TestDyckPathValidation:
         with pytest.raises(ValueError, match=message):
             DyckPath(word)
 
+    @pytest.mark.parametrize("offsets, message", [
+        ((0, 1, 0), "weakly increasing"),
+        ((0, 0, 3), r"0 <= e\[i\] <= i"),
+        ((1,), r"0 <= e\[i\] <= i"),
+        ((-1, 0), r"0 <= e\[i\] <= i"),
+        ([-2], r"0 <= e\[i\] <= i"),
+    ])
+    def test_each_offset_fault_has_its_error(self, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            DyckPath.from_north_offsets(offsets)
+
+    @pytest.mark.parametrize("offsets", [(0, 0.5), (0, 1.0), ("0",)])
+    def test_rejects_offsets_that_are_no_int(self, offsets):
+        # a float offset used to build a path whose repr raised
+        with pytest.raises(TypeError):
+            DyckPath.from_north_offsets(offsets)
+
 
 class TestStoredWalk:
-    """The heights, offsets and area read off in the validating walk."""
+    """The stored offsets and area, and the word written from them."""
 
     @pytest.mark.parametrize("n", range(9))
     def test_stored_values_equal_a_word_walk(self, n):
         for d in enumerate_paths(n):
-            assert (d.column_heights(), d.north_offsets(), d.area) == \
-                _walk(d.steps)
+            assert (d.north_offsets(), d.area) == _walk(d.steps)
+            assert d.order == n and len(d.steps) == 2 * n
 
     def test_equality_and_hash_follow_the_steps(self):
         word = "NNENEE"
@@ -180,7 +201,7 @@ class TestHalves:
         # product over "NE" lists the words lexicographically with N < E
         words = [marks for marks in product("NE", repeat=2 * n)
                  if marks.count("N") == n and not _dips_below(marks)]
-        assert joins == [_walk(marks)[1] for marks in words]
+        assert joins == [_walk(marks)[0] for marks in words]
 
     def test_sweep_work_at_order_eight(self):
         firsts, seconds = _halves(8)
@@ -303,3 +324,24 @@ def test_validation_accepts_exactly_balanced_nonnegative(marks):
     else:
         with pytest.raises(ValueError):
             DyckPath(word)
+
+
+def _running_sums(low, high):
+    return st.lists(st.integers(min_value=low, max_value=high),
+                    max_size=8).map(lambda steps: list(accumulate(steps)))
+
+
+# running sums of steps 0 and 1 are valid offsets iff they start at 0;
+# steps from -1 to 2 add negative starts, decreases and offsets past their
+# index
+@given(st.one_of(_running_sums(0, 1), _running_sums(-1, 2)))
+def test_offset_validation_accepts_exactly_increasing_within_i(offsets):
+    ok = all(0 <= e <= i for i, e in enumerate(offsets)) and \
+        offsets == sorted(offsets)
+    if ok:
+        d = DyckPath.from_north_offsets(offsets)
+        assert d.north_offsets() == tuple(offsets)
+        assert DyckPath(d.steps) == d
+    else:
+        with pytest.raises(ValueError):
+            DyckPath.from_north_offsets(offsets)

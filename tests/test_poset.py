@@ -17,7 +17,7 @@ from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
                        rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
-from oracles import covers, is_below
+from oracles import column_heights, covers, is_below
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 # k-element antichains of D_6 (A143673), as the antichain listing counted
@@ -33,7 +33,7 @@ def path_ideal(d):
     """Oracle: the order ideal of P_n formed by the area cells of the path,
     read column by column: (j, y) with j < y <= h_j."""
     mask = 0
-    for j, h in enumerate(d.column_heights(), start=1):
+    for j, h in enumerate(column_heights(d), start=1):
         for y in range(j + 1, h + 1):
             mask |= 1 << poset._cell_bit(d.order, j, y)
     return mask
@@ -643,11 +643,11 @@ def test_interval_is_sublattice(n, data):
     i = data.draw(st.integers(0, p.size - 1))
     j = data.draw(st.integers(0, p.size - 1))
     path_list = enumerate_paths(n)
-    hi = path_list[i].column_heights()
-    hj = path_list[j].column_heights()
+    hi = column_heights(path_list[i])
+    hj = column_heights(path_list[j])
     meet = tuple(min(a, b) for a, b in zip(hi, hj))
     join = tuple(max(a, b) for a, b in zip(hi, hj))
-    heights = {e.column_heights(): k for k, e in enumerate(path_list)}
+    heights = {column_heights(e): k for k, e in enumerate(path_list)}
     assert meet in heights and join in heights
     m, jn = heights[meet], heights[join]
     assert p.leq(m, i) and p.leq(m, j)

@@ -88,7 +88,8 @@ def test_every_record_class_has_an_example():
 class TestContract:
     def test_fields_refuse_assignment(self, cls):
         record = EXAMPLES[cls]
-        names = ("steps", "area") if cls is DyckPath else _fields(record)
+        names = ("_offsets", "area") if cls is DyckPath \
+            else _fields(record)
         for name in names:
             value = getattr(record, name)
             with pytest.raises(AttributeError):
