@@ -6,9 +6,10 @@ are required to agree: Catalan counts (closed form vs recurrence), q-analogs
 the chain polynomial (a DP over the poset vs the k-fan product formula),
 maximal chains (incidence algebra vs hook-length formula), and the
 q,t-Catalan polynomial (path statistics vs the bounce recurrence, and vs
-exact rational evaluation of the partition sum).  Reference routes that no
-command runs, such as Stanley's Mobius criterion on J(P_n), are oracles in
-the tests.
+exact rational evaluation of the partition sum).  The Mobius function comes
+from the lower covers (Rota's crosscut theorem); reference routes that no
+command runs, such as Stanley's Mobius criterion on J(P_n) and dense zeta
+inversion, are oracles in the tests.
 """
 
 from .config import MAX_ORDER, LimitExceededError, check_order
@@ -23,9 +24,9 @@ from .poset import (AntichainCensus, DyckPoset, PosetCensus, antichain_census,
                     poset_census, rank_sizes)
 from .incidence import (ChainCensus, ExactMatrix, chain_census,
                         chain_polynomial, fan_chain_polynomial,
-                        interval_count, invert_unitriangular,
-                        maximal_chain_count, maximal_chain_solve,
-                        mobius_matrix, total_chains, zeta_matrix)
+                        interval_count, maximal_chain_count,
+                        maximal_chain_solve, mobius_matrix, total_chains,
+                        zeta_matrix)
 from .tableaux import (HookDiagram, hook_lengths,
                        maxchain_tableau_bijection_check, staircase_maxchain,
                        syt_count)

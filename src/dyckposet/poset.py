@@ -280,10 +280,11 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
 
     "all" and "maximum" read the size polynomial of _antichain_sizes and
     check its degree (the width) against Dilworth's minimum chain cover,
-    and two coefficients against counts that read no poset: x against C_n,
-    x^2 against the C(C_n, 2) pairs less the C_n C_{n+2} - C_{n+1}^2 - C_n
-    comparable ones (A005700).  "maximal" counts, by size, the antichains
-    of one depth-first enumeration whose extension set is empty."""
+    and against counts that read no poset: the width is at least the
+    largest rank level (an antichain), x is C_n, x^2 the C(C_n, 2) pairs
+    less the C_n C_{n+2} - C_{n+1}^2 - C_n comparable ones (A005700).
+    "maximal" counts, by size, the antichains of one depth-first
+    enumeration whose extension set is empty."""
     if mode not in ("all", "maximal", "maximum"):
         raise ValueError(f"unknown census mode {mode!r}")
     check_order(p.n, "maximal_antichains" if mode == "maximal"
@@ -301,6 +302,8 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     cn, cn1, cn2 = (catalan_closed(p.n + k) for k in range(3))
     agree("widths by antichain sizes and by Dilworth matching",
           width, min_chain_cover(p))
+    top = max(rank_sizes(p.n))
+    agree("width and the largest rank level", width >= top, True)
     agree("1-element antichains and C_n", padded[1], cn)
     agree("2-element antichains and incomparable pairs by closed form",
           padded[2], comb(cn, 2) - (cn * cn2 - cn1 ** 2 - cn))

@@ -1,7 +1,7 @@
 """Reference routes that more than one test module compares the package
 against.  No command runs them, so they live with the tests."""
 
-from dyckposet import UniPoly
+from dyckposet import ExactMatrix, UniPoly
 
 
 def column_heights(d):
@@ -48,3 +48,18 @@ def divide_exact(poly, divisor):
             if rem[key] == 0:
                 del rem[key]
     return UniPoly(quot)
+
+
+def invert_unitriangular(m):
+    """Exact inverse of a unit upper-triangular ExactMatrix by back
+    substitution; raises ValueError on any other matrix."""
+    dim = m.dim
+    if any(m.rows[i][j] != int(i == j)
+           for i in range(dim) for j in range(i + 1)):
+        raise ValueError("matrix is not unit upper-triangular")
+    inv = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for j in range(dim):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(m.rows[i][k] * inv[k][j]
+                             for k in range(i + 1, j + 1))
+    return ExactMatrix(inv)

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: one test per criterion, each printing a PASS line, and
+one that breaks the cover relation so that criterion 02 must fail.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
@@ -22,6 +23,7 @@ from dyckposet import (REGISTRY, SimpleGraph, catalan_closed,
                        antichain_census, verify_sequence)
 from dyckposet.cli import main as cli_main
 from dyckposet.polynomials import BiPoly, UniPoly
+from oracles import invert_unitriangular
 
 
 def _report(number, message):
@@ -49,6 +51,17 @@ def test_criterion_02_zeta_mobius(posets):
         assert zeta_matrix(p) @ mobius_matrix(p) == \
             ExactMatrix.identity(p.size)
     _report(2, "reference D_3 matrices reproduced; zeta*mu = delta for n<=5")
+
+
+def test_criterion_02_fails_on_a_dropped_cover(posets):
+    # the cover 0 < 1 of D_3 taken out of cover_up alone: the ideals, and so
+    # zeta, stay, but mu is read off the covers, so the product moves
+    p = posets(3)
+    dropped = p._replace(cover_up=(p.cover_up[0] & ~0b10,) + p.cover_up[1:])
+    zeta = zeta_matrix(dropped)
+    assert zeta == zeta_matrix(p)
+    assert zeta @ mobius_matrix(dropped) != ExactMatrix.identity(5)
+    assert mobius_matrix(dropped) != invert_unitriangular(zeta)
 
 
 def test_criterion_03_interval_counts(posets):

@@ -434,6 +434,14 @@ class TestCrossChecks:
     test_width_must_match_dilworth = _cross_check(
         "widths by antichain sizes and by Dilworth matching",
         ("antichains", "--n", "3"), _plus_one(poset, "min_chain_cover"))
+    # a width one short on both routes, n = 4 having rank levels up to 3;
+    # the 1- and 2-element counts hold
+    test_width_must_reach_the_largest_rank_level = _cross_check(
+        "width and the largest rank level",
+        ("antichains", "--n", "4", "--mode", "maximum"),
+        _wrap(poset, "_antichain_sizes",
+              lambda f: lambda size, inc: f(size, inc)[:-1]),
+        _wrap(poset, "min_chain_cover", lambda f: lambda p: f(p) - 1))
     test_one_element_antichains_must_match_the_size = _cross_check(
         "1-element antichains and C_n", ("antichains", "--n", "3"),
         _antichain_size_plus_one(1))

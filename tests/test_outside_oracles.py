@@ -2,18 +2,20 @@
 definition alone: the N/E words of length 2n with no negative prefix height,
 one path below another when each of its column heights is.  Nothing here
 reads the path sweep or the masks of the package, so a mistake that both
-routes of a two-route check share would show here.  networkx is imported
-plainly: a missing package fails the module, it does not skip it."""
+routes of a two-route check share would show here.  sympy inverts that
+poset's zeta matrix and divides q-binomials.  networkx and sympy are imported plainly: a
+missing package fails the module, it does not skip it."""
 
 from collections import Counter
 from itertools import combinations, product
 
 import networkx as nx
 import pytest
+import sympy
 
-from dyckposet import (antichain_census, build_poset, cover_edge_count,
-                       interval_count, maximal_chain_count, maximal_chains,
-                       min_chain_cover)
+from dyckposet import (antichain_census, build_poset, cn_maj,
+                       cover_edge_count, interval_count, maximal_chain_count,
+                       maximal_chains, min_chain_cover, mobius_matrix)
 
 
 def _words(n):
@@ -108,3 +110,28 @@ def test_maximal_chains(case):
               nx.all_simple_paths(covers, 0, order.number_of_nodes() - 1)}
     assert set(maximal_chains(p)) == chains
     assert maximal_chain_count(p) == len(chains)
+
+
+def test_mobius_is_sympy_inverse_of_zeta():
+    for n in range(5):
+        order = _order(n)
+        size = order.number_of_nodes()
+        zeta = sympy.Matrix(size, size, lambda i, j:
+                            int(i == j or order.has_edge(i, j)))
+        assert zeta.inv().tolist() == mobius_matrix(build_poset(n)).rows
+
+
+def test_maj_analog_is_the_sympy_quotient():
+    # MacMahon: maj(q) = [2n choose n]_q / [n+1]_q, the q-binomial from its
+    # product formula prod_{i=1}^{n} (1 - q^{n+i}) / (1 - q^i)
+    q = sympy.Symbol("q")
+    for n in range(9):
+        binomial, rem = sympy.div(
+            sympy.prod(1 - q ** (n + i) for i in range(1, n + 1)),
+            sympy.prod(1 - q ** i for i in range(1, n + 1)), q)
+        assert rem == 0
+        quotient, rem = sympy.div(
+            binomial, sum(q ** i for i in range(n + 1)), q)
+        assert rem == 0
+        assert cn_maj(n).coeffs == {
+            (e, 0): c for (e,), c in sympy.Poly(quotient, q).terms()}
