@@ -19,7 +19,7 @@ class LimitExceededError(Exception):
 #   counts              scope: every printed integer stays under Python's
 #                       4300-digit str limit (the parking count (n+1)^(n-1)
 #                       has 2998 digits at n = 1000); the Catalan recurrence
-#                       at n = 1001 takes 0.3 s
+#                       at n = 1001 takes 0.16-0.17 s
 #   paths               scope: no order past 8 is in the project's scope.
 #                       qt --n 9 takes 9-14 ms and 17 MB.  At n = 8 chains
 #                       takes 25-47 ms and 18 MB, the parking census 24-38 ms
@@ -32,9 +32,10 @@ class LimitExceededError(Exception):
 #                       in 4.5 s, where a probe stopped it.  The ideal
 #                       count's chain-cut prototype passed 21 M states in
 #                       114 s.  At n = 6 poset takes 0.11-0.18 s and 29 MB
-#   maximal_antichains  two-route trust: the DFS is the only route and the
-#                       A143674 snapshot ends at 5; n = 6 takes 66.9 s and
-#                       16 MB, visiting all 37,620,704 antichains
+#   maximal_antichains  two-route trust: the chain-split memo is the only
+#                       route and the A143674 snapshot ends at 5; n = 6
+#                       takes 0.14-0.20 s (37,373 states, a 7.4 MiB
+#                       tracemalloc peak), so cost no longer holds the cap
 #   chromatic           two-route trust: the frontier DP is the only route
 #                       and the A141622 snapshot ends at 4; n = 5 takes
 #                       0.56-0.8 s and 24 MB (a frontier of 9, 9,089 states)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import count
 from math import comb
-from operator import attrgetter, gt, index
+from operator import attrgetter, gt, index, mul
 from typing import NamedTuple
 
 from .checks import agree
@@ -194,13 +194,19 @@ def catalan_closed(n: int) -> int:
 
 
 def catalan_recurrence(n: int) -> int:
-    """E_0 = 1, E_n = sum_{k=1..n} E_{k-1} E_{n-k}, built bottom-up."""
+    """E_0 = 1, E_n = sum_{k=1..n} E_{k-1} E_{n-k}, built bottom-up.  The
+    terms k and n + 1 - k are equal, so each E_m sums the first half of
+    its terms and doubles it, plus the middle square when m is odd."""
     if n < 0:
         raise ValueError("n must be non-negative")
     values = [1]
     for m in range(1, n + 1):
-        values.append(sum(values[k - 1] * values[m - k]
-                          for k in range(1, m + 1)))
+        half = m // 2
+        total = 2 * sum(map(mul, values[:half],
+                            reversed(values[m - half:m])))
+        if m % 2:
+            total += values[half] ** 2
+        values.append(total)
     return values[n]
 
 

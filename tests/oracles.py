@@ -1,6 +1,8 @@
 """Reference routes that more than one test module compares the package
 against.  No command runs them, so they live with the tests."""
 
+from collections import Counter
+
 from dyckposet import ExactMatrix, UniPoly
 
 
@@ -23,6 +25,51 @@ def is_below(d1, d2):
 def covers(p, i, j):
     """True iff element j covers element i of the poset p."""
     return bool(p.cover_up[i] >> j & 1)
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def antichain_extensions(size, inc):
+    """Every antichain of a poset on elements 0..size-1, depth first, as a
+    pair of bitmasks: the antichain and its extension set, the elements
+    incomparable to each of its members, inc[i] being the bitmask of the
+    elements incomparable to i.  An antichain is maximal iff its extension
+    is 0.  Nothing is stored."""
+
+    def grow(mask, extension, start):
+        yield mask, extension
+        for i in _bits(extension & ~((1 << (start + 1)) - 1)):
+            yield from grow(mask | (1 << i), extension & inc[i], i)
+
+    return grow(0, (1 << size) - 1, -1)
+
+
+def maximal_antichains_by_size(size, inc):
+    """Maximal antichains of a poset on elements 0..size-1 counted by size,
+    as the maximal cliques of its incomparability graph, inc[i] masking the
+    neighbours of i: Bron-Kerbosch with Tomita's pivot, the vertex of
+    cand | done with the most neighbours in cand (Tomita, Tanaka and
+    Takahashi, TCS 363, 2006).  It reads nothing but inc."""
+    counts = Counter()
+
+    def expand(k, cand, done):
+        if not cand | done:
+            counts[k] += 1
+            return
+        pivot = max(_bits(cand | done),
+                    key=lambda u: (cand & inc[u]).bit_count())
+        for v in _bits(cand & ~inc[pivot]):
+            expand(k + 1, cand & inc[v], done & inc[v])
+            cand ^= 1 << v
+            done |= 1 << v
+
+    expand(0, (1 << size) - 1, 0)
+    return dict(counts)
 
 
 def divide_exact(poly, divisor):

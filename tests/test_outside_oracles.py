@@ -2,8 +2,10 @@
 definition alone: the N/E words of length 2n with no negative prefix height,
 one path below another when each of its column heights is.  Nothing here
 reads the path sweep or the masks of the package, so a mistake that both
-routes of a two-route check share would show here.  sympy inverts that
-poset's zeta matrix and divides q-binomials.  networkx and sympy are imported plainly: a
+routes of a two-route check share would show here.  The antichain
+oracles of tests/oracles.py are checked here too, on masks read off the
+networkx graph.  sympy inverts that poset's zeta matrix and divides
+q-binomials.  networkx and sympy are imported plainly: a
 missing package fails the module, it does not skip it."""
 
 from collections import Counter
@@ -16,6 +18,7 @@ import sympy
 from dyckposet import (antichain_census, build_poset, cn_maj,
                        cover_edge_count, interval_count, maximal_chain_count,
                        maximal_chains, min_chain_cover, mobius_matrix)
+from oracles import antichain_extensions, maximal_antichains_by_size
 
 
 def _words(n):
@@ -94,6 +97,21 @@ def test_maximal_antichains_by_size(case):
     _, _, incomparable, p = case
     by_size = Counter(map(len, nx.find_cliques(incomparable)))
     assert antichain_census(p, "maximal").by_size == dict(by_size)
+
+
+def test_antichain_oracles(case):
+    # the listing and Bron-Kerbosch oracles that test_poset compares the
+    # package against, run on this module's graph
+    _, _, incomparable, _ = case
+    size = incomparable.number_of_nodes()
+    inc = [sum(1 << j for j in incomparable[i]) for i in range(size)]
+    listed = Counter(mask.bit_count()
+                     for mask, _ in antichain_extensions(size, inc))
+    cliques = Counter(map(len, nx.enumerate_all_cliques(incomparable)))
+    cliques[0] += 1  # the empty antichain
+    assert listed == cliques
+    assert maximal_antichains_by_size(size, inc) == \
+        Counter(map(len, nx.find_cliques(incomparable)))
 
 
 def test_width(case):

@@ -17,7 +17,8 @@ from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
                        rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
-from oracles import column_heights, covers, is_below
+from oracles import (antichain_extensions, column_heights, covers, is_below,
+                     maximal_antichains_by_size)
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 # k-element antichains of D_6 (A143673), as the antichain listing counted
@@ -142,10 +143,9 @@ def _incomparable(p):
 
 
 def _antichain_masks(size, inc):
-    """Oracle: every antichain, listed by the depth-first search of the
-    maximal census, as a bitmask."""
-    return [mask for mask, _extension
-            in poset._antichain_extensions(size, inc)]
+    """Oracle: every antichain, listed by a depth-first search, as a
+    bitmask."""
+    return [mask for mask, _extension in antichain_extensions(size, inc)]
 
 
 def antichain_ideal_bijection_check(p):
@@ -206,13 +206,12 @@ def mobius_direct(p, x, y):
     return -1 if diff.bit_count() % 2 else 1
 
 
-def _maximal_by_filter(p):
+def _maximal_by_filter(size, inc):
     """Maximal antichains by size: the listed antichains that leave no
     element incomparable to all of their members."""
-    inc = _incomparable(p)
     by_size = {}
-    for mask in _antichain_masks(p.size, inc):
-        extension = (1 << p.size) - 1
+    for mask in _antichain_masks(size, inc):
+        extension = (1 << size) - 1
         for i in poset._bits(mask):
             extension &= inc[i]
         if extension == 0:
@@ -292,7 +291,7 @@ class TestIdealsAndAntichains:
                                                            monkeypatch):
         def refuse(*args):
             raise AssertionError("antichains listed")
-        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
+        monkeypatch.setitem(globals(), "antichain_extensions", refuse)
         with pytest.raises(LimitExceededError):
             antichain_ideal_bijection_check(posets(7))
 
@@ -346,6 +345,31 @@ class TestIdealsAndAntichains:
         assert calls == {"_antichain_sizes.<locals>.count": 25_963,
                          "_ideal_count.<locals>.count": 188_023}
 
+    @pytest.mark.parametrize("n, states", [(5, 225), (6, 37_373)])
+    def test_maximal_split_states(self, posets, n, states):
+        # the distinct (candidates, hunt) states the maximal split enters
+        # with a candidate left, each one memo entry.  Exact, so a split
+        # that prunes less, such as one that enters dead states (6,732,520
+        # at n = 6), fails here at once
+        p = posets(n)
+        seen = set()
+
+        def profile(frame, event, _arg):
+            if (event == "call"
+                    and frame.f_code.co_qualname
+                    == "_maximal_sizes.<locals>.count"):
+                cand, hunt = frame.f_locals["cand"], frame.f_locals["hunt"]
+                if cand:
+                    seen.add((cand, hunt))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            poset._maximal_sizes(p.size, _incomparable(p))
+        finally:
+            sys.setprofile(previous)
+        assert len(seen) == states
+
     def test_maximal_totals(self, posets):
         for n in range(6):
             census = antichain_census(posets(n), "maximal")
@@ -353,14 +377,34 @@ class TestIdealsAndAntichains:
 
     @pytest.mark.parametrize("n", range(6))
     def test_maximal_by_size_matches_the_filter(self, posets, n):
-        assert antichain_census(posets(n), "maximal").by_size == \
-            _maximal_by_filter(posets(n))
+        p = posets(n)
+        assert antichain_census(p, "maximal").by_size == \
+            _maximal_by_filter(p.size, _incomparable(p))
+
+    def test_maximal_sizes_at_order_six_by_bron_kerbosch(self, posets):
+        # every coefficient against a route that shares no code with the
+        # split; the oracle takes under 2 s
+        p = posets(6)
+        inc = _incomparable(p)
+        c = poset._maximal_sizes(p.size, inc)
+        assert {k: m for k, m in enumerate(c) if m} == \
+            maximal_antichains_by_size(p.size, inc)
+        assert len(c) == 18 and sum(c) == 526_913
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_maximal_top_is_the_maximum_census(self, posets, n):
+        # an antichain of the largest size is maximal, so the maximal
+        # census ends where the maximum census reads
+        p = posets(n)
+        c = poset._maximal_sizes(p.size, _incomparable(p))
+        census = antichain_census(p, "maximum")
+        assert (len(c) - 1, c[-1]) == (census.width, census.total)
 
     def test_census_refused_past_its_limit_before_work(self, posets,
                                                         monkeypatch):
         def refuse(*args):
             raise AssertionError("antichains counted")
-        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
+        monkeypatch.setattr(poset, "_maximal_sizes", refuse)
         monkeypatch.setattr(poset, "_antichain_sizes", refuse)
         for n, mode in ((6, "maximal"), (7, "all"), (7, "maximum")):
             with pytest.raises(LimitExceededError):
@@ -395,7 +439,7 @@ class TestIdealsAndAntichains:
     def test_order_six_without_enumeration(self, posets, monkeypatch):
         def refuse(*args):
             raise AssertionError("antichains enumerated")
-        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
+        monkeypatch.setattr(poset, "_maximal_sizes", refuse)
         census = antichain_census(posets(6))
         assert census.by_size == dict(enumerate(ANTICHAINS_6))
         assert census.total == sum(ANTICHAINS_6) == 37_620_704
@@ -405,7 +449,7 @@ class TestIdealsAndAntichains:
     def test_unknown_mode_refused_before_work(self, posets, monkeypatch):
         def refuse(*args):
             raise AssertionError("census computed")
-        monkeypatch.setattr(poset, "_antichain_extensions", refuse)
+        monkeypatch.setattr(poset, "_maximal_sizes", refuse)
         monkeypatch.setattr(poset, "_antichain_sizes", refuse)
         with pytest.raises(ValueError):
             antichain_census(posets(6), "bogus")
@@ -584,14 +628,21 @@ def _random_up_sets(data):
     return _relabel(up, data.draw(st.permutations(range(len(up)))))
 
 
+def _incomparable_masks(up):
+    """The incomparability masks of the poset with up-sets up."""
+    size = len(up)
+    full = (1 << size) - 1
+    down = [sum(1 << j for j in range(size) if up[j] >> i & 1)
+            for i in range(size)]
+    return [full & ~(up[i] | down[i]) for i in range(size)]
+
+
 def _antichain_sizes_by_subsets(up):
     """The incomparability masks of the poset with up-sets up, and
     c[k] = number of its k-element antichains, by testing every subset."""
     size = len(up)
     full = (1 << size) - 1
-    down = [sum(1 << j for j in range(size) if up[j] >> i & 1)
-            for i in range(size)]
-    inc = [full & ~(up[i] | down[i]) for i in range(size)]
+    inc = _incomparable_masks(up)
     counts = [0] * (size + 1)
     for sub in range(full + 1):
         if all(inc[i] >> j & 1 for i, j in combinations(poset._bits(sub), 2)):
@@ -607,6 +658,20 @@ def test_antichain_sizes_by_brute_force(data):
     up = _random_up_sets(data)
     inc, counts = _antichain_sizes_by_subsets(up)
     assert poset._antichain_sizes(len(up), inc) == counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_maximal_sizes_by_listing(data):
+    # the split, against the antichains listed and filtered and against
+    # Bron-Kerbosch, on random posets whose labels need not be a linear
+    # extension
+    up = _random_up_sets(data)
+    inc = _incomparable_masks(up)
+    by_size = {k: c for k, c in enumerate(poset._maximal_sizes(len(up), inc))
+               if c}
+    assert by_size == _maximal_by_filter(len(up), inc) == \
+        maximal_antichains_by_size(len(up), inc)
 
 
 @settings(max_examples=50, deadline=None)
