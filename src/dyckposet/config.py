@@ -21,8 +21,8 @@ class LimitExceededError(Exception):
 #                       has 2998 digits at n = 1000); the Catalan recurrence
 #                       at n = 1001 takes 0.16-0.17 s
 #   paths               scope: no order past 8 is in the project's scope.
-#                       qt --n 9 takes 9-14 ms and 17 MB.  At n = 8 chains
-#                       takes 25-47 ms and 18 MB, the parking census 24-38 ms
+#                       qt --n 9 takes 9-14 ms and 17 MB; at n = 8, chains
+#                       12.5-12.7 ms and 17 MB, the parking census 24-38 ms
 #                       and 17 MB; the two parking listers no command runs
 #                       take 38 s and 25 s, each near 860 MB
 #   antichains          cost: antichains --n 7 exhausted memory with the

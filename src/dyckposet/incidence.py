@@ -2,9 +2,9 @@
 
 Rows and columns are indexed by the canonical element order, a linear
 extension of D_n, under which zeta, delta, eta and (2*delta - zeta) are
-upper triangular.  D_n is a lattice, so its Mobius function is read off the
-lower covers by Rota's crosscut theorem, inverting no matrix, and the chain
-polynomial is Mobius inversion against it: one pass over the element order,
+upper triangular.  D_n is a lattice, so its Mobius function is read off
+p.lower, the lower covers, by Rota's crosscut theorem, inverting no matrix;
+the chain polynomial is Mobius inversion against it: one pass over the order,
 each element's chain counts by length packed in one integer (137 bits
 apiece at n = 8).  With at most n - 1 lower covers an element, that is the
 lattice case of the fast zeta transform of Bjorklund, Husfeldt, Kaski,
@@ -12,7 +12,7 @@ Koivisto, Nederlof and Parviainen (SODA 2012).
 
 chain_census checks every coefficient of that polynomial against a k-fan
 product formula that reads no poset, and its top one also against the
-paper's inversion of (delta - eta), one triangular solve over the covers,
+paper's inversion of (delta - eta), one triangular solve down p.lower,
 and the hook-length formula.  The dense zeta and Mobius matrices remain as
 library functions; inversion by back substitution, which gives the dense
 (2*delta - zeta)^{-1} and (delta - eta)^{-1}, is an oracle in the tests.
@@ -28,7 +28,7 @@ from . import tableaux
 from .checks import agree
 from .paths import catalan_closed
 from .polynomials import UniPoly, _unpack
-from .poset import DyckPoset, _bits
+from .poset import DyckPoset
 
 
 class ExactMatrix:
@@ -75,12 +75,8 @@ def _mobius_columns(p: DyckPoset):
     covers of j that meet in x; odd and even list the meets of the odd and
     the even T.  The meet of T and a cover c is the top bit of the AND of
     their down-set masks; if it is empty, p is not a lattice: ValueError."""
-    lower: list[list[int]] = [[] for _ in p.cover_up]
-    for i, grown in enumerate(p.cover_up):
-        for j in _bits(grown):
-            lower[j].append(i)
     down = p.down
-    for j, covers in enumerate(lower):
+    for j, covers in enumerate(p.lower):
         # each cover c appends the meet with c of every set so far, of the
         # other parity, then c: the list alternates odd, even, ..., odd
         meets: list[int] = []
@@ -164,13 +160,13 @@ def maximal_chain_solve(p: DyckPoset) -> list[int]:
     """x with (delta - eta) x = e_top: the last column of (delta - eta)^{-1},
     whose entry x_i counts the saturated chains from i to the maximum.
 
-    Back substitution gives x_i = [i = top] + sum of x_k over the k covering i.
+    Back substitution, x_i = [i = top] + sum of x_k over the k covering i,
+    from the top down: x_j is final when it is added to its lower covers'.
     """
-    cover_up = p.cover_up
-    top = len(cover_up) - 1
-    x = [0] * len(cover_up)
-    for i in reversed(range(len(cover_up))):
-        x[i] = int(i == top) + sum(x[k] for k in _bits(cover_up[i]))
+    x = [0] * (p.size - 1) + [1]
+    for j in reversed(range(p.size)):
+        for c in p.lower[j]:
+            x[c] += x[j]
     return x
 
 
@@ -215,10 +211,10 @@ def maximal_chain_count(p: DyckPoset) -> int:
 def interval_count(p: DyckPoset) -> int:
     """Number of pairs x <= y: the dimension of the incidence algebra.
 
-    Counted from the up-sets, and checked against C_n C_{n+2} - C_{n+1}^2,
+    Counted from the down-sets, and checked against C_n C_{n+2} - C_{n+1}^2,
     the closed form OEIS A005700 gives for it.
     """
-    return agree("interval counts by up-sets and by closed form",
-                 sum(mask.bit_count() for mask in p.up),
+    return agree("interval counts by down-sets and by closed form",
+                 sum(mask.bit_count() for mask in p.down),
                  catalan_closed(p.n) * catalan_closed(p.n + 2)
                  - catalan_closed(p.n + 1) ** 2)

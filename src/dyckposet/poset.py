@@ -11,10 +11,13 @@ P_n.
 Inclusion is mask inclusion, a cover adds one cell and the rank (area) is the
 popcount.  Element i is the i-th path of enumerate_paths(n), the canonical
 order, a linear extension of D_n, so zeta-type matrices built on it are
-upper triangular; up- and down-sets are bitmasks over that order.  Nothing
-else is kept per element: a caller that needs the paths enumerates them.
-build_poset builds none: it joins the masks of the half paths of
-paths._halves, each the union of one row mask per north offset.
+upper triangular.  build_poset builds no path: it joins the masks of the
+half paths of paths._halves, each one row mask per north offset, and keeps
+each join's offsets.  A lower cover takes out the last cell of a row at a
+peak: the rows y with e_y + 1 < y and y = n or e_y < e_{y+1}, one index
+lookup each, C(2n-1, n-2) in all.  The lower covers are the one stored
+relation (lower); the down-sets close them in the same pass, and a reader
+that needs up-sets or cover_up masks derives them once.
 
 Antichains are counted by size without listing them: a memoised split on
 bitmasks of candidate elements that takes off one chain's part at a time,
@@ -62,25 +65,27 @@ from .qt import cn_inv
 
 class DyckPoset(NamedTuple):
     n: int
-    ideals: tuple[int, ...]    # ideals[i] = area-cell mask of element i
-    up: tuple[int, ...]        # up[i] = bitmask of j with i <= j
-    down: tuple[int, ...]      # down[i] = bitmask of j with j <= i
-    cover_up: tuple[int, ...]  # bitmask of j covering i
+    ideals: tuple[int, ...]             # area-cell mask of element i
+    lower: tuple[tuple[int, ...], ...]  # the elements i covers, ascending
+    down: tuple[int, ...]               # bitmask of j with j <= i
 
     @property
     def size(self) -> int:
         return len(self.ideals)
 
+    @property
+    def cover_up(self) -> tuple[int, ...]:
+        """Bitmask of the j covering i, for each i: built on each read."""
+        grown = [0] * self.size
+        for i, j in self.cover_edges():
+            grown[i] |= 1 << j
+        return tuple(grown)
+
     def leq(self, i: int, j: int) -> bool:
         return self.ideals[i] & ~self.ideals[j] == 0
 
     def cover_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.size)
-                for j in _bits(self.cover_up[i])]
-
-    def incomparable(self, i: int) -> int:
-        full = (1 << self.size) - 1
-        return full & ~(self.up[i] | self.down[i])
+        return [(i, j) for j, covers in enumerate(self.lower) for i in covers]
 
 
 def _bits(mask: int):
@@ -128,40 +133,34 @@ def build_poset(n: int) -> DyckPoset:
             mask |= masks[e]
         return mask
 
-    tails = {a: [half_mask(a, offsets) for offsets in level]
+    tails = {a: [(half_mask(a, offsets), offsets) for offsets in level]
              for a, level in seconds.items()}
-    joined = []
-    for offsets in firsts:
-        head = half_mask(0, offsets)
-        joined += [head | tail for tail in tails[len(offsets)]]
+    heads = [(half_mask(0, offsets), offsets) for offsets in firsts]
     # the joins are lexicographic with N < E, as in enumerate_paths, whose
     # stable sort by area this sort by popcount repeats
-    ideals = tuple(sorted(joined, key=int.bit_count))
-    size = len(ideals)
+    joined = sorted(((head | tail, offsets + rest) for head, offsets in heads
+                     for tail, rest in tails[len(offsets)]),
+                    key=lambda join: join[0].bit_count())
+    ideals = tuple(mask for mask, _ in joined)
     index = {mask: i for i, mask in enumerate(ideals)}
-    points = [1 << b for b in range(comb(n, 2))]
-    # j covers i iff ideal j is ideal i and one point of P_n more
-    cover_up = []
-    for ideal in ideals:
-        grown = 0
-        for point in points:
-            if not ideal & point:
-                j = index.get(ideal | point)
-                if j is not None:
-                    grown |= 1 << j
-        cover_up.append(grown)
-    # covers raise the area by one, so they point forward in element order:
-    # one pass each way closes them into down- and up-sets
-    down = [1 << i for i in range(size)]
-    for i in range(size):
-        for j in _bits(cover_up[i]):
-            down[j] |= down[i]
-    up = [1 << i for i in range(size)]
-    for i in reversed(range(size)):
-        for j in _bits(cover_up[i]):
-            up[i] |= up[j]
-    return DyckPoset(n=n, ideals=ideals, up=tuple(up), down=tuple(down),
-                     cover_up=tuple(cover_up))
+    # cells[y][e]: the cell (e + 1, y + 1), last of row y + 1 at offset e
+    cells = [[masks[e] ^ masks[e + 1] for e in range(y)]
+             for y, masks in enumerate(rows)]
+    lower, down = [], []
+    for j, (mask, offsets) in enumerate(joined):
+        # rows from the top down give the covers in ascending order, each
+        # below j and so closed already; after is the offset of the row above
+        covers, below, after = (), 1 << j, n
+        for y in range(n - 1, 0, -1):
+            e = offsets[y]
+            if e < y and e < after:
+                c = index[mask ^ cells[y][e]]
+                covers += (c,)
+                below |= down[c]
+            after = e
+        lower.append(covers)
+        down.append(below)
+    return DyckPoset(n=n, ideals=ideals, lower=tuple(lower), down=tuple(down))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,8 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
         raise ValueError(f"unknown census mode {mode!r}")
     check_order(p.n, "maximal_antichains" if mode == "maximal"
                 else "antichains")
-    inc = [p.incomparable(i) for i in range(p.size)]
+    full = (1 << p.size) - 1
+    inc = [full & ~(up | down) for up, down in zip(_up_sets(p), p.down)]
     if mode == "maximal":
         by_size = {k: c for k, c in enumerate(_maximal_sizes(p.size, inc))
                    if c}
@@ -378,43 +378,51 @@ def rank_sizes(n: int) -> tuple[int, ...]:
 
 def min_chain_cover(p: DyckPoset) -> int:
     """Minimum number of disjoint chains covering the poset: size less a
-    maximum matching i -> j of the strict order i < j (Dilworth's theorem by
-    Fulkerson's reduction), grown by Kuhn's augmenting paths.
+    maximum matching j -> i of the strict order i < j (Dilworth's theorem by
+    Fulkerson's reduction), grown on the down-sets by Kuhn's augmenting paths.
 
-    free masks the unmatched right vertices; a search takes the highest one
+    free masks the unmatched right vertices; a search takes the lowest one
     at once where it can.  seen is one int per search, and a node marks all
     its untried candidates before it tries any, so each right vertex is
     entered at most once; a path through a marked candidate is tried from
-    the node that marked it.  Left vertices go from the top down: at n = 6,
-    114 of the 115 matches need no search."""
+    the node that marked it.  Left vertices go from the bottom up: at
+    n = 6 none of the 115 matches needs a search, at n = 8 11 of 1,312."""
     size = p.size
-    strict = [up & ~(1 << i) for i, up in enumerate(p.up)]
-    owner = [0] * size  # owner[j] = the left vertex matched to right j
+    strict = [down & ~(1 << j) for j, down in enumerate(p.down)]
+    owner = [0] * size  # owner[i] = the left vertex matched to right i
     free = (1 << size) - 1
 
-    def augment(i: int) -> bool:
+    def augment(j: int) -> bool:
         nonlocal free, seen
-        hit = strict[i] & free
+        hit = strict[j] & free
         if hit:
-            j = hit.bit_length() - 1
-            free ^= 1 << j
-            owner[j] = i
+            i = (hit & -hit).bit_length() - 1
+            free ^= 1 << i
+            owner[i] = j
             return True
-        untried = strict[i] & ~seen
+        untried = strict[j] & ~seen
         seen |= untried
         while untried:
-            j = untried.bit_length() - 1
-            untried ^= 1 << j
-            if augment(owner[j]):
-                owner[j] = i
+            i = (untried & -untried).bit_length() - 1
+            untried ^= 1 << i
+            if augment(owner[i]):
+                owner[i] = j
                 return True
         return False
 
     matched = 0
-    for i in reversed(range(size)):
+    for j in range(size):
         seen = 0
-        matched += augment(i)
+        matched += augment(j)
     return size - matched
+
+
+def _up_sets(p: DyckPoset) -> list[int]:
+    """up[i] = bitmask of j with i <= j, closed over the covers top down."""
+    up = [1 << i for i in range(p.size)]
+    for i, j in reversed(p.cover_edges()):
+        up[i] |= up[j]
+    return up
 
 
 def min_antichain_cover(p: DyckPoset) -> int:
@@ -430,21 +438,17 @@ def min_antichain_cover(p: DyckPoset) -> int:
 
 def maximal_chains(p: DyckPoset) -> list[tuple[int, ...]]:
     """All maximal chains as index tuples, minimum to maximum."""
-    minimum = 0
+    cover_up = p.cover_up
     chains: list[tuple[int, ...]] = []
 
-    def walk(chain: list[int]) -> None:
-        tip = chain[-1]
-        succ = list(_bits(p.cover_up[tip]))
-        if not succ:
-            chains.append(tuple(chain))
-            return
-        for j in succ:
-            chain.append(j)
-            walk(chain)
-            chain.pop()
+    def walk(chain: tuple[int, ...]) -> None:
+        grown = cover_up[chain[-1]]
+        if not grown:
+            chains.append(chain)
+        for j in _bits(grown):
+            walk(chain + (j,))
 
-    walk([minimum])
+    walk((0,))
     return chains
 
 

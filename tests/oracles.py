@@ -2,8 +2,12 @@
 against.  No command runs them, so they live with the tests."""
 
 from collections import Counter
+from math import comb
+from types import SimpleNamespace
 
 from dyckposet import ExactMatrix, UniPoly
+from dyckposet.paths import _halves
+from dyckposet.poset import _row_masks
 
 
 def column_heights(d):
@@ -24,7 +28,7 @@ def is_below(d1, d2):
 
 def covers(p, i, j):
     """True iff element j covers element i of the poset p."""
-    return bool(p.cover_up[i] >> j & 1)
+    return i in p.lower[j]
 
 
 def _bits(mask):
@@ -32,6 +36,53 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def poset_by_probes(n):
+    """D_n by probing every cell: the masks of the joined half paths sorted
+    by popcount, j covering i iff ideal j is ideal i and one point of P_n
+    more, found by looking up each of the C(n, 2) cells not in ideal i, and
+    the down- and up-sets closed over the cover_up masks, one pass each
+    way.  A namespace of ideals, up, down and cover_up, each a tuple."""
+    firsts, seconds = _halves(n)
+    rows = _row_masks(n)
+
+    def half_mask(a, offsets):
+        mask = 0
+        for masks, e in zip(rows[a:], offsets):
+            mask |= masks[e]
+        return mask
+
+    tails = {a: [half_mask(a, offsets) for offsets in level]
+             for a, level in seconds.items()}
+    joined = []
+    for offsets in firsts:
+        head = half_mask(0, offsets)
+        joined += [head | tail for tail in tails[len(offsets)]]
+    ideals = tuple(sorted(joined, key=int.bit_count))
+    size = len(ideals)
+    index = {mask: i for i, mask in enumerate(ideals)}
+    points = [1 << b for b in range(comb(n, 2))]
+    cover_up = []
+    for ideal in ideals:
+        grown = 0
+        for point in points:
+            if not ideal & point:
+                j = index.get(ideal | point)
+                if j is not None:
+                    grown |= 1 << j
+        cover_up.append(grown)
+    # covers raise the area by one, so they point forward in element order
+    down = [1 << i for i in range(size)]
+    for i in range(size):
+        for j in _bits(cover_up[i]):
+            down[j] |= down[i]
+    up = [1 << i for i in range(size)]
+    for i in reversed(range(size)):
+        for j in _bits(cover_up[i]):
+            up[i] |= up[j]
+    return SimpleNamespace(ideals=ideals, up=tuple(up), down=tuple(down),
+                           cover_up=tuple(cover_up))
 
 
 def antichain_extensions(size, inc):

@@ -54,10 +54,11 @@ def test_criterion_02_zeta_mobius(posets):
 
 
 def test_criterion_02_fails_on_a_dropped_cover(posets):
-    # the cover 0 < 1 of D_3 taken out of cover_up alone: the ideals, and so
+    # the cover 0 < 1 of D_3 taken out of lower alone: the ideals, and so
     # zeta, stay, but mu is read off the covers, so the product moves
     p = posets(3)
-    dropped = p._replace(cover_up=(p.cover_up[0] & ~0b10,) + p.cover_up[1:])
+    assert p.lower[1] == (0,)
+    dropped = p._replace(lower=p.lower[:1] + ((),) + p.lower[2:])
     zeta = zeta_matrix(dropped)
     assert zeta == zeta_matrix(p)
     assert zeta @ mobius_matrix(dropped) != ExactMatrix.identity(5)

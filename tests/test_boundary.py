@@ -9,11 +9,13 @@ import inspect
 import json
 import sys
 import types
+from math import comb
 from pathlib import Path
 
 import dyckposet
 import test_acceptance
-from dyckposet import build_poset, cli, parking, poset, qt, tableaux
+from dyckposet import (build_poset, catalan_closed, cli, parking, poset, qt,
+                       tableaux)
 from dyckposet.incidence import ExactMatrix
 from dyckposet.polynomials import BiPoly, UniPoly
 
@@ -175,3 +177,10 @@ def test_names_the_benchmark_reads_still_exist():
         for name in names:
             assert callable(getattr(module, name, None)), \
                 f"{module.__name__}.{name}"
+    # bench/tracer.py counts each build's elements and cover edges from
+    # these two attributes of its result
+    for n in range(7):
+        p = build_poset(n)
+        assert p.size == catalan_closed(n)
+        assert sum(m.bit_count() for m in p.cover_up) == \
+            (comb(2 * n - 1, n - 2) if n >= 2 else 0)

@@ -344,15 +344,13 @@ def _antichain_size_plus_one(k):
     return _wrap(poset, "_antichain_sizes", make)
 
 
-def _bottom_below_top_dropped(build):
-    """build_poset with its bottom and top made incomparable."""
+def _top_cut_off(build):
+    """build_poset with its top made incomparable to every other element:
+    no lower cover, a down-set of itself alone."""
     def broken(n):
         p = build(n)
-        top = p.size - 1
-        up, down = list(p.up), list(p.down)
-        up[0] &= ~(1 << top)
-        down[top] &= ~1
-        return p._replace(up=tuple(up), down=tuple(down))
+        return p._replace(lower=p.lower[:-1] + ((),),
+                          down=p.down[:-1] + (1 << p.size - 1,))
     return broken
 
 
@@ -429,7 +427,7 @@ class TestCrossChecks:
         ("poset", "--n", "3"), _plus_one(poset, "min_antichain_cover"))
     # the closed form C_n C_{n+2} - C_{n+1}^2 moves by 5 + 42 - 2 * 14 at n = 3
     test_interval_count_must_match_the_closed_form = _cross_check(
-        "interval counts by up-sets and by closed form",
+        "interval counts by down-sets and by closed form",
         ("poset", "--n", "3"), _plus_one(incidence, "catalan_closed"))
     test_width_must_match_dilworth = _cross_check(
         "widths by antichain sizes and by Dilworth matching",
@@ -448,13 +446,13 @@ class TestCrossChecks:
     test_two_element_antichains_must_match_the_pairs = _cross_check(
         "2-element antichains and incomparable pairs by closed form",
         ("antichains", "--n", "3"), _antichain_size_plus_one(2))
-    # the census of such an order agrees with itself (8 antichains, 2 of
-    # size 2, and Dilworth's cover reads the same up-sets): only a count
-    # that reads no poset catches it
+    # the census of such an order agrees with itself (12 antichains, 5 of
+    # size 2, width 3 by Dilworth's cover too, which reads the same
+    # down-sets): only a count that reads no poset catches it
     test_a_wrong_order_must_fail_the_pair_count = _cross_check(
         "2-element antichains and incomparable pairs by closed form",
         ("antichains", "--n", "3"), _wrap(poset, "build_poset",
-                                          _bottom_below_top_dropped))
+                                          _top_cut_off))
     # one 1-element chain more, so the totals differ too
     test_total_chains_must_agree = _cross_check(
         "chain polynomials by chain DP and by k-fans", ("chains", "--n", "3"),

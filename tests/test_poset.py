@@ -18,7 +18,7 @@ from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from oracles import (antichain_extensions, column_heights, covers, is_below,
-                     maximal_antichains_by_size)
+                     maximal_antichains_by_size, poset_by_probes)
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 # k-element antichains of D_6 (A143673), as the antichain listing counted
@@ -49,10 +49,11 @@ class TestStructure:
         for n in range(5):
             p = posets(n)
             path_list = enumerate_paths(n)
+            up = poset._up_sets(p)
             for i, x in enumerate(path_list):
                 for j, y in enumerate(path_list):
                     assert p.leq(i, j) == is_below(x, y)
-                    assert p.leq(i, j) == bool(p.up[i] >> j & 1) \
+                    assert p.leq(i, j) == bool(up[i] >> j & 1) \
                         == bool(p.down[j] >> i & 1)
 
     def test_covers_match_definition(self, posets):
@@ -92,7 +93,44 @@ class TestStructure:
         assert min_antichain_cover(p) == comb(n, 2) + 1
 
     def test_each_element_stored_once(self):
-        assert DyckPoset._fields == ("n", "ideals", "up", "down", "cover_up")
+        assert DyckPoset._fields == ("n", "ideals", "lower", "down")
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_build_equals_the_cell_probes(self, posets, n):
+        # the covers read off the peaks against a lookup of every cell of
+        # P_n, and each set closed over them against the oracle's closure
+        p, probed = posets(n), poset_by_probes(n)
+        lower = [[] for _ in probed.ideals]
+        for i, grown in enumerate(probed.cover_up):
+            for j in poset._bits(grown):
+                lower[j].append(i)
+        assert p.ideals == probed.ideals
+        assert p.down == probed.down
+        assert p.lower == tuple(map(tuple, lower))
+        assert p.cover_up == probed.cover_up
+        assert tuple(poset._up_sets(p)) == probed.up
+
+    def test_build_runs_fewer_lines_than_the_cell_probes(self, posets):
+        # the build's own work at n = 8, the half sweep included: 75,256
+        # Python lines.  It looks a mask up once per cover edge, 5,005
+        # times; poset_by_probes, which probes every cell and closes the
+        # up-sets too, looks up 1,430 x 28 = 40,040 and runs 219,899 lines
+        posets(8)
+        lines = 0
+
+        def count(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count
+
+        outer = sys.gettrace()
+        sys.settrace(count)
+        try:
+            poset.build_poset(8)
+        finally:
+            sys.settrace(outer)
+        assert lines < 77_000
 
     def test_elements_follow_the_path_order(self, posets):
         # element i is the i-th path of the canonical order
@@ -139,7 +177,9 @@ def downset_masks(size, down):
 
 
 def _incomparable(p):
-    return [p.incomparable(i) for i in range(p.size)]
+    full = (1 << p.size) - 1
+    return [full & ~(up | down)
+            for up, down in zip(poset._up_sets(p), p.down)]
 
 
 def _antichain_masks(size, inc):
@@ -328,7 +368,7 @@ class TestIdealsAndAntichains:
         # antichain split without the chain relabelling (186,905 states),
         # fails here at once
         p = posets(6)
-        inc = [p.incomparable(i) for i in range(p.size)]
+        inc = _incomparable(p)
         calls = Counter()
 
         def profile(frame, event, _arg):
@@ -628,13 +668,16 @@ def _random_up_sets(data):
     return _relabel(up, data.draw(st.permutations(range(len(up)))))
 
 
+def _down_sets(up):
+    """The down-sets of the poset with up-sets up."""
+    return [sum(1 << j for j in range(len(up)) if up[j] >> i & 1)
+            for i in range(len(up))]
+
+
 def _incomparable_masks(up):
     """The incomparability masks of the poset with up-sets up."""
-    size = len(up)
-    full = (1 << size) - 1
-    down = [sum(1 << j for j in range(size) if up[j] >> i & 1)
-            for i in range(size)]
-    return [full & ~(up[i] | down[i]) for i in range(size)]
+    full = (1 << len(up)) - 1
+    return [full & ~(u | d) for u, d in zip(up, _down_sets(up))]
 
 
 def _antichain_sizes_by_subsets(up):
@@ -681,7 +724,8 @@ def test_min_chain_cover_by_brute_force(data):
     # antichain, found here by testing every subset
     up = _random_up_sets(data)
     _inc, counts = _antichain_sizes_by_subsets(up)
-    assert min_chain_cover(SimpleNamespace(size=len(up), up=up)) == \
+    assert min_chain_cover(SimpleNamespace(size=len(up),
+                                           down=_down_sets(up))) == \
         len(counts) - 1
 
 
@@ -691,8 +735,7 @@ def test_ideal_count_by_listing(data):
     # the count on random posets given in a linear extension, against the
     # listing of their ideals
     up = _triangular_up_sets(data, 14)
-    down = [sum(1 << j for j in range(len(up)) if up[j] >> i & 1)
-            for i in range(len(up))]
+    down = _down_sets(up)
     assert poset._ideal_count(len(up), down) == \
         len(downset_masks(len(up), down))
 
