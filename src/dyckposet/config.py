@@ -34,7 +34,7 @@ class LimitExceededError(Exception):
 #                       114 s.  At n = 6 poset takes 0.11-0.18 s and 29 MB
 #   maximal_antichains  two-route trust: the chain-split memo is the only
 #                       route and the A143674 snapshot ends at 5; n = 6
-#                       takes 0.14-0.20 s (37,373 states, a 7.4 MiB
+#                       takes 0.12-0.13 s (36,578 states, a 7.1 MiB
 #                       tracemalloc peak), so cost no longer holds the cap
 #   chromatic           two-route trust: the frontier DP is the only route
 #                       and the A141622 snapshot ends at 4; n = 5 takes

@@ -22,16 +22,17 @@ that needs up-sets or cover_up masks derives them once.
 Antichains are counted by size without listing them: a memoised split on
 bitmasks of candidate elements that takes off one chain's part at a time,
 along a first-fit chain partition (_chain_frame relabels the elements
-chain by chain).  Each state meets each chain in an interval, and the
-states number 7,038 at n = 6 against 37,620,704 antichains.  Each state's
-size polynomial is one integer, its coefficients packed at a bit width that
-the same chain partition bounds (52 bits at n = 6).  The width is checked
-against Dilworth's minimum chain cover, a matching grown on bitmasks.  The
-maximal census runs the same split on the same frame, each state also
-keeping the passed-over elements that still need a comparable member
-(_maximal_sizes): 37,373 states at n = 6.  Nothing in the package lists
-the antichains; the tests do, by a depth-first search, for the
-antichain-ideal bijection and the counts at n <= 5.
+chain by chain, each along its chain, from the down-sets and the covers).
+Each state meets each chain in one run of labels, and the states number
+6,834 at n = 6 against 37,620,704 antichains.  Each state's size
+polynomial is one integer, its coefficients packed at a bit width that the
+same chain partition bounds, with a spare bit (53 bits at n = 6).  The
+width is checked against Dilworth's minimum chain cover, a matching grown
+on bitmasks.  The maximal census runs the same split on the same frame,
+each state also keeping the passed-over elements that still need a
+comparable member (_maximal_sizes): 36,578 states at n = 6.  Nothing in
+the package lists the antichains; the tests do, by a depth-first search,
+for the antichain-ideal bijection and the counts at n <= 5.
 Order ideals are counted by a memoised split, an element at a time
 (_ideal_count).
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from math import comb, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .checks import agree
@@ -198,13 +198,15 @@ class AntichainCensus(NamedTuple):
     width: int | None = None
 
 
-def _first_fit_chains(size: int, inc: list[int]) -> list[int]:
-    """A partition of elements 0..size-1 into chains, as bitmasks: each
-    element joins the first chain holding nothing incomparable to it."""
+def _first_fit_chains(p: DyckPoset) -> list[int]:
+    """A partition of the elements into chains, as bitmasks: taken by
+    down-set size, a linear extension, each element joins the first chain
+    inside its strict down-set."""
     chains: list[int] = []
-    for i in range(size):
+    for i in sorted(range(p.size), key=lambda i: p.down[i].bit_count()):
+        strict = p.down[i] ^ 1 << i
         for c, chain in enumerate(chains):
-            if chain & inc[i] == 0:
+            if chain & ~strict == 0:
                 chains[c] = chain | 1 << i
                 break
         else:
@@ -212,72 +214,78 @@ def _first_fit_chains(size: int, inc: list[int]) -> list[int]:
     return chains
 
 
-def _chain_frame(size: int, inc: list[int]) -> tuple[int, list[int],
-                                                      list[int]]:
+def _chain_frame(p: DyckPoset) -> tuple[int, list[int], list[int]]:
     """The labelling that both antichain splits run on: (width, below, inc).
 
-    The elements are relabelled chain by chain along a first-fit chain
-    partition, the chains in reverse order, each from its top element down;
-    below[k] masks the labels of the chains before label k's, and inc is
-    the incomparability masks under the new labels.  The elements of a
-    chain incomparable to any one element form an interval of it, so, with
-    elements given in a linear extension as D_n's are, each candidate set
-    of a split meets each chain in an interval.  No candidate set holds
-    more antichains than the product of (chain length + 1) over the chains;
-    width is that product's bit length, the bits per packed coefficient."""
-    chains = _first_fit_chains(size, inc)
-    width = prod(chain.bit_count() + 1 for chain in chains).bit_length()
-    order, below = [], []
+    It reads p.size, p.down and p.lower, in any labelling.  The elements
+    are relabelled chain by chain along a first-fit chain partition, the
+    chains in reverse order, each along the chain from its top down (by
+    down-set size); below[k] masks the labels of the chains before label
+    k's, and inc[k] the labels incomparable to k, the down- and up-sets
+    closed over the covers.  The elements of a chain incomparable to any
+    one element form an interval of it, so each candidate set of a split
+    meets each chain in one run of labels.  No candidate set holds more
+    antichains than the product of (chain length + 1) over the chains;
+    width, the bits per packed coefficient, is its bit length plus one
+    spare bit."""
+    size, down = p.size, p.down
+    chains = _first_fit_chains(p)
+    width = prod(chain.bit_count() + 1 for chain in chains).bit_length() + 1
+    label, below = [0] * size, []
     for chain in reversed(chains):
-        below += [(1 << len(order)) - 1] * chain.bit_count()
-        order += sorted(_bits(chain), reverse=True)
-    if not size:
-        return width, below, []
-    # a mask's binary string, most significant bit first, permuted at C
-    # level: new label k is old label order[k]
-    spell = f"0{size}b"
-    pick = itemgetter(*[size - 1 - v for v in reversed(order)])
-    return width, below, [int("".join(pick(format(inc[v], spell))), 2)
-                          for v in order]
+        top_down = sorted(_bits(chain), key=lambda v: -down[v].bit_count())
+        for k, v in enumerate(top_down, len(below)):
+            label[v] = k
+        below += [(1 << len(below)) - 1] * len(top_down)
+    ext = sorted(range(size), key=lambda v: down[v].bit_count())
+    downs, ups = [1 << k for k in range(size)], [1 << k for k in range(size)]
+    for v in ext:
+        for c in p.lower[v]:
+            downs[label[v]] |= downs[label[c]]
+    for v in reversed(ext):
+        for c in p.lower[v]:
+            ups[label[c]] |= ups[label[v]]
+    full = (1 << size) - 1
+    return width, below, [full & ~(d | u) for d, u in zip(downs, ups)]
 
 
-def _antichain_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
-    """c[k] = number of k-element antichains of a poset on elements
-    0..size-1, where inc[i] is the bitmask of elements incomparable to i.
+def _antichain_sizes(p: DyckPoset) -> tuple[int, ...]:
+    """c[k] = number of k-element antichains of the poset p (size, down and
+    lower, as _chain_frame reads them).
 
     A(S), the size polynomial of the antichains inside the candidate set S,
-    splits on the chain C of the highest element of S: an antichain takes
-    at most one element of a chain, so, for any labelling,
+    splits on the chain C of the highest label of S: an antichain takes at
+    most one element of a chain, so
     A(S) = A(S - C) + x sum_{u in S & C} A((S - C) & inc[u]).
-    The recursion is one level per chain deep; the memo is keyed by S.
+    The recursion is one level per chain deep; the memo is keyed by S, and
+    each child is looked up before it is counted (no A(S) is 0, as the
+    empty antichain lies in every S): one call per state.
 
     A(S) is stored as the integer A(2^B), B the width of _chain_frame, so
-    no coefficient carries.  On the frame's labels each S meets each chain
-    in an interval: 7,038 states at n = 6, against 14,673 splitting one
-    element at a time and 186,905 without the relabelling."""
-    width, below, inc = _chain_frame(size, inc)
+    no coefficient carries.  S & C is one run of labels, the slice low..top
+    of inc: 6,834 states at n = 6 besides the empty set, against 94,012
+    for the ideal split, which takes one element at a time."""
+    width, below, inc = _chain_frame(p)
     memo = {0: 1}
+    get = memo.get
 
     def count(cand: int) -> int:
-        found = memo.get(cand)
-        if found is not None:
-            return found
-        rest = cand & below[cand.bit_length() - 1]
+        top = cand.bit_length()
+        rest = cand & below[top - 1]
         part = cand ^ rest
         with_one = 0
-        while part:
-            u = part.bit_length() - 1
-            part ^= 1 << u
-            with_one += count(rest & inc[u])
-        memo[cand] = result = count(rest) + (with_one << width)
+        for mask in inc[(part & -part).bit_length() - 1:top]:
+            child = rest & mask
+            with_one += get(child) or count(child)
+        memo[cand] = result = (get(rest) or count(rest)) + (with_one << width)
         return result
 
-    return _unpack(count((1 << size) - 1), width)
+    full = (1 << p.size) - 1
+    return _unpack(get(full) or count(full), width)
 
 
-def _maximal_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
-    """c[k] = number of k-element maximal antichains of a poset on elements
-    0..size-1, where inc[i] is the bitmask of elements incomparable to i.
+def _maximal_sizes(p: DyckPoset) -> tuple[int, ...]:
+    """c[k] = number of k-element maximal antichains of the poset p.
 
     The same chain split as _antichain_sizes, on the same frame, with the
     state (S, H): S the candidates, H the elements passed over that no
@@ -285,13 +293,13 @@ def _maximal_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
     of S goes to (S - C, H | S & C); taking u in S & C goes to
     ((S - C) & inc[u], H & inc[u]).  A state is dead when some w in H has
     no comparable candidate left, and is not entered; at S = 0 the state
-    counts one antichain, maximal exactly when H = 0.  225 states at
-    n = 5 and 37,373 at n = 6, against 37,620,704 antichains.
+    counts one antichain, maximal exactly when H = 0.  197 states at
+    n = 5 and 36,578 at n = 6, against 37,620,704 antichains.
 
     Coefficients are packed at the width of _chain_frame.  That is exact,
     as a state's maximal antichains are among the antichains of S, and no
     S holds more antichains than the width bounds."""
-    width, below, inc = _chain_frame(size, inc)
+    width, below, inc = _chain_frame(p)
     comparable = [~mask for mask in inc]
     memo: dict[tuple[int, int], int] = {}
 
@@ -310,21 +318,20 @@ def _maximal_sizes(size: int, inc: list[int]) -> tuple[int, ...]:
         found = memo.get(key)
         if found is not None:
             return found
-        rest = cand & below[cand.bit_length() - 1]
+        top = cand.bit_length()
+        rest = cand & below[top - 1]
         part = cand ^ rest
         skip = hunt | part
         result = count(rest, skip) if alive(rest, skip) else 0
         with_one = 0
-        while part:
-            u = part.bit_length() - 1
-            part ^= 1 << u
-            taken, left = rest & inc[u], hunt & inc[u]
+        for mask in inc[(part & -part).bit_length() - 1:top]:
+            taken, left = rest & mask, hunt & mask
             if alive(taken, left):
                 with_one += count(taken, left)
         memo[key] = result = result + (with_one << width)
         return result
 
-    return _unpack(count((1 << size) - 1, 0), width)
+    return _unpack(count((1 << p.size) - 1, 0), width)
 
 
 def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
@@ -342,13 +349,10 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
         raise ValueError(f"unknown census mode {mode!r}")
     check_order(p.n, "maximal_antichains" if mode == "maximal"
                 else "antichains")
-    full = (1 << p.size) - 1
-    inc = [full & ~(up | down) for up, down in zip(_up_sets(p), p.down)]
     if mode == "maximal":
-        by_size = {k: c for k, c in enumerate(_maximal_sizes(p.size, inc))
-                   if c}
+        by_size = {k: c for k, c in enumerate(_maximal_sizes(p)) if c}
         return AntichainCensus(by_size=by_size, total=sum(by_size.values()))
-    c = _antichain_sizes(p.size, inc)
+    c = _antichain_sizes(p)
     width = len(c) - 1
     padded = c + (0, 0)
     cn, cn1, cn2 = (catalan_closed(p.n + k) for k in range(3))
@@ -415,14 +419,6 @@ def min_chain_cover(p: DyckPoset) -> int:
         seen = 0
         matched += augment(j)
     return size - matched
-
-
-def _up_sets(p: DyckPoset) -> list[int]:
-    """up[i] = bitmask of j with i <= j, closed over the covers top down."""
-    up = [1 << i for i in range(p.size)]
-    for i, j in reversed(p.cover_edges()):
-        up[i] |= up[j]
-    return up
 
 
 def min_antichain_cover(p: DyckPoset) -> int:

@@ -42,8 +42,8 @@ def poset_by_probes(n):
     """D_n by probing every cell: the masks of the joined half paths sorted
     by popcount, j covering i iff ideal j is ideal i and one point of P_n
     more, found by looking up each of the C(n, 2) cells not in ideal i, and
-    the down- and up-sets closed over the cover_up masks, one pass each
-    way.  A namespace of ideals, up, down and cover_up, each a tuple."""
+    the down-sets closed over the cover_up masks.  A namespace of ideals,
+    down and cover_up, each a tuple."""
     firsts, seconds = _halves(n)
     rows = _row_masks(n)
 
@@ -77,12 +77,58 @@ def poset_by_probes(n):
     for i in range(size):
         for j in _bits(cover_up[i]):
             down[j] |= down[i]
-    up = [1 << i for i in range(size)]
-    for i in reversed(range(size)):
-        for j in _bits(cover_up[i]):
-            up[i] |= up[j]
-    return SimpleNamespace(ideals=ideals, up=tuple(up), down=tuple(down),
+    return SimpleNamespace(ideals=ideals, down=tuple(down),
                            cover_up=tuple(cover_up))
+
+
+def transpose(masks):
+    """The relation masks read the other way: bit i of entry j is set iff
+    bit j of masks[i] is; the down-sets of a poset from its up-sets, or
+    back."""
+    flipped = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        for j in _bits(mask):
+            flipped[j] |= 1 << i
+    return flipped
+
+
+def poset_record(up):
+    """The poset with up-sets up, in the fields the antichain splits read:
+    size, the down-sets, and lower[j], the elements j covers, found by
+    brute force as the i < j with nothing strictly between."""
+    down = transpose(up)
+    lower = tuple(tuple(i for i in _bits(d ^ 1 << j)
+                        if not up[i] & d & ~(1 << i | 1 << j))
+                  for j, d in enumerate(down))
+    return SimpleNamespace(size=len(up), down=tuple(down), lower=lower)
+
+
+def ideal_lattice(points):
+    """J(P), the order ideals of the poset P ordered by inclusion, points[x]
+    masking the down-set of point x.  It is grown level by level from P's
+    definition: an ideal of size r + 1 is one of size r and a point whose
+    down-set it then holds, and its lower covers drop one point each.  A
+    DyckPoset-shaped record: ideals (the masks, by size, a linear
+    extension), lower, down, and size."""
+    ideals, level = [0], [0]
+    while level:
+        level = sorted({ideal | 1 << x for ideal in level
+                        for x in range(len(points))
+                        if not ideal >> x & 1
+                        and points[x] & ~(ideal | 1 << x) == 0})
+        ideals += level
+    index = {ideal: i for i, ideal in enumerate(ideals)}
+    lower = tuple(tuple(sorted(index[ideal ^ 1 << x] for x in _bits(ideal)
+                               if ideal ^ 1 << x in index))
+                  for ideal in ideals)
+    down = []
+    for j, covers in enumerate(lower):
+        mask = 1 << j
+        for i in covers:
+            mask |= down[i]
+        down.append(mask)
+    return SimpleNamespace(ideals=tuple(ideals), lower=lower,
+                           down=tuple(down), size=len(ideals))
 
 
 def antichain_extensions(size, inc):

@@ -336,8 +336,8 @@ def _plus_one(owner, attr):
 
 def _antichain_size_plus_one(k):
     def make(sizes):
-        def broken(size, inc):
-            c = list(sizes(size, inc))
+        def broken(p):
+            c = list(sizes(p))
             c[k] += 1
             return tuple(c)
         return broken
@@ -438,7 +438,7 @@ class TestCrossChecks:
         "width and the largest rank level",
         ("antichains", "--n", "4", "--mode", "maximum"),
         _wrap(poset, "_antichain_sizes",
-              lambda f: lambda size, inc: f(size, inc)[:-1]),
+              lambda f: lambda p: f(p)[:-1]),
         _wrap(poset, "min_chain_cover", lambda f: lambda p: f(p) - 1))
     test_one_element_antichains_must_match_the_size = _cross_check(
         "1-element antichains and C_n", ("antichains", "--n", "3"),

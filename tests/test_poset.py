@@ -8,7 +8,7 @@ from math import comb, prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
                        antichain_census, catalan_closed, enumerate_paths,
@@ -17,8 +17,10 @@ from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
                        rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
-from oracles import (antichain_extensions, column_heights, covers, is_below,
-                     maximal_antichains_by_size, poset_by_probes)
+from dyckposet.polynomials import _unpack
+from oracles import (antichain_extensions, column_heights, covers,
+                     ideal_lattice, is_below, maximal_antichains_by_size,
+                     poset_by_probes, poset_record, transpose)
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 # k-element antichains of D_6 (A143673), as the antichain listing counted
@@ -49,11 +51,9 @@ class TestStructure:
         for n in range(5):
             p = posets(n)
             path_list = enumerate_paths(n)
-            up = poset._up_sets(p)
             for i, x in enumerate(path_list):
                 for j, y in enumerate(path_list):
-                    assert p.leq(i, j) == is_below(x, y)
-                    assert p.leq(i, j) == bool(up[i] >> j & 1) \
+                    assert p.leq(i, j) == is_below(x, y) \
                         == bool(p.down[j] >> i & 1)
 
     def test_covers_match_definition(self, posets):
@@ -108,13 +108,12 @@ class TestStructure:
         assert p.down == probed.down
         assert p.lower == tuple(map(tuple, lower))
         assert p.cover_up == probed.cover_up
-        assert tuple(poset._up_sets(p)) == probed.up
 
     def test_build_runs_fewer_lines_than_the_cell_probes(self, posets):
         # the build's own work at n = 8, the half sweep included: 75,256
         # Python lines.  It looks a mask up once per cover edge, 5,005
-        # times; poset_by_probes, which probes every cell and closes the
-        # up-sets too, looks up 1,430 x 28 = 40,040 and runs 219,899 lines
+        # times; poset_by_probes, which probes every cell, looks up
+        # 1,430 x 28 = 40,040 and runs 184,293 lines
         posets(8)
         lines = 0
 
@@ -178,8 +177,7 @@ def downset_masks(size, down):
 
 def _incomparable(p):
     full = (1 << p.size) - 1
-    return [full & ~(up | down)
-            for up, down in zip(poset._up_sets(p), p.down)]
+    return [full & ~(up | down) for up, down in zip(transpose(p.down), p.down)]
 
 
 def _antichain_masks(size, inc):
@@ -266,11 +264,20 @@ def _relabel(masks, order):
     return [sum(1 << label[j] for j in poset._bits(masks[v])) for v in order]
 
 
+def _relabel_record(p, order):
+    # the record that the splits read, element order[k] renamed k
+    label = {v: k for k, v in enumerate(order)}
+    return SimpleNamespace(
+        size=p.size, down=tuple(_relabel(p.down, order)),
+        lower=tuple(tuple(sorted(label[c] for c in p.lower[v]))
+                    for v in order))
+
+
 class TestPackedAntichainSizes:
     def test_matches_tuple_recursion(self, posets):
         for n in range(7):
             inc = _incomparable(posets(n))
-            assert poset._antichain_sizes(len(inc), inc) == \
+            assert poset._antichain_sizes(posets(n)) == \
                 _tuple_antichain_sizes(len(inc), inc)
 
     @pytest.mark.parametrize("shuffle", ["reversed", "random"])
@@ -285,15 +292,15 @@ class TestPackedAntichainSizes:
             if shuffle == "random":
                 rng.shuffle(order)
             inc = _relabel(inc, order)
-            assert poset._antichain_sizes(len(inc), inc) == \
-                _tuple_antichain_sizes(len(inc), inc)
+            assert poset._antichain_sizes(_relabel_record(posets(n), order)) \
+                == _tuple_antichain_sizes(len(inc), inc)
 
     def test_first_fit_chains_bound_the_antichains(self, posets):
         # the blocks are chains partitioning the elements, and an antichain
         # takes at most one element of each
         for n in range(7):
             p = posets(n)
-            chains = poset._first_fit_chains(p.size, _incomparable(p))
+            chains = poset._first_fit_chains(p)
             union = 0
             for chain in chains:
                 assert chain & union == 0
@@ -304,18 +311,121 @@ class TestPackedAntichainSizes:
             assert prod(chain.bit_count() + 1 for chain in chains) >= \
                 antichain_census(p).total
 
-    @pytest.mark.parametrize("inc, chains, sizes", [
+    @pytest.mark.parametrize("up, chains, sizes", [
         # twelve incomparable elements: twelve singleton chains, 2^12
         # antichains, C(12, k) of size k
-        ([4095 & ~(1 << i) for i in range(12)], [1 << i for i in range(12)],
+        ([1 << i for i in range(12)], [1 << i for i in range(12)],
          tuple(comb(12, k) for k in range(13))),
         # a twelve-element chain: one block, 13 antichains
-        ([0] * 12, [4095], (1, 12)),
+        ([4095 & -(1 << i) for i in range(12)], [4095], (1, 12)),
     ])
-    def test_bound_is_reached(self, inc, chains, sizes):
-        assert poset._first_fit_chains(12, inc) == chains
+    def test_bound_is_reached(self, up, chains, sizes):
+        p = poset_record(up)
+        assert poset._first_fit_chains(p) == chains
         assert prod(chain.bit_count() + 1 for chain in chains) == sum(sizes)
-        assert poset._antichain_sizes(12, inc) == sizes
+        assert poset._antichain_sizes(p) == sizes
+
+    @pytest.mark.parametrize("split, top", [("_antichain_sizes", 6),
+                                            ("_maximal_sizes", 5)])
+    def test_each_chain_part_is_one_run_of_labels(self, posets, split, top):
+        # the slice inc[low:top] reads the chain part S & C whole only if
+        # it is one run of labels, in any labelling of the input
+        rng = random.Random(5)
+        for n in range(top + 1):
+            order = rng.sample(range(posets(n).size), posets(n).size)
+            parts = _chain_parts(getattr(poset, split),
+                                 _relabel_record(posets(n), order))
+            assert len(parts) >= (n > 0) and all(map(_is_run, parts))
+
+    def test_a_chain_labelled_off_its_order_breaks_a_run(self, posets,
+                                                         monkeypatch):
+        monkeypatch.setattr(poset, "_chain_frame",
+                            _one_chain_by_label(poset._chain_frame))
+        order = random.Random(5).sample(range(14), 14)
+        parts = _chain_parts(poset._antichain_sizes,
+                             _relabel_record(posets(4), order))
+        assert not all(map(_is_run, parts))
+
+    def test_every_packed_coefficient_leaves_a_spare_bit(self, posets,
+                                                         monkeypatch):
+        # the width is the chain bound's bit length and one spare bit:
+        # every coefficient either split unpacks stays below 2^(B - 1), for
+        # n <= 6 and on random posets.  The splits' sums have nonnegative
+        # coefficients, none above its result's
+        unpacked = []
+
+        def recording(packed, width):
+            coeffs = _unpack(packed, width)
+            unpacked.append((width, coeffs))
+            return coeffs
+        monkeypatch.setattr(poset, "_unpack", recording)
+        rng = random.Random(7)
+        records = [posets(n) for n in range(7)] + [
+            poset_record(_seeded_up_sets(rng, rng.randrange(13)))
+            for _ in range(50)]
+        for p in records:
+            poset._antichain_sizes(p)
+            poset._maximal_sizes(p)
+        assert len(unpacked) == 2 * len(records)
+        assert all(0 <= c < 1 << width - 1
+                   for width, coeffs in unpacked for c in coeffs)
+
+
+def _is_run(mask):
+    # one contiguous run of set bits
+    return mask > 0 and (mask + (mask & -mask)) & mask == 0
+
+
+def _chain_parts(split, p):
+    """The chain part S & C of each state that split enters on p, read from
+    its count's locals as each call returns."""
+    parts = []
+
+    def profile(frame, event, _arg):
+        if (event == "return" and frame.f_code.co_qualname
+                == f"{split.__name__}.<locals>.count"
+                and "part" in frame.f_locals):
+            parts.append(frame.f_locals["part"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        split(p)
+    finally:
+        sys.setprofile(previous)
+    return parts
+
+
+def _one_chain_by_label(frame):
+    """A mutant of poset._chain_frame: the first chain whose given labels
+    run neither along it nor against it is labelled in the order of those
+    labels, not along the chain."""
+    def mutant(p):
+        width, below, inc = frame(p)
+        start = 0
+        for chain in reversed(poset._first_fit_chains(p)):
+            along = sorted(poset._bits(chain),
+                           key=lambda v: -p.down[v].bit_count())
+            by_label = sorted(range(len(along)), key=lambda k: -along[k])
+            if by_label not in (sorted(by_label), sorted(by_label)[::-1]):
+                order = list(range(p.size))
+                order[start:start + len(along)] = \
+                    [start + k for k in by_label]
+                return width, below, _relabel(inc, order)
+            start += len(along)
+        raise AssertionError("every chain runs along its labels")
+    return mutant
+
+
+def _seeded_up_sets(rng, size):
+    """A random poset on size elements, each pair related with
+    probability 1/2 and closed transitively, randomly relabelled."""
+    up = [1 << i for i in range(size)]
+    for i in reversed(range(size)):
+        for j in range(i + 1, size):
+            if rng.random() < 0.5:
+                up[i] |= up[j]
+    return _relabel(up, rng.sample(range(size), size))
 
 
 class TestIdealsAndAntichains:
@@ -363,12 +473,11 @@ class TestIdealsAndAntichains:
     def test_split_work_at_order_six(self, posets):
         # the calls of each split's inner count, memo hits included: the
         # ideal split makes two per state it adds (94,012 states), the
-        # antichain split one per candidate it reads (7,038 states).  Both
-        # counts are exact, so a split that does more work, such as the
-        # antichain split without the chain relabelling (186,905 states),
-        # fails here at once
+        # antichain split one per state, as it looks each child up before
+        # it calls (6,834 states and the empty set).  Both counts are
+        # exact, so a split that does more work, such as one that calls
+        # on a memo hit (25,627 calls), fails here at once
         p = posets(6)
-        inc = _incomparable(p)
         calls = Counter()
 
         def profile(frame, event, _arg):
@@ -378,19 +487,19 @@ class TestIdealsAndAntichains:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            poset._antichain_sizes(p.size, inc)
+            poset._antichain_sizes(p)
             poset._ideal_count(p.size, p.down)
         finally:
             sys.setprofile(previous)
-        assert calls == {"_antichain_sizes.<locals>.count": 25_963,
+        assert calls == {"_antichain_sizes.<locals>.count": 6_834,
                          "_ideal_count.<locals>.count": 188_023}
 
-    @pytest.mark.parametrize("n, states", [(5, 225), (6, 37_373)])
+    @pytest.mark.parametrize("n, states", [(5, 197), (6, 36_578)])
     def test_maximal_split_states(self, posets, n, states):
         # the distinct (candidates, hunt) states the maximal split enters
         # with a candidate left, each one memo entry.  Exact, so a split
-        # that prunes less, such as one that enters dead states (6,732,520
-        # at n = 6), fails here at once
+        # that prunes less, such as one that enters dead states, fails
+        # here at once
         p = posets(n)
         seen = set()
 
@@ -405,7 +514,7 @@ class TestIdealsAndAntichains:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            poset._maximal_sizes(p.size, _incomparable(p))
+            poset._maximal_sizes(p)
         finally:
             sys.setprofile(previous)
         assert len(seen) == states
@@ -426,7 +535,7 @@ class TestIdealsAndAntichains:
         # split; the oracle takes under 2 s
         p = posets(6)
         inc = _incomparable(p)
-        c = poset._maximal_sizes(p.size, inc)
+        c = poset._maximal_sizes(p)
         assert {k: m for k, m in enumerate(c) if m} == \
             maximal_antichains_by_size(p.size, inc)
         assert len(c) == 18 and sum(c) == 526_913
@@ -436,7 +545,7 @@ class TestIdealsAndAntichains:
         # an antichain of the largest size is maximal, so the maximal
         # census ends where the maximum census reads
         p = posets(n)
-        c = poset._maximal_sizes(p.size, _incomparable(p))
+        c = poset._maximal_sizes(p)
         census = antichain_census(p, "maximum")
         assert (len(c) - 1, c[-1]) == (census.width, census.total)
 
@@ -504,8 +613,8 @@ class TestIdealsAndAntichains:
         else:
             sizes = poset._antichain_sizes
 
-            def off_by_one(size, inc):
-                c = list(sizes(size, inc))
+            def off_by_one(p):
+                c = list(sizes(p))
                 c[fault] += 1
                 return tuple(c)
             monkeypatch.setattr(poset, "_antichain_sizes", off_by_one)
@@ -668,16 +777,10 @@ def _random_up_sets(data):
     return _relabel(up, data.draw(st.permutations(range(len(up)))))
 
 
-def _down_sets(up):
-    """The down-sets of the poset with up-sets up."""
-    return [sum(1 << j for j in range(len(up)) if up[j] >> i & 1)
-            for i in range(len(up))]
-
-
 def _incomparable_masks(up):
     """The incomparability masks of the poset with up-sets up."""
     full = (1 << len(up)) - 1
-    return [full & ~(u | d) for u, d in zip(up, _down_sets(up))]
+    return [full & ~(u | d) for u, d in zip(up, transpose(up))]
 
 
 def _antichain_sizes_by_subsets(up):
@@ -700,7 +803,7 @@ def _antichain_sizes_by_subsets(up):
 def test_antichain_sizes_by_brute_force(data):
     up = _random_up_sets(data)
     inc, counts = _antichain_sizes_by_subsets(up)
-    assert poset._antichain_sizes(len(up), inc) == counts
+    assert poset._antichain_sizes(poset_record(up)) == counts
 
 
 @settings(max_examples=50, deadline=None)
@@ -711,8 +814,8 @@ def test_maximal_sizes_by_listing(data):
     # extension
     up = _random_up_sets(data)
     inc = _incomparable_masks(up)
-    by_size = {k: c for k, c in enumerate(poset._maximal_sizes(len(up), inc))
-               if c}
+    sizes = poset._maximal_sizes(poset_record(up))
+    by_size = {k: c for k, c in enumerate(sizes) if c}
     assert by_size == _maximal_by_filter(len(up), inc) == \
         maximal_antichains_by_size(len(up), inc)
 
@@ -725,7 +828,7 @@ def test_min_chain_cover_by_brute_force(data):
     up = _random_up_sets(data)
     _inc, counts = _antichain_sizes_by_subsets(up)
     assert min_chain_cover(SimpleNamespace(size=len(up),
-                                           down=_down_sets(up))) == \
+                                           down=transpose(up))) == \
         len(counts) - 1
 
 
@@ -735,7 +838,7 @@ def test_ideal_count_by_listing(data):
     # the count on random posets given in a linear extension, against the
     # listing of their ideals
     up = _triangular_up_sets(data, 14)
-    down = _down_sets(up)
+    down = transpose(up)
     assert poset._ideal_count(len(up), down) == \
         len(downset_masks(len(up), down))
 
@@ -760,3 +863,36 @@ def test_interval_is_sublattice(n, data):
     m, jn = heights[meet], heights[join]
     assert p.leq(m, i) and p.leq(m, j)
     assert p.leq(i, jn) and p.leq(j, jn)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_ideal_lattice_of_the_point_poset_is_the_build(posets, n):
+    # the oracle's J(P_n), grown from P_n alone, is D_n: the same ideals,
+    # each with the same down-set read as ideals
+    p, lattice = posets(n), ideal_lattice(cell_down_masks(n))
+    index = {ideal: i for i, ideal in enumerate(p.ideals)}
+    assert sorted(lattice.ideals) == sorted(p.ideals)
+    for ideal, down in zip(lattice.ideals, lattice.down):
+        assert {lattice.ideals[i] for i in poset._bits(down)} == \
+            {p.ideals[i] for i in poset._bits(p.down[index[ideal]])}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_splits_on_random_distributive_lattices(data):
+    # J(P) of a random P on at most 8 points, grown by the oracle from P
+    # alone: both antichain splits and the ideal count against the
+    # antichains and ideals listed
+    points = transpose(_triangular_up_sets(data, 8))
+    lattice = ideal_lattice(points)
+    assume(lattice.size <= 40)
+    by_size, maximal = Counter(), Counter()
+    for mask, extension in antichain_extensions(lattice.size,
+                                                _incomparable(lattice)):
+        by_size[mask.bit_count()] += 1
+        maximal[mask.bit_count()] += not extension
+    assert dict(enumerate(poset._antichain_sizes(lattice))) == by_size
+    assert {k: c for k, c in enumerate(poset._maximal_sizes(lattice)) if c} \
+        == {k: c for k, c in maximal.items() if c}
+    assert poset._ideal_count(lattice.size, lattice.down) == \
+        len(downset_masks(lattice.size, lattice.down)) == by_size.total()
