@@ -3,12 +3,11 @@
 Rows and columns are indexed by the canonical element order, a linear
 extension of D_n, under which zeta, delta, eta and (2*delta - zeta) are
 upper triangular.  D_n is a lattice, so its Mobius function is read off
-p.lower, the lower covers, by Rota's crosscut theorem, inverting no matrix;
-the chain polynomial is Mobius inversion against it: one pass over the order,
-each element's chain counts by length packed in one integer (137 bits
-apiece at n = 8).  With at most n - 1 lower covers an element, that is the
-lattice case of the fast zeta transform of Bjorklund, Husfeldt, Kaski,
-Koivisto, Nederlof and Parviainen (SODA 2012).
+p.lower, the lower covers, by Rota's crosscut theorem, inverting no matrix.
+The chain polynomial is the fast zeta transform over D_n = J(P_n) of
+Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and Parviainen (SODA 2012):
+one pass over the order and one read per cover edge, each element's chain
+counts by length packed in one integer (137 bits apiece at n = 8).
 
 chain_census checks every coefficient of that polynomial against a k-fan
 product formula that reads no poset, and its top one also against the
@@ -21,6 +20,7 @@ library functions; inversion by back substitution, which gives the dense
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from math import comb, prod
 from typing import NamedTuple
 
@@ -73,8 +73,10 @@ def _mobius_columns(p: DyckPoset):
     By Rota's crosscut theorem (Z. Wahrscheinlichkeitstheorie 2, 1964),
     mu(x, j) for x < j sums (-1)^{|T|} over the nonempty sets T of lower
     covers of j that meet in x; odd and even list the meets of the odd and
-    the even T.  The meet of T and a cover c is the top bit of the AND of
-    their down-set masks; if it is empty, p is not a lattice: ValueError."""
+    the even T.  The common lower bounds of T and a cover c are the AND of
+    their down-set masks, and their meet is its top bit m only if that AND
+    is down[m]; otherwise the meet does not exist, p is not a lattice, and
+    ValueError is raised."""
     down = p.down
     for j, covers in enumerate(p.lower):
         # each cover c appends the meet with c of every set so far, of the
@@ -82,11 +84,14 @@ def _mobius_columns(p: DyckPoset):
         meets: list[int] = []
         for c in covers:
             below_c = down[c]
-            meets += [(down[x] & below_c).bit_length() - 1 for x in meets]
+            common = [down[x] & below_c for x in meets]
+            tops = [mask.bit_length() - 1 for mask in common]
+            # an empty AND has top -1, and down[-1] is never empty
+            if any(down[m] != mask for m, mask in zip(tops, common)):
+                raise ValueError(f"lower covers of element {j} have no "
+                                 "meet: not a lattice")
+            meets += tops
             meets.append(c)
-        if -1 in meets:
-            raise ValueError(f"lower covers of element {j} have no common "
-                             "lower bound: not a lattice")
         yield meets[::2], meets[1::2]
 
 
@@ -105,30 +110,55 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
 
     end(j) = sum_k e_k 2^{Bk}, e_k the number of k-edge chains whose top is
     j, packs B bits per coefficient, and total[j] sums end over the down-set
-    of j.  The element order is a linear extension, so all of j's strict
-    down-set comes first, and end(j) is 1 + (below << B), below the sum of
-    end over that strict down-set: each chain one edge longer.
+    of j.  end(j) is 1 + (below << B), below the sum of end over the strict
+    down-set of j: each chain one edge longer.
 
-    By Mobius inversion, end(j) sums mu(x, j) total[x] over x <= j, so below
-    is minus the sum over x < j (_mobius_columns): 19,363 terms at n = 8,
-    against 377,806 over the strict down-sets.
+    below is read off the lower covers by the fast zeta transform over
+    J(P_n) (Bjorklund et al., SODA 2012).  Number the points of P_n in a
+    linear extension, and write G(I, k) for the sum of end over the ideals
+    I' within I that hold the same points numbered k or more as I: G(I, 0)
+    is end(I) and G(I, |P_n|) is total(I).  Freeing point k adds
+    G(I - k, k) if k is maximal in I, and nothing otherwise: if k is in I
+    but not maximal, a point above k, numbered later, is held and forces k
+    in.  So G(I, .) steps only at the maximal points m_1 < ... < m_r of I,
+    and pref[I] lists its values, end(I) + t_1 + ... + t_i for i = 0..r,
+    with t_i = G(I - m_i, m_i).  The maximal points of I - m_i after m_i
+    are m_{i+1}, ..., m_r, since the points it gains lie below m_i, so t_i
+    is pref[I - m_i][i - r - 1]: one read per cover edge, C(2n-1, n-2) in
+    all (5,005 at n = 8).  below is t_1 + ... + t_r, and pref[I][-1] is
+    total(I).
+
+    The reads need lower[j] to list the covers I - m_i in the order of
+    their removed points m_i.  build_poset walks the rows from the top
+    down and takes out the last cell of each peak row; the north offsets
+    of the peaks fall strictly, so along lower[j] the removed cells fall
+    in strictly decreasing column.  Column descending, then row
+    ascending, is a linear extension of P_n, where (j', y') lies below
+    (j, y) iff j' >= j and y' <= y.  A cover list that sends a read off
+    the end of a prefix list, or to an element not yet reached, is
+    refused with ValueError; covers listed in another order give wrong
+    counts, for the k-fan check of chain_census to refuse.
 
     A chain meets each rank level at most once, so there are at most as
     many chains, the empty one included, as the product of
     (level size + 1).  B is that product's bit length, so every coefficient
-    of every sum is below 2^B and none carries into the next; the sums are
-    linear, so a negative partial sum does no harm.
+    of every sum is below 2^B and none carries into the next.
     """
-    levels = Counter(mask.bit_count() for mask in p.ideals).values()
+    levels = Counter(map(int.bit_count, p.ideals)).values()
     width = prod(size + 1 for size in levels).bit_length()
     chains = 0
-    total: list[int] = []
-    at = total.__getitem__
-    for odd, even in _mobius_columns(p):
-        below = sum(map(at, odd)) - sum(map(at, even))
-        end = 1 + (below << width)
-        chains += end
-        total.append(end + below)
+    pref: list[list[int]] = []
+    try:
+        for covers in p.lower:
+            # enumerate counts from -r: the i-th cover is read at i - r - 1
+            steps = [pref[c][i] for i, c in enumerate(covers, -len(covers))]
+            end = 1 + (sum(steps) << width)
+            chains += end
+            pref.append(list(accumulate(steps, initial=end)))
+    except IndexError:
+        j = len(pref)  # the element whose read failed
+        raise ValueError(f"lower covers of element {j} are not the covers "
+                         "of an ideal lattice in extension order") from None
     totals = _unpack(chains, width)
     return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
 

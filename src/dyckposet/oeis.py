@@ -9,8 +9,8 @@ of each order, one or a triangle row, follow in order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -49,10 +49,16 @@ def parse_snapshot(text: str) -> list[tuple[int, int]]:
     return terms
 
 
+# read beside this file, which keeps importlib.resources, and the pathlib,
+# tempfile and inspect it imports, off the start-up path
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
 def load_snapshot(sequence_id: str) -> list[tuple[int, int]]:
     try:
-        text = (resources.files("dyckposet") / "data"
-                / f"{sequence_id}.txt").read_text()
+        with open(os.path.join(_DATA_DIR, f"{sequence_id}.txt"),
+                  encoding="utf-8") as snapshot:
+            text = snapshot.read()
     except FileNotFoundError as exc:
         raise UnknownSequenceError(sequence_id) from exc
     return parse_snapshot(text)

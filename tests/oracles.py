@@ -131,6 +131,25 @@ def ideal_lattice(points):
                            down=tuple(down), size=len(ideals))
 
 
+def list_chain_polynomial(p):
+    """The chain polynomial of a graded poset listed in a linear extension,
+    ranked by the popcount of its ideals: the plain DP, each element's
+    chain counts a list indexed by edge count, summed over its strict
+    down-set.  It reads ideals and down, not lower."""
+    ends = []
+    totals = [0] * (max(map(int.bit_count, p.ideals)) + 1)
+    for j, (ideal, mask) in enumerate(zip(p.ideals, p.down)):
+        below = [0] * ideal.bit_count()
+        for i in _bits(mask & ~(1 << j)):
+            for k, c in enumerate(ends[i]):
+                below[k] += c
+        row = [1] + below
+        ends.append(row)
+        for k, c in enumerate(row):
+            totals[k] += c
+    return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
+
+
 def antichain_extensions(size, inc):
     """Every antichain of a poset on elements 0..size-1, depth first, as a
     pair of bitmasks: the antichain and its extension set, the elements

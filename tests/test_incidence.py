@@ -1,6 +1,9 @@
 import sys
 from collections import Counter
+from functools import reduce
 from math import comb, prod
+from operator import or_
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +14,7 @@ from dyckposet import (ExactMatrix, build_poset, chain_census,
                        staircase_maxchain, total_chains, zeta_matrix)
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from dyckposet.polynomials import UniPoly
-from oracles import covers, invert_unitriangular
+from oracles import covers, invert_unitriangular, list_chain_polynomial
 
 ZETA_D3 = [
     [1, 1, 1, 1, 1],
@@ -57,23 +60,6 @@ def _entry_sum(m):
     return sum(map(sum, m.rows))
 
 
-def _list_chain_polynomial(p):
-    # oracle: the same DP over the linear extension, with each element's
-    # chain counts a list indexed by edge count
-    ends = []
-    totals = [0] * (comb(p.n, 2) + 1)
-    for j in range(p.size):
-        below = [0] * p.ideals[j].bit_count()
-        for i in poset._bits(p.down[j] & ~(1 << j)):
-            for k, c in enumerate(ends[i]):
-                below[k] += c
-        row = [1] + below
-        ends.append(row)
-        for k, c in enumerate(row):
-            totals[k] += c
-    return UniPoly.one() + UniPoly({k + 1: c for k, c in enumerate(totals)})
-
-
 class TestExactMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -107,6 +93,18 @@ class TestAgainstPrintedMatrices:
             assert mobius == invert_unitriangular(zeta_matrix(p))
             if n == 6:
                 assert sum(map(bool, sum(mobius.rows, []))) == 903
+
+    def test_bounded_non_lattice_is_refused(self):
+        # the bounded bowtie: 1 and 2 lie below both 3 and 4, so 3 and 4
+        # have no meet, yet their down-sets AND to a mask that holds the
+        # minimum; that mask is not down[2], the down-set of its top bit
+        lower = ((), (0,), (0,), (1, 2), (1, 2), (3, 4))
+        down = []
+        for j, covers in enumerate(lower):
+            down.append(reduce(or_, (down[c] for c in covers), 1 << j))
+        bowtie = SimpleNamespace(size=6, lower=lower, down=tuple(down))
+        with pytest.raises(ValueError, match="element 5 have no meet"):
+            mobius_matrix(bowtie)
 
     def test_zeta_times_mobius_is_identity(self, posets):
         for n in range(6):
@@ -188,7 +186,7 @@ class TestChainCounts:
     def test_packed_dp_matches_list_dp(self, posets):
         for n in range(8):
             p = posets(n)
-            assert chain_polynomial(p) == _list_chain_polynomial(p)
+            assert chain_polynomial(p) == list_chain_polynomial(p)
 
     def test_rank_level_bound_covers_every_chain(self, posets):
         # a chain meets each rank level at most once
@@ -200,20 +198,48 @@ class TestChainCounts:
                 chain_census(p).total
 
     def test_lower_covers_bound_the_dp_terms(self, posets):
-        # the DP sums 2^c - 1 meets for an element with c lower covers, at
-        # most n - 1 of them; the strict down-sets hold 377,806 terms at n = 8
+        # the DP reads one prefix entry per cover edge, C(2n-1, n-2) of them
+        # (5,005 at n = 8), at most n - 1 for an element; the crosscut
+        # Mobius function makes 2^c - 1 meets for an element with c lower
+        # covers, and the strict down-sets hold 377,806 terms at n = 8
         for n in range(1, 9):
             p = posets(n)
             lower = [len(covers) for covers in p.lower]
             assert max(lower) == n - 1
+            if n >= 2:
+                assert sum(lower) == comb(2 * n - 1, n - 2)
             if n == 8:
                 assert sum(2 ** c - 1 for c in lower) == 19_363
                 assert sum(mask.bit_count() - 1 for mask in p.down) == \
                     377_806
 
+    def test_covers_come_in_extension_order(self, posets):
+        # the DP's precondition: along each lower[j], the removed cells
+        # ideals[j] ^ ideals[c] lie in strictly decreasing column
+        for n in range(9):
+            p = posets(n)
+            column = {1 << poset._cell_bit(n, j, y): j
+                      for y in range(1, n + 1) for j in range(1, y)}
+            for ideal, covers in zip(p.ideals, p.lower):
+                cols = [column[ideal ^ p.ideals[c]] for c in covers]
+                assert all(a > b for a, b in zip(cols, cols[1:]))
+
+    def test_covers_out_of_extension_order_must_fail(self, posets,
+                                                     monkeypatch, capsys):
+        # element 10 of D_4 with its two covers swapped: every read stays in
+        # range but lands on the wrong prefix entry, and the k-fans catch it
+        p = posets(4)
+        assert p.lower[10] == (7, 8)
+        swapped = p._replace(lower=p.lower[:10] + ((8, 7),) + p.lower[11:])
+        with pytest.raises(AssertionError, match="by chain DP and by k-fans"):
+            chain_census(swapped)
+        monkeypatch.setattr(poset, "build_poset", lambda n: swapped)
+        assert main(["chains", "--n", "4"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
+
     def test_dp_runs_fewer_lines_than_down_set_terms(self, posets):
         # the DP's own work: every Python line chain_polynomial runs at
-        # n = 8 (about 158,000), against one line or more per term for a DP
+        # n = 8 (about 14,000), against one line or more per term for a DP
         # that walks each strict down-set (about 1.9 million)
         p = posets(8)
         lines = 0
@@ -236,7 +262,7 @@ class TestChainCounts:
         for n in range(9):
             fans = fan_chain_polynomial(n)
             if n <= 4:
-                assert fans == _list_chain_polynomial(posets(n))
+                assert fans == list_chain_polynomial(posets(n))
             assert fans == chain_polynomial(posets(n))
 
     def test_fans_read_no_poset_and_no_path(self):
@@ -296,23 +322,23 @@ class TestSolves:
 
     def test_dropped_relation_must_fail(self, posets, monkeypatch, capsys):
         # the k-fan route reads n alone, so a relation the chain DP reads,
-        # taken out, must fail the census: the cover 0 < 1 of D_3, which
-        # leaves the atom 1 no lower cover, or the minimum out of the atom
-        # 1's down-set, which leaves the atoms 1 and 2 an empty meet, a mask
-        # of 0 that must not be read as the maximum's total
+        # taken out, must fail the census: the cover 0 < 1 of D_3 leaves
+        # the atom 1 no lower cover and a prefix list of one entry, which
+        # the read for element 3 runs off.  The minimum taken out of the
+        # atom 1's down-set leaves the atoms 1 and 2 an empty meet; the
+        # chain DP reads no down-set, but the Mobius function refuses it
         p = posets(3)
-        assert p.lower[1] == (0,)
+        assert p.lower[1] == (0,) and p.lower[3] == (1, 2)
         dropped_cover = p._replace(lower=p.lower[:1] + ((),) + p.lower[2:])
+        with pytest.raises(ValueError, match="element 3 "):
+            chain_census(dropped_cover)
+        monkeypatch.setattr(poset, "build_poset", lambda n: dropped_cover)
+        assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
         dropped_minimum = p._replace(
             down=p.down[:1] + (p.down[1] & ~1,) + p.down[2:])
-        for corrupted, error, match in [
-                (dropped_cover, AssertionError, "by chain DP and by k-fans"),
-                (dropped_minimum, ValueError, "not a lattice")]:
-            with pytest.raises(error, match=match):
-                chain_census(corrupted)
-            monkeypatch.setattr(poset, "build_poset", lambda n: corrupted)
-            assert main(["chains", "--n", "3"]) == EXIT_INTERNAL
-            assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match="not a lattice"):
+            mobius_matrix(dropped_minimum)
 
     def test_dense_matrices_off_the_cli_path(self, monkeypatch, capsys):
         def dense(*args, **kwargs):

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
-                       antichain_census, catalan_closed, enumerate_paths,
-                       maximal_chains, min_antichain_cover, min_chain_cover,
-                       mobius_matrix, order_ideal_count, poset_census,
-                       rank_sizes)
+                       antichain_census, catalan_closed, chain_polynomial,
+                       enumerate_paths, maximal_chains, min_antichain_cover,
+                       min_chain_cover, mobius_matrix, order_ideal_count,
+                       poset_census, rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from dyckposet.polynomials import _unpack
 from oracles import (antichain_extensions, column_heights, covers,
-                     ideal_lattice, is_below, maximal_antichains_by_size,
-                     poset_by_probes, poset_record, transpose)
+                     ideal_lattice, is_below, list_chain_polynomial,
+                     maximal_antichains_by_size, poset_by_probes,
+                     poset_record, transpose)
 
 ANTICHAIN_TOTALS = [2, 2, 3, 7, 42, 2361]
 # k-element antichains of D_6 (A143673), as the antichain listing counted
@@ -896,3 +897,17 @@ def test_splits_on_random_distributive_lattices(data):
         == {k: c for k, c in maximal.items() if c}
     assert poset._ideal_count(lattice.size, lattice.down) == \
         len(downset_masks(lattice.size, lattice.down)) == by_size.total()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_chain_polynomial_on_random_distributive_lattices(data):
+    # the chain DP on J(P) of a random P on at most 8 points, against the
+    # DP over the strict down-sets; the labels of P are a linear extension,
+    # and each lower list is sorted by its removed point, as the chain DP
+    # requires (the oracle lists the covers by index)
+    lattice = ideal_lattice(transpose(_triangular_up_sets(data, 8)))
+    lattice.lower = tuple(
+        tuple(sorted(covers, key=lambda c: ideal ^ lattice.ideals[c]))
+        for ideal, covers in zip(lattice.ideals, lattice.lower))
+    assert chain_polynomial(lattice) == list_chain_polynomial(lattice)
