@@ -20,7 +20,7 @@ def main() -> None:
     args = parser.parse_args()
     try:
         check_order(args.max_n, "paths", "antichains", "maximal_antichains")
-    except LimitExceededError as exc:
+    except (LimitExceededError, ValueError) as exc:
         parser.error(str(exc))
 
     for n in range(args.max_n + 1):

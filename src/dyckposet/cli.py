@@ -173,7 +173,7 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], Result]] = {
 
 def _render_value(value):
     if isinstance(value, (UniPoly, BiPoly)):
-        return [[*exponents, str(c)] for *exponents, c in value.terms()]
+        return [term[:-1] + (str(term[-1]),) for term in value.terms()]
     if isinstance(value, int):
         return str(value)
     return value

@@ -6,12 +6,13 @@ routes: the path sum (qt_catalan); the Garsia-Haglund bounce recurrence
 (_bounce_recurrence), which enumerates no path; and the Garsia-Haiman
 partition sum (gh_evaluate), which does not use bounce and is compared at
 exact rational points.  The path sum builds no Dyck path: it sweeps the
-half paths of paths._halves once and counts the (area, bounce) pairs join
-by join, from values worked out once per half: its north offset sum and
-its part of the bounce walk.  The area analog is
-C_n(q, 1) and the maj analog q^C(n,2) C_n(q, 1/q) (Garsia and Haiman,
-J. Algebraic Combin. 5, 1996); each is read off the path sum and checked
-by a route that does not use it.
+half paths of paths._halves once and counts each join in a flat (area,
+bounce) histogram, at a slot read with one addition from values worked out
+once per half: its north offset sum and its part of the bounce walk.  Each
+term of the partition sum is built in one pass over the partition's cells.
+The area analog is C_n(q, 1) and the maj analog q^C(n,2) C_n(q, 1/q)
+(Garsia and Haiman, J. Algebraic Combin. 5, 1996); each is read off the
+path sum and checked by a route that does not use it.
 
 The recurrences carry each polynomial P as the one int P(2^B), B bits per
 coefficient (Kronecker substitution, as in poset._antichain_sizes): a
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
@@ -191,8 +191,16 @@ def qt_catalan(n: int) -> BiPoly:
     The bounce walk of path_stats, k -> e[k-1] from k = n, reads the second
     half's north offsets while k > a, summing them to s, and ends in the
     first half, whose prefix table f[k] = e[k-1] + f[e[k-1]] sums the rest.
+
+    The joins are counted in one flat histogram of S^2 slots, S = C(n,2) + 1,
+    q^area t^bounce at slot area + S bounce.  That is exact because
+    0 <= area, bounce <= C(n,2): each pair has a slot of its own.  A
+    second half carries S s less its offset sum, and a first half the table
+    g[k] = C(n,2) - (its offset sum) + S f[k], so a join's slot is one
+    addition of the two.
     """
     firsts, seconds = _halves(n)
+    slots = comb(n, 2) + 1
     tails = {}
     for a, level in seconds.items():
         rows = []
@@ -202,16 +210,17 @@ def qt_catalan(n: int) -> BiPoly:
             while k > a:
                 k = offsets[k - 1 - a]
                 s += k
-            rows.append((sum(offsets), s, k))
+            rows.append((slots * s - sum(offsets), k))
         tails[a] = rows
-    pairs: Counter = Counter()
+    hist = [0] * (slots * slots)
     for offsets in firsts:
-        top = comb(n, 2) - sum(offsets)
-        f = [0]
+        g = [slots - 1 - sum(offsets)]
         for e in offsets:
-            f.append(e + f[e])
-        pairs.update((top - es, s + f[k]) for es, s, k in tails[len(offsets)])
-    return BiPoly(pairs)
+            g.append(g[e] + slots * e)
+        for base, k in tails[len(offsets)]:
+            hist[base + g[k]] += 1
+    return BiPoly({(i % slots, i // slots): c
+                   for i, c in enumerate(hist) if c})
 
 
 def _q_pascal(top: int) -> tuple[int, list[list[int]]]:
@@ -320,37 +329,28 @@ def _gh_term(hooks: tuple[CellStats, ...], den: int,
     """One partition's summand
     t^(2 sum l) q^(2 sum a) (1-t)(1-q) prod'(1 - q^a' t^l') sum q^a' t^l'
     / prod (q^a - t^(l+1))(t^l - q^(a+1)),
-    as its integer numerator and denominator; the product prod' skips the
-    corner cell (a', l') = (0, 0), and den comes from _gh_cells."""
+    as its integer numerator and denominator, read in one pass over the
+    cells; the product prod' skips the corner cell (a', l') = (0, 0), and
+    den comes from _gh_cells.
+
+    The coarms (a') sum to sum a and the colegs (l') to sum l, so the pass
+    reads both sums off them.  The coarm sum is homogenised to N = n - 1,
+    n the number of cells, which bounds every a' and l'.  Then the power of
+    qd dividing the term is 2 sum a + 1 from the leading factors, N from
+    the coarm sum and a' per factor of prod', less 2a + 1 per cell from
+    clearing den: sum a in all, and likewise sum l for td."""
     qn, qd, tn, td = powers
-    sum_a = sum(h[0] for h in hooks)
-    sum_l = sum(h[1] for h in hooks)
-    top_ca = max(h[2] for h in hooks)
-    top_cl = max(h[3] for h in hooks)
-    num = (tn[2 * sum_l] * qn[2 * sum_a]
-           * (td[1] - tn[1]) * (qd[1] - qn[1]))
-    # the power of qd dividing the term: 2 sum a + 1 from the leading
-    # factors, top_ca from the coarm sum and ca per factor of prod', less
-    # 2a + 1 per cell from clearing den; likewise for td
-    exp_b = 1 + top_ca - len(hooks)
-    exp_d = 1 + top_cl - len(hooks)
-    coarm_sum = 0
+    last = len(hooks) - 1
+    sum_a = sum_l = coarm_sum = 0
+    num = (td[1] - tn[1]) * (qd[1] - qn[1])
     for _a, _l, ca, cl in hooks:
-        coarm_sum += qn[ca] * qd[top_ca - ca] * tn[cl] * td[top_cl - cl]
+        sum_a += ca
+        sum_l += cl
+        coarm_sum += qn[ca] * qd[last - ca] * tn[cl] * td[last - cl]
         if ca or cl:
             num *= qd[ca] * td[cl] - qn[ca] * tn[cl]
-            exp_b += ca
-            exp_d += cl
-    num *= coarm_sum
-    if exp_b < 0:
-        num *= qd[-exp_b]
-    else:
-        den *= qd[exp_b]
-    if exp_d < 0:
-        num *= td[-exp_d]
-    else:
-        den *= td[exp_d]
-    return num, den
+    return (num * coarm_sum * tn[2 * sum_l] * qn[2 * sum_a],
+            den * qd[sum_a] * td[sum_l])
 
 
 def gh_pole_check(n: int, q0: Fraction, t0: Fraction) -> bool:

@@ -91,8 +91,18 @@ AT_LIMIT = [
 # maximal count by solve and by the hook-length formula; the poset census
 # checks each field against a second route; the parking census checks the
 # closed form, the filter and the labelled paths against each other, and
-# the groups against C_n
+# the groups against C_n.  The two CSV captures are the only ones that hold
+# a polynomial, rendered term by term as exponents:coefficient;...
 PINNED = {
+    "--format csv chains --n 3": {"exit": EXIT_OK, "stdout": (
+        "quantity,value\norder,3\ntotal_chains,24\nmaximal_chains,2\n"
+        "maximal_chains_hook,2\nchain_polynomial,0:1;1:5;2:9;3:7;4:2\n")},
+    "--format csv qt --n 3": {"exit": EXIT_OK, "stdout": (
+        "quantity,value\norder,3\nqt_catalan,0:3:1;1:1:1;1:2:1;2:1:1;3:0:1\n"
+        "area_analog,0:0:1;1:0:2;2:0:1;3:0:1\n"
+        "inv_analog,0:0:1;1:0:1;2:0:2;3:0:1\n"
+        "maj_analog,0:0:1;2:0:1;3:0:1;4:0:1;6:0:1\n"
+        "symmetric,1\ncount_specialization,5\n")},
     "chains --n 8": {"exit": EXIT_OK, "stdout": (
         '{"order":"8","total_chains":"31491961129357837056",'
         '"maximal_chains":"48608795688960",'
@@ -694,6 +704,13 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
         assert out1.encode() == out2.encode()
+
+    @pytest.mark.parametrize("op", ["--format csv chains --n 3",
+                                    "--format csv qt --n 3"])
+    def test_polynomial_csv_is_pinned(self, capsys, op):
+        code, out, _ = run_cli(capsys, *op.split())
+        assert code == PINNED[op]["exit"]
+        assert out == PINNED[op]["stdout"]
 
     @pytest.mark.parametrize("op", sorted(GOLDEN_OPS))
     def test_matches_the_benchmark_capture(self, capsys, op):

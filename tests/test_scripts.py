@@ -1,5 +1,6 @@
 """Smoke test: each script in scripts/ runs in a fresh interpreter against
-the package in src/, and refuses an order past the limit table."""
+the package in src/, and refuses a negative order or one past the limit
+table."""
 
 import os
 import subprocess
@@ -42,3 +43,12 @@ def test_refuses_past_limit(name):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "exceeds" in result.stderr
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_refuses_negative_order(name):
+    result = run_script(name, "--max-n", "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "order -1 is negative" in result.stderr
+    assert "Traceback" not in result.stderr
