@@ -22,9 +22,10 @@ class LimitExceededError(Exception):
 #                       at n = 1001 takes 0.16-0.17 s
 #   paths               scope: no order past 8 is in the project's scope.
 #                       qt --n 9 takes 9-14 ms and 17 MB; at n = 8, chains
-#                       12.5-12.7 ms and 17 MB, the parking census 24-38 ms
-#                       and 17 MB; the two parking listers no command runs
-#                       take 38 s and 25 s, each near 860 MB
+#                       7.4-8.0 ms on its first call in a process and
+#                       3.8-4.3 ms after, and 17.2-17.3 MB, the parking
+#                       census 24-38 ms and 17 MB; the two parking listers
+#                       no command runs take 38 s and 25 s, each near 860 MB
 #   antichains          cost: antichains --n 7 exhausted memory with the
 #                       tuple-valued size-polynomial memo, a 4 GB address
 #                       limit after 47 s (3.5 GB RSS); split a chain at a

@@ -123,8 +123,9 @@ def qt_census(n: int) -> QtCensus:
     width, pascal = _q_pascal(2 * n)
     agree("q,t-Catalan path sum and the bounce recurrence",
           poly, _bounce_recurrence(n, width, pascal))
+    # the value at (1, 1) is the coefficient sum
     count = agree("q,t-Catalan value at (1, 1) and the Catalan number",
-                  poly(1, 1), catalan_closed(n))
+                  sum(poly.coeffs.values()), catalan_closed(n))
     # the partition sum is the one route that does not use bounce
     q0, t0 = GH_CHECK_POINT
     agree("q,t-Catalan path sum and the partition sum at GH_CHECK_POINT",
@@ -280,7 +281,7 @@ def qt_specialize(n: int, mode: str):
         return poly.substitute_t_one()
     if mode == "maj":
         return poly.t_to_inverse_q(comb(n, 2))
-    return poly(1, 1)
+    return sum(poly.coeffs.values())
 
 
 def symmetry_check(n: int) -> bool:

@@ -68,8 +68,9 @@ REFUSED = _refused_cases()
 # each job's top order with a tracemalloc bound in MiB on the call's peak;
 # the peaks were read in a fresh process
 AT_LIMIT = [
-    # peaks near 1.55 MiB; a dense 1,430 x 1,430 zeta matrix alone would
-    # hold over 15 MiB of pointers
+    # peaks near 1.06 MiB (2.34 MiB while the chain DP kept every prefix
+    # list); a dense 1,430 x 1,430 zeta matrix alone would hold over 15 MiB
+    # of pointers
     (("chains", "--n", "8"), "paths", 3),
     # peaks near 0.23 MiB, building no path
     (("qt", "--n", "8"), "paths", 3),
