@@ -32,11 +32,16 @@ class LimitExceededError(Exception):
 #                       time, the packed memo passed 1 M states and 312 MB
 #                       in 4.5 s, where a probe stopped it.  The ideal
 #                       count's chain-cut prototype passed 21 M states in
-#                       114 s.  At n = 6 poset takes 0.11-0.18 s and 29 MB
+#                       114 s.  At n = 6 poset takes 74-78 ms and 29 MB,
+#                       and antichains 10.0-10.2 ms, its split reading each
+#                       chain part by its length on a frame fitted in one
+#                       pass (10.4-10.6 ms before, measured alongside)
 #   maximal_antichains  two-route trust: the chain-split memo is the only
 #                       route and the A143674 snapshot ends at 5; n = 6
-#                       takes 0.12-0.13 s (36,578 states, a 7.1 MiB
-#                       tracemalloc peak), so cost no longer holds the cap
+#                       takes 113-117 ms (36,578 states, a 7.1 MiB
+#                       tracemalloc peak; 115-122 ms before the chain part
+#                       was read by its length), so cost no longer holds
+#                       the cap
 #   chromatic           two-route trust: the frontier DP is the only route
 #                       and the A141622 snapshot ends at 4; n = 5 takes
 #                       0.56-0.8 s and 24 MB (a frontier of 9, 9,089 states)

@@ -7,7 +7,8 @@ p.lower, the lower covers, by Rota's crosscut theorem, inverting no matrix.
 The chain polynomial is the fast zeta transform over D_n = J(P_n) of
 Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and Parviainen (SODA 2012):
 one pass over the order and one read per cover edge, each element's chain
-counts by length packed in one integer (137 bits apiece at n = 8).
+counts by length packed in one integer (138 bits apiece at n = 8, one
+of them spare).
 
 chain_census checks every coefficient of that polynomial against a k-fan
 product formula that reads no poset, and its top one also against the
@@ -149,11 +150,13 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
 
     A chain meets each rank level at most once, so there are at most as
     many chains, the empty one included, as the product of
-    (level size + 1).  B is that product's bit length, so every coefficient
-    of every sum is below 2^B and none carries into the next.
+    (level size + 1).  B is that product's bit length plus one spare bit,
+    so every coefficient of every sum is below 2^(B - 1) and none carries
+    into the next.
     """
     ranks = list(map(int.bit_count, p.ideals))
-    width = prod(size + 1 for size in Counter(ranks).values()).bit_length()
+    width = prod(size + 1
+                 for size in Counter(ranks).values()).bit_length() + 1
     chains = 0
     pref: list[list[int] | None] = []
     done = start = 0  # the first elements of the rank below and of this one

@@ -21,12 +21,14 @@ that needs up-sets or cover_up masks derives them once.
 
 Antichains are counted by size without listing them: a memoised split on
 bitmasks of candidate elements that takes off one chain's part at a time,
-along a first-fit chain partition (_chain_frame relabels the elements
-chain by chain, each along its chain, from the down-sets and the covers).
-Each state meets each chain in one run of labels, and the states number
-6,834 at n = 6 against 37,620,704 antichains.  Each state's size
-polynomial is one integer, its coefficients packed at a bit width that the
-same chain partition bounds, with a spare bit (53 bits at n = 6).  The
+along a first-fit chain partition (_chain_frame finds it in one pass that
+tests each chain's top, and relabels the elements chain by chain, each
+from its top down, from the down-sets and the covers).  Each state meets
+the chain of its top label in one run of labels that ends there, so the
+run's length gives its start, and the states number 6,834 at n = 6
+against 37,620,704 antichains.  Each state's size polynomial is one
+integer, its coefficients packed at a bit width that the same chain
+partition bounds, with a spare bit (53 bits at n = 6).  The
 width is checked against Dilworth's minimum chain cover, a matching grown
 on bitmasks.  The maximal census runs the same split on the same frame,
 each state also keeping the passed-over elements that still need a
@@ -198,53 +200,60 @@ class AntichainCensus(NamedTuple):
     width: int | None = None
 
 
-def _first_fit_chains(p: DyckPoset) -> list[int]:
-    """A partition of the elements into chains, as bitmasks: taken by
-    down-set size, a linear extension, each element joins the first chain
-    inside its strict down-set."""
-    chains: list[int] = []
-    for i in sorted(range(p.size), key=lambda i: p.down[i].bit_count()):
-        strict = p.down[i] ^ 1 << i
-        for c, chain in enumerate(chains):
-            if chain & ~strict == 0:
-                chains[c] = chain | 1 << i
-                break
-        else:
-            chains.append(1 << i)
-    return chains
-
-
 def _chain_frame(p: DyckPoset) -> tuple[int, list[int], list[int]]:
     """The labelling that both antichain splits run on: (width, below, inc).
 
-    It reads p.size, p.down and p.lower, in any labelling.  The elements
-    are relabelled chain by chain along a first-fit chain partition, the
-    chains in reverse order, each along the chain from its top down (by
-    down-set size); below[k] masks the labels of the chains before label
-    k's, and inc[k] the labels incomparable to k, the down- and up-sets
-    closed over the covers.  The elements of a chain incomparable to any
-    one element form an interval of it, so each candidate set of a split
-    meets each chain in one run of labels.  No candidate set holds more
-    antichains than the product of (chain length + 1) over the chains;
-    width, the bits per packed coefficient, is its bit length plus one
-    spare bit."""
+    It reads p.size, p.down and p.lower, in any labelling.  One first-fit
+    pass takes the elements by down-set size, a linear extension, and puts
+    each into the first chain inside its strict down-set.  A chain is kept
+    as its elements in the order they joined, so its last is its top, and
+    the chain lies in the strict down-set of v exactly when its top does: a
+    test of one bit of down[v].  The elements are relabelled chain by
+    chain, the chains in reverse order, each from its top down (its
+    elements reversed, sorting none); below[t] masks the labels of the
+    chains before label t - 1's, below[0] being 0, and inc[k] the labels
+    incomparable to k, the down- and up-sets closed over the cover lists,
+    relabelled once.  The elements of a chain incomparable to any one
+    element form an interval of it, so each candidate set S of a split
+    meets the chain C of its top label t - 1 in one run of labels that ends
+    at t - 1: S & C is the slice t - |S & C|..t of the labels.  No
+    candidate set holds more antichains than the product of
+    (chain length + 1) over the chains; width, the bits per packed
+    coefficient, is its bit length plus one spare bit."""
     size, down = p.size, p.down
-    chains = _first_fit_chains(p)
-    width = prod(chain.bit_count() + 1 for chain in chains).bit_length() + 1
-    label, below = [0] * size, []
-    for chain in reversed(chains):
-        top_down = sorted(_bits(chain), key=lambda v: -down[v].bit_count())
-        for k, v in enumerate(top_down, len(below)):
-            label[v] = k
-        below += [(1 << len(below)) - 1] * len(top_down)
     ext = sorted(range(size), key=lambda v: down[v].bit_count())
-    downs, ups = [1 << k for k in range(size)], [1 << k for k in range(size)]
+    chains: list[list[int]] = []
+    tops: list[int] = []
     for v in ext:
-        for c in p.lower[v]:
-            downs[label[v]] |= downs[label[c]]
-    for v in reversed(ext):
-        for c in p.lower[v]:
-            ups[label[c]] |= ups[label[v]]
+        held = down[v]
+        for c, top in enumerate(tops):
+            if held >> top & 1:
+                chains[c].append(v)
+                tops[c] = v
+                break
+        else:
+            chains.append([v])
+            tops.append(v)
+    width = prod(len(chain) + 1 for chain in chains).bit_length() + 1
+    label, below = [0] * size, [0]
+    for chain in reversed(chains):
+        start = len(below) - 1
+        for k, v in enumerate(reversed(chain), start):
+            label[v] = k
+        below += [(1 << start) - 1] * len(chain)
+    # the extension and its cover lists in the new labels
+    order = [label[v] for v in ext]
+    lowers = [[label[c] for c in p.lower[v]] for v in ext]
+    downs, ups = [1 << k for k in range(size)], [1 << k for k in range(size)]
+    for k, covers in zip(order, lowers):
+        mask = downs[k]
+        for c in covers:
+            mask |= downs[c]
+        downs[k] = mask
+    for k, covers in zip(reversed(order), reversed(lowers)):
+        mask = ups[k]
+        for c in covers:
+            ups[c] |= mask
     full = (1 << size) - 1
     return width, below, [full & ~(d | u) for d, u in zip(downs, ups)]
 
@@ -262,19 +271,22 @@ def _antichain_sizes(p: DyckPoset) -> tuple[int, ...]:
     empty antichain lies in every S): one call per state.
 
     A(S) is stored as the integer A(2^B), B the width of _chain_frame, so
-    no coefficient carries.  S & C is one run of labels, the slice low..top
-    of inc: 6,834 states at n = 6 besides the empty set, against 94,012
-    for the ideal split, which takes one element at a time."""
+    no coefficient carries.  With t the bit length of S, S & below[t] is
+    S - C, and S & C is one run of labels that ends at t - 1, so its length
+    gives its start: its elements' inc masks are the slice
+    t - |S & C|..t of inc.  6,834 states at n = 6 besides the empty set,
+    against 94,012 for the ideal split, which takes one element at a
+    time."""
     width, below, inc = _chain_frame(p)
     memo = {0: 1}
     get = memo.get
 
     def count(cand: int) -> int:
         top = cand.bit_length()
-        rest = cand & below[top - 1]
+        rest = cand & below[top]
         part = cand ^ rest
         with_one = 0
-        for mask in inc[(part & -part).bit_length() - 1:top]:
+        for mask in inc[top - part.bit_count():top]:
             child = rest & mask
             with_one += get(child) or count(child)
         memo[cand] = result = (get(rest) or count(rest)) + (with_one << width)
@@ -287,14 +299,15 @@ def _antichain_sizes(p: DyckPoset) -> tuple[int, ...]:
 def _maximal_sizes(p: DyckPoset) -> tuple[int, ...]:
     """c[k] = number of k-element maximal antichains of the poset p.
 
-    The same chain split as _antichain_sizes, on the same frame, with the
-    state (S, H): S the candidates, H the elements passed over that no
-    chosen element is comparable to yet.  Skipping the chain C of the top
-    of S goes to (S - C, H | S & C); taking u in S & C goes to
-    ((S - C) & inc[u], H & inc[u]).  A state is dead when some w in H has
-    no comparable candidate left, and is not entered; at S = 0 the state
-    counts one antichain, maximal exactly when H = 0.  197 states at
-    n = 5 and 36,578 at n = 6, against 37,620,704 antichains.
+    The same chain split as _antichain_sizes, on the same frame and with
+    the chain part read by its length, with the state (S, H): S the
+    candidates, H the elements passed over that no chosen element is
+    comparable to yet.  Skipping the chain C of the top of S goes to
+    (S - C, H | S & C); taking u in S & C goes to ((S - C) & inc[u],
+    H & inc[u]).  A state is dead when some w in H has no comparable
+    candidate left, and is not entered; at S = 0 the state counts one
+    antichain, maximal exactly when H = 0.  197 states at n = 5 and 36,578
+    at n = 6, against 37,620,704 antichains.
 
     Coefficients are packed at the width of _chain_frame.  That is exact,
     as a state's maximal antichains are among the antichains of S, and no
@@ -319,12 +332,12 @@ def _maximal_sizes(p: DyckPoset) -> tuple[int, ...]:
         if found is not None:
             return found
         top = cand.bit_length()
-        rest = cand & below[top - 1]
+        rest = cand & below[top]
         part = cand ^ rest
         skip = hunt | part
         result = count(rest, skip) if alive(rest, skip) else 0
         with_one = 0
-        for mask in inc[(part & -part).bit_length() - 1:top]:
+        for mask in inc[top - part.bit_count():top]:
             taken, left = rest & mask, hunt & mask
             if alive(taken, left):
                 with_one += count(taken, left)

@@ -2,7 +2,7 @@
 against.  No command runs them, so they live with the tests."""
 
 from collections import Counter
-from math import comb
+from math import comb, prod
 from types import SimpleNamespace
 
 from dyckposet import ExactMatrix, UniPoly
@@ -101,6 +101,51 @@ def poset_record(up):
                         if not up[i] & d & ~(1 << i | 1 << j))
                   for j, d in enumerate(down))
     return SimpleNamespace(size=len(up), down=tuple(down), lower=lower)
+
+
+def first_fit_chains(p):
+    """A partition of the elements of p (size and down-sets) into chains,
+    as bitmasks: taken by down-set size, a linear extension, each element
+    joins the first chain inside its strict down-set."""
+    chains = []
+    for i in sorted(range(p.size), key=lambda i: p.down[i].bit_count()):
+        strict = p.down[i] ^ 1 << i
+        for c, chain in enumerate(chains):
+            if chain & ~strict == 0:
+                chains[c] = chain | 1 << i
+                break
+        else:
+            chains.append(1 << i)
+    return chains
+
+
+def chain_frame_by_sorting(p):
+    """The frame (width, below, inc) of the antichain splits, built by
+    sorting: along first_fit_chains, the chains in reverse order, each
+    chain's elements sorted from its top down by down-set size and labelled
+    in that order.  below[t] masks the labels of the chains before label
+    t - 1's, below[0] being 0; inc[k] masks the labels incomparable to k,
+    the down- and up-sets closed over p.lower in the same extension; width
+    is the bit length of the product of (chain length + 1), plus one."""
+    size, down = p.size, p.down
+    chains = first_fit_chains(p)
+    width = prod(chain.bit_count() + 1 for chain in chains).bit_length() + 1
+    label, below = [0] * size, []
+    for chain in reversed(chains):
+        top_down = sorted(_bits(chain), key=lambda v: -down[v].bit_count())
+        for k, v in enumerate(top_down, len(below)):
+            label[v] = k
+        below += [(1 << len(below)) - 1] * len(top_down)
+    ext = sorted(range(size), key=lambda v: down[v].bit_count())
+    downs, ups = [1 << k for k in range(size)], [1 << k for k in range(size)]
+    for v in ext:
+        for c in p.lower[v]:
+            downs[label[v]] |= downs[label[c]]
+    for v in reversed(ext):
+        for c in p.lower[v]:
+            ups[label[c]] |= ups[label[v]]
+    full = (1 << size) - 1
+    return width, [0] + below, [full & ~(d | u) for d, u in zip(downs, ups)]
 
 
 def ideal_lattice(points):

@@ -79,21 +79,27 @@ def _modules():
         for path in sorted(SRC.glob("*.py"))]
 
 
-def _functions(code):
-    """The code of every function and lambda compiled inside code, nested
-    ones too; class bodies run at import and are left out."""
+def _functions(code, prefix=""):
+    """(qualified name, code) of every function and lambda compiled inside
+    code, nested ones too; class bodies run at import and are left out.
+    Each name is built as the compiler builds co_qualname, which Python
+    3.10 lacks: a function's own names nest under "<locals>", a class
+    body's and a comprehension's directly."""
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            if (const.co_flags & inspect.CO_NEWLOCALS
-                    and const.co_name not in COMPREHENSIONS):
-                yield const
-            yield from _functions(const)
+            name = prefix + const.co_name
+            function = (const.co_flags & inspect.CO_NEWLOCALS
+                        and const.co_name not in COMPREHENSIONS)
+            if function:
+                yield name, const
+            yield from _functions(
+                const, name + (".<locals>." if function else "."))
 
 
 def _key(code):
     # a decorated function's co_firstlineno is its first decorator's line
     # in both the live and the compiled code
-    return code.co_filename, code.co_qualname, code.co_firstlineno
+    return code.co_filename, code.co_name, code.co_firstlineno
 
 
 def _defined(modules):
@@ -103,9 +109,15 @@ def _defined(modules):
         source = Path(module.__file__)
         short = module.__name__.rpartition(".")[2]
         top = compile(source.read_text(), module.__file__, "exec")
-        for code in _functions(top):
+        for name, code in _functions(top):
+            if sys.version_info >= (3, 11):
+                assert name == code.co_qualname
             where = f"{source.relative_to(ROOT)}:{code.co_firstlineno}"
-            found[f"{short}.{code.co_qualname}"] = (_key(code), where)
+            found[f"{short}.{name}"] = (_key(code), where)
+    keys = [key for key, _ in found.values()]
+    # two functions of one name on one line would share a key, and the
+    # call of either would hide the other
+    assert len(set(keys)) == len(keys)
     return found
 
 

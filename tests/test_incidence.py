@@ -1,3 +1,4 @@
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -8,6 +9,7 @@ from operator import or_
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dyckposet import (ExactMatrix, build_poset, chain_census,
                        chain_polynomial, fan_chain_polynomial, incidence,
@@ -15,8 +17,9 @@ from dyckposet import (ExactMatrix, build_poset, chain_census,
                        maximal_chain_solve, mobius_matrix, paths, poset,
                        staircase_maxchain, total_chains, zeta_matrix)
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
-from dyckposet.polynomials import UniPoly
-from oracles import covers, invert_unitriangular, list_chain_polynomial
+from dyckposet.polynomials import UniPoly, _unpack
+from oracles import (covers, ideal_lattice, invert_unitriangular,
+                     list_chain_polynomial, poset_record)
 
 ZETA_D3 = [
     [1, 1, 1, 1, 1],
@@ -291,6 +294,28 @@ class TestChainCounts:
             sys.settrace(outer)
         assert lines < 377_806
 
+    def test_every_packed_coefficient_leaves_a_spare_bit(self, posets,
+                                                         monkeypatch):
+        # the width is the rank-level bound's bit length and one spare
+        # bit: every coefficient the chain DP unpacks stays below
+        # 2^(B - 1), for n <= 8 and on random distributive lattices
+        unpacked = []
+
+        def recording(packed, width):
+            coeffs = _unpack(packed, width)
+            unpacked.append((width, coeffs))
+            return coeffs
+        monkeypatch.setattr(incidence, "_unpack", recording)
+        rng = random.Random(9)
+        records = [posets(n) for n in range(9)] + [
+            _random_lattice(rng.randrange(7), lambda: rng.random() < 0.5)
+            for _ in range(50)]
+        for p in records:
+            chain_polynomial(p)
+        assert len(unpacked) == len(records)
+        assert all(0 <= c < 1 << width - 1
+                   for width, coeffs in unpacked for c in coeffs)
+
     def test_fans_match_both_dps(self, posets):
         for n in range(9):
             fans = fan_chain_polynomial(n)
@@ -441,3 +466,108 @@ class TestIntervalCounts:
             direct = sum(1 for i in range(p.size) for j in range(p.size)
                          if p.leq(i, j))
             assert interval_count(p) == direct
+
+
+def _random_lattice(size, related):
+    """J(P) of a random P on size points, grown by oracles.ideal_lattice:
+    P's labels are a linear extension, each pair related when related()
+    says so and closed transitively, and each lower list of J(P) is sorted
+    by its removed point, as chain_polynomial requires."""
+    points = [1 << x for x in range(size)]
+    for x in range(size):
+        for y in range(x):
+            if related():
+                points[x] |= points[y]
+    lattice = ideal_lattice(points)
+    lattice.lower = tuple(
+        tuple(sorted(covers, key=lambda c: ideal ^ lattice.ideals[c]))
+        for ideal, covers in zip(lattice.ideals, lattice.lower))
+    return lattice
+
+
+def _saturated_chains_to_top(p):
+    """For each element i, the saturated chains from i to the maximum,
+    listed by walking the covers upward."""
+    upper = [[] for _ in range(p.size)]
+    for j, lower in enumerate(p.lower):
+        for i in lower:
+            upper[i].append(j)
+    listed = [[] for _ in range(p.size)]
+
+    def walk(start, chain):
+        if not upper[chain[-1]]:
+            listed[start].append(chain)
+        for j in upper[chain[-1]]:
+            walk(start, chain + (j,))
+
+    for i in range(p.size):
+        walk(i, (i,))
+    return listed
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mobius_on_random_distributive_lattices(data):
+    # the crosscut columns on J(P) of a random P on at most 6 points,
+    # against the inverse of the zeta matrix read off the down-sets
+    lattice = _random_lattice(data.draw(st.integers(0, 6)),
+                              lambda: data.draw(st.booleans()))
+    zeta = ExactMatrix([[lattice.down[j] >> i & 1 for j in range(lattice.size)]
+                        for i in range(lattice.size)])
+    assert mobius_matrix(lattice) == invert_unitriangular(zeta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_maximal_chain_solve_on_random_distributive_lattices(data):
+    # the back substitution on J(P) of a random P on at most 6 points,
+    # against the saturated chains from each element to the top, listed;
+    # a chain from the bottom is a linear extension of P
+    lattice = _random_lattice(data.draw(st.integers(0, 6)),
+                              lambda: data.draw(st.booleans()))
+    listed = _saturated_chains_to_top(lattice)
+    top = lattice.size - 1
+    assert all(chain[-1] == top for chains in listed for chain in chains)
+    assert maximal_chain_solve(lattice) == list(map(len, listed))
+
+
+def _bounded_up_sets(data):
+    """The up-sets of a random bounded poset: between a bottom 0 and a top,
+    2 to 4 levels of 2 or 3 points, listed level by level, each point
+    related or not, as drawn, to each point of a higher level, and the
+    relation closed transitively.  Most such posets are not lattices."""
+    level = [-1]
+    for k in range(data.draw(st.integers(2, 4))):
+        level += [k] * data.draw(st.integers(2, 3))
+    level.append(len(level))
+    size = len(level)
+    up = [1 << i | 1 << size - 1 for i in range(size)]
+    for i in reversed(range(1, size - 1)):
+        for j in range(i + 1, size - 1):
+            if level[j] > level[i] and data.draw(st.booleans()):
+                up[i] |= up[j]
+    up[0] = (1 << size) - 1
+    return up
+
+
+def _has_every_meet(down):
+    # each pair's common lower bounds hold one that lies above them all
+    for x in range(len(down)):
+        for y in range(x):
+            common = down[x] & down[y]
+            if not any(common & ~down[m] == 0
+                       for m in range(len(down)) if common >> m & 1):
+                return False
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_bounded_non_lattices_are_refused(data):
+    # a bounded poset with a pair that has no meet, found by testing every
+    # common lower bound, is no lattice: the crosscut columns must refuse
+    # it, whatever pair it is
+    p = poset_record(_bounded_up_sets(data))
+    assume(not _has_every_meet(p.down))
+    with pytest.raises(ValueError, match="not a lattice"):
+        mobius_matrix(p)

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from itertools import combinations
 from math import comb, prod
@@ -18,8 +19,9 @@ from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
 from dyckposet.polynomials import _unpack
-from oracles import (antichain_extensions, column_heights, covers,
-                     ideal_lattice, is_below, list_chain_polynomial,
+from oracles import (antichain_extensions, chain_frame_by_sorting,
+                     column_heights, covers, first_fit_chains, ideal_lattice,
+                     is_below, list_chain_polynomial,
                      maximal_antichains_by_size, poset_by_probes,
                      poset_record, transpose)
 
@@ -301,7 +303,7 @@ class TestPackedAntichainSizes:
         # takes at most one element of each
         for n in range(7):
             p = posets(n)
-            chains = poset._first_fit_chains(p)
+            chains = first_fit_chains(p)
             union = 0
             for chain in chains:
                 assert chain & union == 0
@@ -322,15 +324,31 @@ class TestPackedAntichainSizes:
     ])
     def test_bound_is_reached(self, up, chains, sizes):
         p = poset_record(up)
-        assert poset._first_fit_chains(p) == chains
+        assert first_fit_chains(p) == chains
+        assert poset._chain_frame(p) == chain_frame_by_sorting(p)
         assert prod(chain.bit_count() + 1 for chain in chains) == sum(sizes)
         assert poset._antichain_sizes(p) == sizes
+
+    def test_chain_frame_equals_the_sorting_oracle(self, posets):
+        # the one-pass frame against the sort-based construction: the same
+        # chains, labels, below, inc and width, on D_0..D_7, on D_n in
+        # random labellings, and on random posets
+        rng = random.Random(8)
+        records = [posets(n) for n in range(8)]
+        for n in range(7):
+            order = rng.sample(range(posets(n).size), posets(n).size)
+            records.append(_relabel_record(posets(n), order))
+        records += [poset_record(_seeded_up_sets(rng, rng.randrange(13)))
+                    for _ in range(50)]
+        for p in records:
+            assert poset._chain_frame(p) == chain_frame_by_sorting(p)
 
     @pytest.mark.parametrize("split, top", [("_antichain_sizes", 6),
                                             ("_maximal_sizes", 5)])
     def test_each_chain_part_is_one_run_of_labels(self, posets, split, top):
-        # the slice inc[low:top] reads the chain part S & C whole only if
-        # it is one run of labels, in any labelling of the input
+        # the slice inc[top - |S & C|:top] reads the chain part S & C whole
+        # only if it is one run of labels ending at the top label, in any
+        # labelling of the input
         rng = random.Random(5)
         for n in range(top + 1):
             order = rng.sample(range(posets(n).size), posets(n).size)
@@ -377,14 +395,23 @@ def _is_run(mask):
     return mask > 0 and (mask + (mask & -mask)) & mask == 0
 
 
+def _count_code(split):
+    """The code of the inner count of a split: a constant of the split's
+    own code, and the f_code of every frame that count runs in."""
+    (code,) = [const for const in split.__code__.co_consts
+               if isinstance(const, types.CodeType)
+               and const.co_name == "count"]
+    return code
+
+
 def _chain_parts(split, p):
     """The chain part S & C of each state that split enters on p, read from
     its count's locals as each call returns."""
     parts = []
+    code = _count_code(split)
 
     def profile(frame, event, _arg):
-        if (event == "return" and frame.f_code.co_qualname
-                == f"{split.__name__}.<locals>.count"
+        if (event == "return" and frame.f_code is code
                 and "part" in frame.f_locals):
             parts.append(frame.f_locals["part"])
 
@@ -404,7 +431,7 @@ def _one_chain_by_label(frame):
     def mutant(p):
         width, below, inc = frame(p)
         start = 0
-        for chain in reversed(poset._first_fit_chains(p)):
+        for chain in reversed(first_fit_chains(p)):
             along = sorted(poset._bits(chain),
                            key=lambda v: -p.down[v].bit_count())
             by_label = sorted(range(len(along)), key=lambda k: -along[k])
@@ -483,7 +510,7 @@ class TestIdealsAndAntichains:
 
         def profile(frame, event, _arg):
             if event == "call" and frame.f_code.co_name == "count":
-                calls[frame.f_code.co_qualname] += 1
+                calls[frame.f_code] += 1
 
         previous = sys.getprofile()
         sys.setprofile(profile)
@@ -492,8 +519,8 @@ class TestIdealsAndAntichains:
             poset._ideal_count(p.size, p.down)
         finally:
             sys.setprofile(previous)
-        assert calls == {"_antichain_sizes.<locals>.count": 6_834,
-                         "_ideal_count.<locals>.count": 188_023}
+        assert calls == {_count_code(poset._antichain_sizes): 6_834,
+                         _count_code(poset._ideal_count): 188_023}
 
     @pytest.mark.parametrize("n, states", [(5, 197), (6, 36_578)])
     def test_maximal_split_states(self, posets, n, states):
@@ -503,11 +530,10 @@ class TestIdealsAndAntichains:
         # here at once
         p = posets(n)
         seen = set()
+        code = _count_code(poset._maximal_sizes)
 
         def profile(frame, event, _arg):
-            if (event == "call"
-                    and frame.f_code.co_qualname
-                    == "_maximal_sizes.<locals>.count"):
+            if event == "call" and frame.f_code is code:
                 cand, hunt = frame.f_locals["cand"], frame.f_locals["hunt"]
                 if cand:
                     seen.add((cand, hunt))
