@@ -18,8 +18,11 @@ class LimitExceededError(Exception):
 # peak RSS:
 #   counts              scope: every printed integer stays under Python's
 #                       4300-digit str limit (the parking count (n+1)^(n-1)
-#                       has 2998 digits at n = 1000); the Catalan recurrence
-#                       at n = 1001 takes 0.16-0.17 s
+#                       has 2998 digits at n = 1000); catalan takes
+#                       26-27 ms at n = 1000 and at n = 1001, its second
+#                       route adding Catalan's triangle row by row
+#                       (115-124 ms and 116-121 ms by Segner's convolution,
+#                       measured alongside)
 #   paths               scope: no order past 8 is in the project's scope.
 #                       qt --n 9 takes 9-14 ms and 17 MB; at n = 8, chains
 #                       7.4-8.0 ms on its first call in a process and

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from . import tableaux
 from .checks import agree
 from .paths import catalan_closed
-from .polynomials import UniPoly, _unpack
+from .polynomials import UniPoly, _unpack, pack_width
 from .poset import DyckPoset
 
 
@@ -150,13 +150,10 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
 
     A chain meets each rank level at most once, so there are at most as
     many chains, the empty one included, as the product of
-    (level size + 1).  B is that product's bit length plus one spare bit,
-    so every coefficient of every sum is below 2^(B - 1) and none carries
-    into the next.
+    (level size + 1), the bound of B.
     """
     ranks = list(map(int.bit_count, p.ideals))
-    width = prod(size + 1
-                 for size in Counter(ranks).values()).bit_length() + 1
+    width = pack_width(prod(size + 1 for size in Counter(ranks).values()))
     chains = 0
     pref: list[list[int] | None] = []
     done = start = 0  # the first elements of the rank below and of this one

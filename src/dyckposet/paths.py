@@ -25,9 +25,9 @@ the north offsets of each join, writing no word.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import accumulate, count
 from math import comb
-from operator import attrgetter, gt, index, mul
+from operator import attrgetter, gt, index
 from typing import NamedTuple
 
 from .checks import agree
@@ -194,20 +194,17 @@ def catalan_closed(n: int) -> int:
 
 
 def catalan_recurrence(n: int) -> int:
-    """E_0 = 1, E_n = sum_{k=1..n} E_{k-1} E_{n-k}, built bottom-up.  The
-    terms k and n + 1 - k are equal, so each E_m sums the first half of
-    its terms and doubles it, plus the middle square when m is odd."""
+    """C_n by Catalan's triangle (OEIS A009766), the ballot numbers: T(m, k)
+    counts the paths from (0, 0) to (k, m), k <= m, that never pass below
+    the diagonal, so T(m, k) = T(m, k-1) + T(m-1, k) with T(m-1, m) = 0,
+    and C_n = T(n, n).  Row m is the running sum of row m - 1 with a 0
+    appended: additions only, and no product."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    values = [1]
-    for m in range(1, n + 1):
-        half = m // 2
-        total = 2 * sum(map(mul, values[:half],
-                            reversed(values[m - half:m])))
-        if m % 2:
-            total += values[half] ** 2
-        values.append(total)
-    return values[n]
+    row = [1]
+    for _ in range(n):
+        row = list(accumulate(row + [0]))
+    return row[-1]
 
 
 def catalan_count(n: int) -> int:

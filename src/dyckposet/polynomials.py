@@ -9,7 +9,9 @@ in a fixed canonical order so serialized output is deterministic.
 
 Where a layer's polynomial arithmetic is hot, it carries a polynomial as one
 int instead, a big-int sum or product per operation, and _unpack reads its
-coefficients back.
+coefficients back.  One rule sets every packing width: pack_width, from the
+bound on the coefficients that the caller proves, with one spare bit that
+_unpack checks in every run.
 """
 
 from __future__ import annotations
@@ -18,21 +20,41 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
+def pack_width(bound: int) -> int:
+    """The bits per coefficient B of a packing whose coefficients the caller
+    proves are at most bound: bound's bit length and one spare bit.
+
+    The packing P(2^B) is exact while every coefficient of P lies in
+    [0, 2^B): a larger one carries into the next.  When P and every sum and
+    product that built it have nonnegative coefficients, the bound on P's
+    coefficients is enough, as no intermediate one exceeds its final one.
+    A coefficient within its bound is below 2^(B - 1), so the top bit of
+    every digit, the spare bit, stays 0; _unpack refuses a digit that sets
+    it, so a bound that is wrong by up to a factor of two ends in
+    ValueError, never in a wrong coefficient.
+    """
+    return bound.bit_length() + 1
+
+
 def _unpack(packed: int, width: int) -> tuple[int, ...]:
     """The coefficients, lowest first, of the polynomial P packed width bits
-    apiece as the int P(2^width) (Kronecker substitution).
+    apiece as the int P(2^width) (Kronecker substitution), width being
+    pack_width of the caller's bound.
 
-    The packing is exact only while every coefficient of P lies in
-    [0, 2^width): a larger one carries into the next.  When P and every sum
-    and product that built it have nonnegative coefficients, the bound on
-    P's coefficients is enough, as no intermediate one exceeds its final
-    one; each caller states the bound that sets its width.
+    Raises ValueError when a coefficient has its spare (top) bit set: the
+    bound that set the width is wrong, and the coefficient may have carried
+    into the next.  A bound wrong by more than a factor of two can carry
+    past the spare bit unseen, which is left to each caller's check against
+    a second route.
     """
     digit = (1 << width) - 1
     coeffs = []
     while packed:
         coeffs.append(packed & digit)
         packed >>= width
+    if coeffs and max(coeffs) >> width - 1:
+        raise ValueError(f"a coefficient of a {width}-bit packing sets its "
+                         "spare bit: the bound that set the width is wrong")
     return tuple(coeffs)
 
 

@@ -28,7 +28,7 @@ the chain of its top label in one run of labels that ends there, so the
 run's length gives its start, and the states number 6,834 at n = 6
 against 37,620,704 antichains.  Each state's size polynomial is one
 integer, its coefficients packed at a bit width that the same chain
-partition bounds, with a spare bit (53 bits at n = 6).  The
+partition bounds (53 bits at n = 6, set by polynomials.pack_width).  The
 width is checked against Dilworth's minimum chain cover, a matching grown
 on bitmasks.  The maximal census runs the same split on the same frame,
 each state also keeping the passed-over elements that still need a
@@ -61,7 +61,7 @@ from .config import check_order
 # poset.enumerate_paths: bench/tests/test_harness.py checks that the tracer
 # rebinds it by name, and tests/test_boundary.py that the binding stays
 from .paths import _halves, catalan_closed, enumerate_paths  # noqa: F401
-from .polynomials import _unpack
+from .polynomials import _unpack, pack_width
 from .qt import cn_inv
 
 
@@ -218,8 +218,8 @@ def _chain_frame(p: DyckPoset) -> tuple[int, list[int], list[int]]:
     meets the chain C of its top label t - 1 in one run of labels that ends
     at t - 1: S & C is the slice t - |S & C|..t of the labels.  No
     candidate set holds more antichains than the product of
-    (chain length + 1) over the chains; width, the bits per packed
-    coefficient, is its bit length plus one spare bit."""
+    (chain length + 1) over the chains, the bound of width, the bits per
+    packed coefficient."""
     size, down = p.size, p.down
     ext = sorted(range(size), key=lambda v: down[v].bit_count())
     chains: list[list[int]] = []
@@ -234,7 +234,7 @@ def _chain_frame(p: DyckPoset) -> tuple[int, list[int], list[int]]:
         else:
             chains.append([v])
             tops.append(v)
-    width = prod(len(chain) + 1 for chain in chains).bit_length() + 1
+    width = pack_width(prod(len(chain) + 1 for chain in chains))
     label, below = [0] * size, [0]
     for chain in reversed(chains):
         start = len(below) - 1

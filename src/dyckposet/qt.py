@@ -16,9 +16,10 @@ path sum and checked by a route that does not use it.
 
 The recurrences carry each polynomial P as the one int P(2^B), B bits per
 coefficient (Kronecker substitution, as in poset._antichain_sizes): a
-product or sum of polynomials is one big-int product or sum.  Each states
-the bound on its coefficients that sets B, and each route is unpacked once
-(polynomials._unpack) into the BiPoly that its check compares.  qt_census
+product or sum of polynomials is one big-int product or sum.  Each proves
+the bound on its coefficients from which polynomials.pack_width sets B,
+and each route is unpacked once (polynomials._unpack, which checks the
+spare bit) into the BiPoly that its check compares.  qt_census
 runs every check of the qt command on one C_n(q, t): the area analog
 against the area recurrence, which the inv reversal reads once it is
 checked, and the maj analog by MacMahon's identity
@@ -47,7 +48,7 @@ from .config import check_order
 # bindings stay
 from .paths import (CellStats, Partition, _halves, catalan_closed,
                     cell_stats, enumerate_paths, path_stats)  # noqa: F401
-from .polynomials import BiPoly, _unpack, power_table
+from .polynomials import BiPoly, _unpack, pack_width, power_table
 
 GH_POINT_SEED = 20080108  # fixed seed for reproducible evaluation points
 # The point at which the qt command checks C_n(q, t) against the partition
@@ -84,9 +85,9 @@ def _carlitz(n: int, shift: Callable[[int, int], int]) -> BiPoly:
     the area analog, (k + 1)(m - k) the inv analog.
 
     C_m is carried as C_m(2^B).  A coefficient of C_k C_{m-k} counts pairs
-    of paths, and one of C_{m+1} paths, so each is at most C_n; B is the bit
-    length of C_n and one spare bit, and no coefficient carries."""
-    width = catalan_closed(n).bit_length() + 1
+    of paths, and one of C_{m+1} paths, so each is at most C_n, the bound
+    of B."""
+    width = pack_width(catalan_closed(n))
     packed = [1]
     for m in range(n):
         packed.append(sum((packed[k] * packed[m - k]) << width * shift(k, m)
@@ -154,10 +155,10 @@ def _checked_maj(n: int, maj: BiPoly, width: int,
     (2^(B(n+1)) - 1) / (2^B - 1).  maj's coefficients are non-negative
     counts of joins that sum to C_n, so each is below 2^B and maj(2^B)
     packs them B bits apiece.  A coefficient of maj [n+1]_q is at most that
-    sum, C_n, and one of [2n choose n]_q at most C(2n, n), whose bit length
-    B exceeds: both sides are below 2^B in every coefficient, so equal ints
-    mean equal polynomials.  They are compared unpacked, which is the same
-    test and shows coefficients when it fails."""
+    sum, C_n, and one of [2n choose n]_q at most C(2n, n), the bound of B:
+    both sides are below 2^B in every coefficient, so equal ints mean equal
+    polynomials.  They are compared unpacked, which is the same test and
+    shows coefficients when it fails."""
     q_int = ((1 << width * (n + 1)) - 1) // ((1 << width) - 1)
     agree("maj q-analog C_n(q, 1/q) and quotient",
           _unpack(maj(1 << width, 1) * q_int, width),
@@ -230,9 +231,8 @@ def _q_pascal(top: int) -> tuple[int, list[list[int]]]:
     [m choose k]_q = [m-1 choose k-1]_q + q^k [m-1 choose k]_q.
 
     The coefficients of [m choose k]_q sum to C(m, k), at most
-    C(top, top // 2); B is its bit length and one spare bit, so no
-    coefficient carries."""
-    width = comb(top, top // 2).bit_length() + 1
+    C(top, top // 2), the bound of B."""
+    width = pack_width(comb(top, top // 2))
     rows = [[1]]
     for m in range(1, top + 1):
         prev = rows[-1]
@@ -254,8 +254,8 @@ def _bounce_recurrence(n: int, width: int,
     digit, with S = C(n,2) + 1 q slots per t power.  Its terms have
     i + j <= C(m,2) < S, so no q power spills into the next t power, and
     every coefficient, of F and of each product and sum that builds it,
-    counts paths of order at most n: at most C_n < C(2n, n), below
-    2^width."""
+    counts paths of order at most n: at most C_n < C(2n, n), the bound of
+    width."""
     stride = width * (comb(n, 2) + 1)
     f = [[1]]  # f[m][k] is F_{m,k} packed; C_0 = 1
     for m in range(1, n + 1):

@@ -1,13 +1,31 @@
 """Reference routes that more than one test module compares the package
-against.  No command runs them, so they live with the tests."""
+against, and the routes that left the package for a faster one.  No command
+runs them, so they live with the tests."""
 
 from collections import Counter
 from math import comb, prod
+from operator import mul
 from types import SimpleNamespace
 
 from dyckposet import ExactMatrix, UniPoly
 from dyckposet.paths import _halves
 from dyckposet.poset import _row_masks
+
+
+def segner_catalans(top):
+    """[E_0, ..., E_top] by Segner's first-return convolution, E_0 = 1,
+    E_m = sum_{k=1..m} E_{k-1} E_{m-k}, built bottom-up.  The terms k and
+    m + 1 - k are equal, so each E_m sums the first half of its terms and
+    doubles it, plus the middle square when m is odd."""
+    values = [1]
+    for m in range(1, top + 1):
+        half = m // 2
+        total = 2 * sum(map(mul, values[:half],
+                            reversed(values[m - half:m])))
+        if m % 2:
+            total += values[half] ** 2
+        values.append(total)
+    return values
 
 
 def column_heights(d):

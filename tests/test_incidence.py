@@ -17,7 +17,7 @@ from dyckposet import (ExactMatrix, build_poset, chain_census,
                        maximal_chain_solve, mobius_matrix, paths, poset,
                        staircase_maxchain, total_chains, zeta_matrix)
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
-from dyckposet.polynomials import UniPoly, _unpack
+from dyckposet.polynomials import UniPoly
 from oracles import (covers, ideal_lattice, invert_unitriangular,
                      list_chain_polynomial, poset_record)
 
@@ -294,27 +294,32 @@ class TestChainCounts:
             sys.settrace(outer)
         assert lines < 377_806
 
-    def test_every_packed_coefficient_leaves_a_spare_bit(self, posets,
-                                                         monkeypatch):
-        # the width is the rank-level bound's bit length and one spare
-        # bit: every coefficient the chain DP unpacks stays below
-        # 2^(B - 1), for n <= 8 and on random distributive lattices
-        unpacked = []
-
-        def recording(packed, width):
-            coeffs = _unpack(packed, width)
-            unpacked.append((width, coeffs))
-            return coeffs
-        monkeypatch.setattr(incidence, "_unpack", recording)
+    def test_every_packed_coefficient_leaves_a_spare_bit(self, posets):
+        # the width is the rank-level bound's pack_width, and _unpack
+        # raises on a set spare bit: the chain DP unpacks for n <= 8 and on
+        # random distributive lattices
         rng = random.Random(9)
         records = [posets(n) for n in range(9)] + [
             _random_lattice(rng.randrange(7), lambda: rng.random() < 0.5)
             for _ in range(50)]
         for p in records:
-            chain_polynomial(p)
-        assert len(unpacked) == len(records)
-        assert all(0 <= c < 1 << width - 1
-                   for width, coeffs in unpacked for c in coeffs)
+            # the empty chain and the one-element chains
+            coeffs = chain_polynomial(p).coeffs
+            assert (coeffs[0], coeffs[1]) == (1, len(p.lower))
+
+    def test_a_narrowed_width_raises(self, posets, monkeypatch):
+        # 28 bits sets a spare bit at n = 6, as does every width from 2;
+        # pack_width gives 47
+        monkeypatch.setattr(incidence, "pack_width", lambda bound: 28)
+        with pytest.raises(ValueError, match="spare bit"):
+            chain_polynomial(posets(6))
+
+    def test_a_narrowed_width_exits_internal(self, capsys, monkeypatch):
+        monkeypatch.setattr(incidence, "pack_width", lambda bound: 28)
+        assert main(["chains", "--n", "6"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spare bit" in captured.err
 
     def test_fans_match_both_dps(self, posets):
         for n in range(9):

@@ -14,7 +14,7 @@ from dyckposet import (GH_CHECK_POINT, DyckPath, LimitExceededError,
                        gh_sample_points, parking_census, path_stats,
                        path_to_partition, qt_catalan, qt_census)
 from dyckposet.paths import _halves
-from oracles import is_below
+from oracles import is_below, segner_catalans
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -77,6 +77,12 @@ class TestCatalanCounts:
     def test_recurrence_has_no_recursion_depth(self):
         # a recursive recurrence overflows the stack near n = 333
         assert catalan_recurrence(1000) == catalan_closed(1000)
+
+    def test_ballot_triangle_matches_segner_convolution(self):
+        # the ballot triangle adds and Segner's convolution multiplies:
+        # two routes that share no step, compared at every n <= 300
+        values = segner_catalans(300)
+        assert [catalan_recurrence(n) for n in range(301)] == values
 
     def test_enumeration_refuses_past_limit(self):
         with pytest.raises(LimitExceededError):

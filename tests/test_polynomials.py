@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyckposet import BiPoly, UniPoly
+from dyckposet.polynomials import _unpack, pack_width
 from oracles import divide_exact
 
 COEFF = st.integers(-4, 4)
@@ -234,3 +235,34 @@ def test_divide_exact_rejects_fractional_quotient():
         divide_exact(UniPoly({0: 1, 1: 1}), UniPoly({1: 2}))
     with pytest.raises(ZeroDivisionError):
         divide_exact(UniPoly.one(), UniPoly())
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing
+
+
+@pytest.mark.parametrize("bound, width", [
+    (0, 1), (1, 2), (2, 3), (3, 3), (4, 4), (7, 4), (8, 5),
+    (132, 9), (2**52 - 1, 53), (2**52, 54)])
+def test_pack_width_is_the_bit_length_and_a_spare_bit(bound, width):
+    assert pack_width(bound) == width
+    # every coefficient within the bound leaves the spare bit clear
+    assert bound < 1 << width - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 200), max_size=8))
+def test_unpack_reads_back_what_pack_width_packs(coeffs):
+    width = pack_width(max(coeffs, default=0))
+    packed = sum(c << width * k for k, c in enumerate(coeffs))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()  # high zero coefficients leave no digit
+    assert _unpack(packed, width) == tuple(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[4], [1, 0, 7], [0, 5, 3], [7, 7, 7]])
+def test_unpack_refuses_a_set_spare_bit(coeffs):
+    # 3 bits: 4 through 7 set the spare bit, here in some digit
+    packed = sum(c << 3 * k for k, c in enumerate(coeffs))
+    with pytest.raises(ValueError, match="spare bit"):
+        _unpack(packed, 3)

@@ -18,7 +18,6 @@ from dyckposet import (DyckPath, DyckPoset, LimitExceededError,
                        poset_census, rank_sizes)
 from dyckposet import poset
 from dyckposet.cli import EXIT_INTERNAL, EXIT_OK, main
-from dyckposet.polynomials import _unpack
 from oracles import (antichain_extensions, chain_frame_by_sorting,
                      column_heights, covers, first_fit_chains, ideal_lattice,
                      is_below, list_chain_polynomial,
@@ -365,29 +364,29 @@ class TestPackedAntichainSizes:
                              _relabel_record(posets(4), order))
         assert not all(map(_is_run, parts))
 
-    def test_every_packed_coefficient_leaves_a_spare_bit(self, posets,
-                                                         monkeypatch):
-        # the width is the chain bound's bit length and one spare bit:
-        # every coefficient either split unpacks stays below 2^(B - 1), for
-        # n <= 6 and on random posets.  The splits' sums have nonnegative
-        # coefficients, none above its result's
-        unpacked = []
-
-        def recording(packed, width):
-            coeffs = _unpack(packed, width)
-            unpacked.append((width, coeffs))
-            return coeffs
-        monkeypatch.setattr(poset, "_unpack", recording)
+    def test_every_packed_coefficient_leaves_a_spare_bit(self, posets):
+        # the width is the chain bound's pack_width, and _unpack raises on
+        # a set spare bit: both splits unpack for n <= 6 and on random
+        # posets
         rng = random.Random(7)
         records = [posets(n) for n in range(7)] + [
             poset_record(_seeded_up_sets(rng, rng.randrange(13)))
             for _ in range(50)]
         for p in records:
-            poset._antichain_sizes(p)
-            poset._maximal_sizes(p)
-        assert len(unpacked) == 2 * len(records)
-        assert all(0 <= c < 1 << width - 1
-                   for width, coeffs in unpacked for c in coeffs)
+            # the empty antichain; every poset has a maximal antichain
+            assert poset._antichain_sizes(p)[0] == 1
+            assert sum(poset._maximal_sizes(p)) >= 1
+
+    # one width from the range that sets a spare bit at n = 6: 2-24 bits
+    # for the antichain split and 2-17 for the maximal split, against 53
+    # from pack_width
+    @pytest.mark.parametrize("split, width", [
+        ("_antichain_sizes", 24), ("_maximal_sizes", 17)])
+    def test_a_narrowed_width_raises(self, posets, monkeypatch, split,
+                                     width):
+        monkeypatch.setattr(poset, "pack_width", lambda bound: width)
+        with pytest.raises(ValueError, match="spare bit"):
+            getattr(poset, split)(posets(6))
 
 
 def _is_run(mask):

@@ -303,29 +303,30 @@ class TestBounceRecurrence:
                 q_binomial(2 * n, n), _q_int(n + 1)).coeffs.items()})
 
     def test_every_packed_coefficient_leaves_a_spare_bit(self, monkeypatch):
-        # each width is its bound's bit length and one spare bit: at n = 10
-        # every coefficient a route unpacks, and every q-binomial, stays
-        # below 2^(B - 1).  A route's sums and products have nonnegative
-        # coefficients, none above its result's
+        # each width is its bound's pack_width, and _unpack raises on a set
+        # spare bit: at n = 10 every route unpacks, and so does every
+        # q-binomial
         monkeypatch.setitem(MAX_ORDER, "paths", 10)
-        unpacked = []
-
-        def recording(packed, width):
-            coeffs = _unpack(packed, width)
-            unpacked.append((width, coeffs))
-            return coeffs
-        monkeypatch.setattr(qt, "_unpack", recording)
         census = qt_census(10)
         assert census.count == catalan_closed(10)
-        # the two Carlitz routes, the bounce recurrence by t power and by
-        # q power within each of its C(10, 2) + 1 t powers, and both sides
-        # of the maj identity; the maj analog comes unpacked from C_n(q, t)
-        assert len(unpacked) == 2 + 1 + comb(10, 2) + 1 + 2
         width, pascal = _q_pascal(20)
-        unpacked += [(width, _unpack(packed, width))
-                     for row in pascal for packed in row]
-        assert all(0 <= c < 1 << width - 1
-                   for width, coeffs in unpacked for c in coeffs)
+        for row in pascal:
+            for packed in row:
+                _unpack(packed, width)
+
+    # one width from the range that sets a spare bit at n = 6: 2-5 bits
+    # for the Carlitz routes, 2-3 for the bounce recurrence and 2-6 for
+    # the maj identity, against 9, 11 and 11 from pack_width
+    @pytest.mark.parametrize("width, route", [
+        (5, lambda: _carlitz(6, _area_shift)),
+        (5, lambda: _carlitz(6, _inv_shift)),
+        (3, lambda: _bounce_recurrence(6, *_q_pascal(12))),
+        (6, lambda: cn_maj(6)),
+    ], ids=["area", "inv", "bounce", "maj"])
+    def test_a_narrowed_width_raises(self, monkeypatch, width, route):
+        monkeypatch.setattr(qt, "pack_width", lambda bound: width)
+        with pytest.raises(ValueError, match="spare bit"):
+            route()
 
 
 class TestCensus:
