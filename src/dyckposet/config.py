@@ -35,10 +35,13 @@ class LimitExceededError(Exception):
 #                       time, the packed memo passed 1 M states and 312 MB
 #                       in 4.5 s, where a probe stopped it.  The ideal
 #                       count's chain-cut prototype passed 21 M states in
-#                       114 s.  At n = 6 poset takes 74-78 ms and 29 MB,
-#                       and antichains 10.0-10.2 ms, its split reading each
-#                       chain part by its length on a frame fitted in one
-#                       pass (10.4-10.6 ms before, measured alongside)
+#                       114 s.  At n = 6 poset takes 75-80 ms and 28 MB
+#                       in a fresh process (79-85 ms before the ideal split
+#                       looked each child up before calling, measured
+#                       alongside), and antichains 10.0-10.2 ms, its split
+#                       reading each chain part by its length on a frame
+#                       fitted in one pass (10.4-10.6 ms before, measured
+#                       alongside)
 #   maximal_antichains  two-route trust: the chain-split memo is the only
 #                       route and the A143674 snapshot ends at 5; n = 6
 #                       takes 113-117 ms (36,578 states, a 7.1 MiB

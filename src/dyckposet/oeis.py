@@ -10,7 +10,6 @@ of each order, one or a triangle row, follow in order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -70,46 +69,49 @@ def _chromatic_row(n: int) -> list[int]:
             for e in range(poly.degree, 0, -1)]
 
 
-# the one dataclass of the package: bench/tracer.py rebinds the compute
-# fields of REGISTRY through dataclasses.fields and dataclasses.replace
-@dataclass(frozen=True)
-class SequenceEntry:
+# per sequence, order n -> its term, or its row of a flattened triangle.
+# The functions live here, not in the records: bench/tracer.py rebinds the
+# function values of module-level dicts, and a named tuple's fields cannot
+# be rebound, so SequenceEntry.compute reads this table
+_COMPUTE: dict[str, Callable[[int], int] | Callable[[int], list[int]]] = {
+    "A000108": paths.catalan_closed,
+    "A005700": lambda n: incidence.interval_count(poset.build_poset(n)),
+    "A143672": lambda n: incidence.total_chains(poset.build_poset(n)),
+    "A005118": lambda n: incidence.maximal_chain_count(poset.build_poset(n)),
+    "A143673": lambda n: poset.antichain_census(poset.build_poset(n)).total,
+    "A143674": lambda n: poset.antichain_census(poset.build_poset(n),
+                                                "maximal").total,
+    "A000272": parking.count_parking_functions,
+    "A129176": lambda n: list(poset.rank_sizes(n)),
+    "A141622": _chromatic_row,
+}
+
+
+class SequenceEntry(NamedTuple):
+    sequence_id: str
     description: str
     first_index: int  # snapshot index of the first term of order 0
-    # order n -> its term, or its row of a flattened triangle
-    compute: Callable[[int], int] | Callable[[int], list[int]]
     max_order: int
 
+    @property
+    def compute(self) -> Callable[[int], int] | Callable[[int], list[int]]:
+        return _COMPUTE[self.sequence_id]
 
-REGISTRY: dict[str, SequenceEntry] = {
-    "A000108": SequenceEntry(
-        "Catalan numbers", 0, paths.catalan_closed, 15),
-    "A005700": SequenceEntry(
-        "interval counts of D_n", 0,
-        lambda n: incidence.interval_count(poset.build_poset(n)), 5),
-    "A143672": SequenceEntry(
-        "total chain counts of D_n", 0,
-        lambda n: incidence.total_chains(poset.build_poset(n)), 5),
-    "A005118": SequenceEntry(
-        "maximal chain counts of D_n", 0,
-        lambda n: incidence.maximal_chain_count(poset.build_poset(n)), 6),
-    "A143673": SequenceEntry(
-        "antichain counts of D_n", 0,
-        lambda n: poset.antichain_census(poset.build_poset(n)).total, 5),
-    "A143674": SequenceEntry(
-        "maximal antichain counts of D_n", 0,
-        lambda n: poset.antichain_census(poset.build_poset(n),
-                                         "maximal").total, 5),
-    "A000272": SequenceEntry(
-        "parking function counts, shifted by one", 1,
-        parking.count_parking_functions, 7),
-    "A129176": SequenceEntry(
-        "rank sizes of D_n by decreasing rank", 0,
-        lambda n: list(poset.rank_sizes(n)), 7),
-    "A141622": SequenceEntry(
+
+REGISTRY: dict[str, SequenceEntry] = {entry.sequence_id: entry for entry in (
+    SequenceEntry("A000108", "Catalan numbers", 0, 15),
+    SequenceEntry("A005700", "interval counts of D_n", 0, 5),
+    SequenceEntry("A143672", "total chain counts of D_n", 0, 5),
+    SequenceEntry("A005118", "maximal chain counts of D_n", 0, 6),
+    SequenceEntry("A143673", "antichain counts of D_n", 0, 5),
+    SequenceEntry("A143674", "maximal antichain counts of D_n", 0, 5),
+    SequenceEntry("A000272", "parking function counts, shifted by one", 1, 7),
+    SequenceEntry("A129176", "rank sizes of D_n by decreasing rank", 0, 7),
+    SequenceEntry(
+        "A141622",
         "chromatic coefficients of Hasse(D_n), |values| by descending degree",
-        0, _chromatic_row, 4),
-}
+        0, 4),
+)}
 
 
 class VerificationLine(NamedTuple):

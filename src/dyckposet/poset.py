@@ -174,18 +174,21 @@ def _ideal_count(size: int, down: tuple[int, ...]) -> int:
     a linear extension, down[k] masking the down-set of k.  The undecided
     set U splits on its top x: an ideal omits x (nothing above x is
     undecided) or holds down[x].  Those decided in form a down-set and those
-    out an up-set, so U alone is the state: 94,012 states at n = 6."""
+    out an up-set, so U alone is the state: 94,012 states at n = 6.  Each
+    child is looked up before it is counted (no count is 0, as the empty
+    ideal is always counted): one call per state besides the empty set."""
     memo = {0: 1}
+    get = memo.get
 
     def count(undecided: int) -> int:
-        found = memo.get(undecided)
-        if found is None:
-            x = undecided.bit_length() - 1
-            found = memo[undecided] = (count(undecided ^ 1 << x)
-                                       + count(undecided & ~down[x]))
+        x = undecided.bit_length() - 1
+        out, held = undecided ^ 1 << x, undecided & ~down[x]
+        memo[undecided] = found = ((get(out) or count(out))
+                                   + (get(held) or count(held)))
         return found
 
-    return count((1 << size) - 1)
+    full = (1 << size) - 1
+    return get(full) or count(full)
 
 
 def order_ideal_count(p: DyckPoset) -> int:

@@ -1,7 +1,6 @@
 import ast
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -158,10 +157,9 @@ class TestExitCodes:
         assert json.loads(out)["passed"] == "yes"
 
         import dyckposet.oeis as oeis_mod
-        entry = oeis_mod.REGISTRY["A005700"]
-        broken = dataclasses.replace(
-            entry, compute=lambda n: entry.compute(n) + 1)
-        monkeypatch.setitem(oeis_mod.REGISTRY, "A005700", broken)
+        compute = oeis_mod.REGISTRY["A005700"].compute
+        monkeypatch.setitem(oeis_mod._COMPUTE, "A005700",
+                            lambda n: compute(n) + 1)
         code, out, _ = run_cli(capsys, "verify", "--sequence", "A005700",
                                "--n", "2")
         assert code == EXIT_MISMATCH

@@ -1,11 +1,9 @@
-import dataclasses
-
 import pytest
 
 from dyckposet import (REGISTRY, SnapshotParseError, UnknownSequenceError,
-                       VerificationReport, incidence, load_snapshot,
-                       parse_snapshot, tableaux, verify_sequence)
-from dyckposet.cli import EXIT_INTERNAL, main
+                       VerificationReport, incidence, load_snapshot, oeis,
+                       parse_snapshot, paths, tableaux, verify_sequence)
+from dyckposet.cli import EXIT_INTERNAL, EXIT_MISMATCH, main
 
 SEQUENCE_IDS = sorted(REGISTRY)
 
@@ -74,15 +72,30 @@ class TestSnapshots:
 
 class TestReport:
     def test_mismatch_is_reported_not_hidden(self, monkeypatch):
-        import dyckposet.oeis as oeis_mod
-        entry = oeis_mod.REGISTRY["A000108"]
-        broken = dataclasses.replace(
-            entry, compute=lambda n: entry.compute(n) + (1 if n == 2 else 0))
-        monkeypatch.setitem(oeis_mod.REGISTRY, "A000108", broken)
+        compute = REGISTRY["A000108"].compute
+        monkeypatch.setitem(oeis._COMPUTE, "A000108",
+                            lambda n: compute(n) + (1 if n == 2 else 0))
         report = verify_sequence("A000108", 3)
         assert not report.passed
         bad = [l for l in report.lines if not l.ok]
         assert [(l.index, l.expected, l.computed) for l in bad] == [(2, 2, 3)]
+
+    def test_records_compute_through_the_table(self, monkeypatch, capsys):
+        # a record holds no function: a patched table entry is both what
+        # the record returns and what verify runs, so that a tracer which
+        # rebinds the table's values sees every compute call
+        calls = []
+
+        def broken(n):
+            calls.append(n)
+            return paths.catalan_closed(n) + (n == 3)
+
+        monkeypatch.setitem(oeis._COMPUTE, "A000108", broken)
+        assert REGISTRY["A000108"].compute is broken
+        assert main(["verify", "--sequence", "A000108", "--n", "3"]) \
+            == EXIT_MISMATCH
+        assert "MISMATCH" in capsys.readouterr().out
+        assert calls == [0, 1, 2, 3]
 
     def test_nothing_checked_does_not_pass(self):
         assert not VerificationReport("A000108", ()).passed

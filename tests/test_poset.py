@@ -498,12 +498,12 @@ class TestIdealsAndAntichains:
         assert peak < 16 * 2**20
 
     def test_split_work_at_order_six(self, posets):
-        # the calls of each split's inner count, memo hits included: the
-        # ideal split makes two per state it adds (94,012 states), the
-        # antichain split one per state, as it looks each child up before
-        # it calls (6,834 states and the empty set).  Both counts are
-        # exact, so a split that does more work, such as one that calls
-        # on a memo hit (25,627 calls), fails here at once
+        # the calls of each split's inner count, memo hits included: each
+        # split makes one per state, as it looks each child up before it
+        # calls (the ideal split's 94,012 states and the antichain split's
+        # 6,834, the empty set besides).  Both counts are exact, so a split
+        # that does more work, such as one that calls on a memo hit
+        # (188,023 and 25,627 calls), fails here at once
         p = posets(6)
         calls = Counter()
 
@@ -519,7 +519,7 @@ class TestIdealsAndAntichains:
         finally:
             sys.setprofile(previous)
         assert calls == {_count_code(poset._antichain_sizes): 6_834,
-                         _count_code(poset._ideal_count): 188_023}
+                         _count_code(poset._ideal_count): 94_011}
 
     @pytest.mark.parametrize("n, states", [(5, 197), (6, 36_578)])
     def test_maximal_split_states(self, posets, n, states):

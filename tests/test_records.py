@@ -3,7 +3,6 @@ Name(field=value, ...), and validated where the constructor validated."""
 
 import ast
 import copy
-import dataclasses
 import inspect
 import pickle
 import subprocess
@@ -25,12 +24,10 @@ SRC = Path(dyckposet.__file__).parent
 # `import dyckposet.cli` loads on a bare CPython 3.11 interpreter;
 # underscore-named accelerator modules are left out
 CLI_STDLIB_IMPORTS = frozenset("""
-    __future__ argparse ast bisect bz2 collections contextlib copy copyreg
-    dataclasses decimal dis enum errno fnmatch fractions functools
-    genericpath gettext importlib inspect ipaddress itertools json keyword
-    linecache lzma math ntpath numbers opcode operator os pathlib posixpath
-    random re reprlib shutil stat tempfile token tokenize types typing urllib
-    warnings weakref zlib""".split())
+    __future__ argparse bisect collections contextlib copyreg decimal enum
+    fractions functools genericpath gettext itertools json keyword math
+    numbers operator os posixpath random re reprlib stat types typing
+    warnings""".split())
 
 
 def _examples():
@@ -65,19 +62,12 @@ EXAMPLES = _examples()
 
 
 def _record_classes():
-    """Every public named tuple or dataclass of the package's modules."""
+    """Every public named tuple of the package's modules."""
     return {obj for module in vars(dyckposet).values()
             if inspect.ismodule(module)
             for name, obj in vars(module).items()
             if inspect.isclass(obj) and not name.startswith("_")
-            and obj.__module__ == module.__name__
-            and (hasattr(obj, "_fields") or dataclasses.is_dataclass(obj))}
-
-
-def _fields(record) -> tuple[str, ...]:
-    if dataclasses.is_dataclass(record):
-        return tuple(f.name for f in dataclasses.fields(record))
-    return record._fields
+            and obj.__module__ == module.__name__ and hasattr(obj, "_fields")}
 
 
 def test_every_record_class_has_an_example():
@@ -88,15 +78,13 @@ def test_every_record_class_has_an_example():
 class TestContract:
     def test_fields_refuse_assignment(self, cls):
         record = EXAMPLES[cls]
-        names = ("_offsets", "area") if cls is DyckPath \
-            else _fields(record)
+        names = ("_offsets", "area") if cls is DyckPath else record._fields
         for name in names:
             value = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, value)
             assert getattr(record, name) is value
-        assert not hasattr(record, "__dict__") or \
-            dataclasses.is_dataclass(record)
+        assert not hasattr(record, "__dict__")
 
     def test_repr_names_the_fields(self, cls):
         record = EXAMPLES[cls]
@@ -104,7 +92,7 @@ class TestContract:
             assert repr(record) == f"DyckPath({record.steps!r})"
             return
         shown = ", ".join(f"{name}={getattr(record, name)!r}"
-                          for name in _fields(record))
+                          for name in record._fields)
         assert repr(record) == f"{cls.__name__}({shown})"
 
     def test_copies_equal_the_original(self, cls):
@@ -169,28 +157,28 @@ def _decorator_name(node: ast.expr) -> str:
 
 
 class TestStartUp:
-    """Each dataclass costs about 1 ms at import, for the methods it
-    generates and execs, and every CLI call imports the whole package;
-    value records are named tuples or slotted classes instead.  Only
-    oeis.SequenceEntry stays a dataclass: the benchmark tracer rebinds the
-    compute fields of oeis.REGISTRY through dataclasses.fields and
-    dataclasses.replace."""
+    """Every CLI call imports the whole package, so what it imports is part
+    of every command's time.  Value records are named tuples or slotted
+    classes: import dataclasses loads inspect, ast, dis, tokenize and more,
+    7-9 ms of start-up, and each dataclass then generates and execs its
+    methods.  oeis keeps its compute functions in a module-level table, not
+    in its records, so that the benchmark tracer can rebind them."""
 
     @staticmethod
     def _modules():
         return {path.stem: ast.parse(path.read_text())
                 for path in sorted(SRC.glob("*.py"))}
 
-    def test_only_sequence_entry_is_a_dataclass(self):
+    def test_no_class_is_a_dataclass(self):
         decorated = {(module, node.name)
                      for module, tree in self._modules().items()
                      for node in ast.walk(tree)
                      if isinstance(node, ast.ClassDef)
                      and any(_decorator_name(d) == "dataclass"
                              for d in node.decorator_list)}
-        assert decorated == {("oeis", "SequenceEntry")}
+        assert decorated == set()
 
-    def test_only_oeis_imports_dataclasses(self):
+    def test_no_module_imports_dataclasses(self):
         importers = set()
         for module, tree in self._modules().items():
             for node in ast.walk(tree):
@@ -202,21 +190,37 @@ class TestStartUp:
                     continue
                 if any(name.split(".")[0] == "dataclasses" for name in names):
                     importers.add(module)
-        assert importers == {"oeis"}
+        assert importers == set()
+
+    @staticmethod
+    def _cli_import(*flags: str) -> tuple[str, str]:
+        """Two space-separated lists from a fresh interpreter that imports
+        the CLI: the modules the import added, and every module loaded."""
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "before = set(sys.modules); import dyckposet.cli; "
+                  "print(*sorted(set(sys.modules) - before)); "
+                  "print(*sorted(sys.modules))")
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", script, str(SRC.parent)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        added, loaded = result.stdout.splitlines()
+        return added, loaded
 
     def test_cli_import_loads_no_stdlib_module_beyond_the_pinned_set(self):
         # set-up time is most of every benchmark workload: what the CLI
         # imports may shrink, not grow.  -S skips site and the .pth files,
         # which preload modules of their own
-        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                  "before = set(sys.modules); import dyckposet.cli; "
-                  "print(*sorted(set(sys.modules) - before))")
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", script, str(SRC.parent)],
-            capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        loaded = {name.partition(".")[0] for name in result.stdout.split()}
+        added, _ = self._cli_import("-S")
+        loaded = {name.partition(".")[0] for name in added.split()}
         assert "dyckposet" in loaded
         extra = {name for name in loaded - CLI_STDLIB_IMPORTS
                  if name != "dyckposet" and not name.startswith("_")}
         assert extra == set()
+
+    def test_cli_import_with_site_loads_no_dataclasses(self):
+        # the benchmark's environment, where site and its .pth files run
+        # first
+        _, loaded = self._cli_import()
+        assert "dyckposet.cli" in loaded.split()
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded.split())
