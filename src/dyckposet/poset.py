@@ -25,16 +25,18 @@ along a first-fit chain partition (_chain_frame finds it in one pass that
 tests each chain's top, and relabels the elements chain by chain, each
 from its top down, from the down-sets and the covers).  Each state meets
 the chain of its top label in one run of labels that ends there, so the
-run's length gives its start, and the states number 6,834 at n = 6
-against 37,620,704 antichains.  Each state's size polynomial is one
-integer, its coefficients packed at a bit width that the same chain
-partition bounds (53 bits at n = 6, set by polynomials.pack_width).  The
-width is checked against Dilworth's minimum chain cover, a matching grown
-on bitmasks.  The maximal census runs the same split on the same frame,
-each state also keeping the passed-over elements that still need a
-comparable member (_maximal_sizes): 36,578 states at n = 6.  Nothing in
-the package lists the antichains; the tests do, by a depth-first search,
-for the antichain-ideal bijection and the counts at n <= 5.
+run's length gives its start; _antichain_sizes reads each run from a table
+built once per call (_chain_runs), and no state slices the
+incomparability masks.  The states number 6,834 at n = 6 against
+37,620,704 antichains.  Each state's size polynomial is one integer, its
+coefficients packed at a bit width that the same chain partition bounds
+(53 bits at n = 6, set by polynomials.pack_width).  The width is checked
+against Dilworth's minimum chain cover, a matching grown on bitmasks.
+The maximal census runs the same split on the same frame, each state also
+keeping the passed-over elements that still need a comparable member
+(_maximal_sizes, which slices its runs): 36,578 states at n = 6.  Nothing
+in the package lists the antichains; the tests do, by a depth-first
+search, for the antichain-ideal bijection and the counts at n <= 5.
 Order ideals are counted by a memoised split, an element at a time
 (_ideal_count).
 
@@ -261,6 +263,17 @@ def _chain_frame(p: DyckPoset) -> tuple[int, list[int], list[int]]:
     return width, below, [full & ~(d | u) for d, u in zip(downs, ups)]
 
 
+def _chain_runs(below: list[int],
+                inc: list[int]) -> list[list[tuple[int, ...]]]:
+    """The run table of a chain frame: runs[t][k] is the tuple
+    inc[t - k:t], for each top label t and each length k from 0 up to t
+    less the first label of label t - 1's chain, below[t].bit_length().
+    Every chain part S & C that a split meets is one of these runs."""
+    inc = tuple(inc)
+    return [[inc[k:t] for k in range(t, first - 1, -1)]
+            for t, first in enumerate(map(int.bit_length, below))]
+
+
 def _antichain_sizes(p: DyckPoset) -> tuple[int, ...]:
     """c[k] = number of k-element antichains of the poset p (size, down and
     lower, as _chain_frame reads them).
@@ -276,11 +289,14 @@ def _antichain_sizes(p: DyckPoset) -> tuple[int, ...]:
     A(S) is stored as the integer A(2^B), B the width of _chain_frame, so
     no coefficient carries.  With t the bit length of S, S & below[t] is
     S - C, and S & C is one run of labels that ends at t - 1, so its length
-    gives its start: its elements' inc masks are the slice
-    t - |S & C|..t of inc.  6,834 states at n = 6 besides the empty set,
-    against 94,012 for the ideal split, which takes one element at a
-    time."""
+    gives its start: its elements' inc masks are runs[t][|S & C|], the
+    tuple of inc[t - |S & C|:t] that _chain_runs builds once per call, so
+    no state slices inc.  The table holds 693 nonempty runs at n = 6
+    against 6,834 states besides the empty set (94,012 for the ideal
+    split, which takes one element at a time); at n = 5 it holds 171
+    against 120 states, so it pays only from n = 6 on."""
     width, below, inc = _chain_frame(p)
+    runs = _chain_runs(below, inc)
     memo = {0: 1}
     get = memo.get
 
@@ -289,7 +305,7 @@ def _antichain_sizes(p: DyckPoset) -> tuple[int, ...]:
         rest = cand & below[top]
         part = cand ^ rest
         with_one = 0
-        for mask in inc[top - part.bit_count():top]:
+        for mask in runs[top][part.bit_count()]:
             child = rest & mask
             with_one += get(child) or count(child)
         memo[cand] = result = (get(rest) or count(rest)) + (with_one << width)
@@ -314,7 +330,13 @@ def _maximal_sizes(p: DyckPoset) -> tuple[int, ...]:
 
     Coefficients are packed at the width of _chain_frame.  That is exact,
     as a state's maximal antichains are among the antichains of S, and no
-    S holds more antichains than the width bounds."""
+    S holds more antichains than the width bounds.
+
+    The chain part is read as a slice of inc, not from _chain_runs: at
+    n = 5, the cap of this census, the table costs more than it saves (a
+    call takes 408 us with the slice and 437 us with the table, the
+    minimum of 200 interleaved in-process runs on Python 3.11.7); only at
+    n = 6, past the cap, does it save 4-6%."""
     width, below, inc = _chain_frame(p)
     comparable = [~mask for mask in inc]
     memo: dict[tuple[int, int], int] = {}
@@ -350,16 +372,19 @@ def _maximal_sizes(p: DyckPoset) -> tuple[int, ...]:
     return _unpack(count((1 << p.size) - 1, 0), width)
 
 
-def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
+def antichain_census(p: DyckPoset, mode: str = "all", *,
+                     _ranks: tuple[int, ...] | None = None
+                     ) -> AntichainCensus:
     """Census of antichains: every one, the inclusion-maximal ones, or only
     those of maximum size (the width).
 
     "all" and "maximum" read the size polynomial of _antichain_sizes and
     check its degree (the width) against Dilworth's minimum chain cover,
     and against counts that read no poset: the width is at least the
-    largest rank level (an antichain), x is C_n, x^2 the C(C_n, 2) pairs
-    less the C_n C_{n+2} - C_{n+1}^2 - C_n comparable ones (A005700).
-    "maximal" reads the sizes that occur in the polynomial of
+    largest rank level (an antichain; _ranks passes rank_sizes(p.n) from a
+    caller that has it, so it is not computed twice), x is C_n, x^2 the
+    C(C_n, 2) pairs less the C_n C_{n+2} - C_{n+1}^2 - C_n comparable ones
+    (A005700).  "maximal" reads the sizes that occur in the polynomial of
     _maximal_sizes, the one route in a run."""
     if mode not in ("all", "maximal", "maximum"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -374,7 +399,7 @@ def antichain_census(p: DyckPoset, mode: str = "all") -> AntichainCensus:
     cn, cn1, cn2 = (catalan_closed(p.n + k) for k in range(3))
     agree("widths by antichain sizes and by Dilworth matching",
           width, min_chain_cover(p))
-    top = max(rank_sizes(p.n))
+    top = max(rank_sizes(p.n) if _ranks is None else _ranks)
     agree("width and the largest rank level", width >= top, True)
     agree("1-element antichains and C_n", padded[1], cn)
     agree("2-element antichains and incomparable pairs by closed form",
@@ -472,7 +497,7 @@ def cover_edge_count(p: DyckPoset) -> int:
     """Cover edges of D_n, one per valley of a path: they must number
     C(2n-1, n-2).  A disagreement raises AssertionError."""
     return agree("cover edges and the valley count C(2n-1, n-2)",
-                 len(p.cover_edges()),
+                 sum(map(len, p.lower)),
                  comb(2 * p.n - 1, p.n - 2) if p.n >= 2 else 0)
 
 
@@ -487,10 +512,12 @@ class PosetCensus(NamedTuple):
 def poset_census(p: DyckPoset) -> PosetCensus:
     """The rank sizes, order ideals, cover edges, width and minimum
     antichain cover of D_n, each checked against a second route (see the
-    module docstring).  A disagreement raises AssertionError."""
+    module docstring).  Each piece of work runs once: the rank sizes feed
+    both their own check and the census's width check.  A disagreement
+    raises AssertionError."""
     check_order(p.n, "antichains")
-    census = antichain_census(p, "all")
     sizes = rank_sizes(p.n)
+    census = antichain_census(p, "all", _ranks=sizes)
     by_rank = Counter(mask.bit_count() for mask in p.ideals)
     agree("rank sizes by recurrence and by the poset's rank histogram",
           sizes, tuple(by_rank[r] for r in range(max(by_rank), -1, -1)))

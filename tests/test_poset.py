@@ -330,17 +330,24 @@ class TestPackedAntichainSizes:
 
     def test_chain_frame_equals_the_sorting_oracle(self, posets):
         # the one-pass frame against the sort-based construction: the same
-        # chains, labels, below, inc and width, on D_0..D_7, on D_n in
-        # random labellings, and on random posets
-        rng = random.Random(8)
-        records = [posets(n) for n in range(8)]
-        for n in range(7):
-            order = rng.sample(range(posets(n).size), posets(n).size)
-            records.append(_relabel_record(posets(n), order))
-        records += [poset_record(_seeded_up_sets(rng, rng.randrange(13)))
-                    for _ in range(50)]
-        for p in records:
+        # chains, labels, below, inc and width
+        for p in _frame_records(posets):
             assert poset._chain_frame(p) == chain_frame_by_sorting(p)
+
+    def test_run_table_equals_the_slices_of_inc(self, posets):
+        # runs[t][k] stands for the slice inc[t - k:t] that a split read at
+        # each state, and row t holds one run per length, from 0 up to the
+        # whole of label t - 1's chain up to t - 1
+        for p in _frame_records(posets):
+            _width, below, inc = poset._chain_frame(p)
+            runs = poset._chain_runs(below, inc)
+            assert len(runs) == len(below) == p.size + 1
+            for t, row in enumerate(runs):
+                first = below[t].bit_length()
+                assert len(row) == t - first + 1
+                assert below[first + 1:t + 1] == [below[t]] * (t - first)
+                for k, run in enumerate(row):
+                    assert run == tuple(inc[t - k:t])
 
     @pytest.mark.parametrize("split, top", [("_antichain_sizes", 6),
                                             ("_maximal_sizes", 5)])
@@ -387,6 +394,18 @@ class TestPackedAntichainSizes:
         monkeypatch.setattr(poset, "pack_width", lambda bound: width)
         with pytest.raises(ValueError, match="spare bit"):
             getattr(poset, split)(posets(6))
+
+
+def _frame_records(posets):
+    """The records the chain frame is checked on: D_0..D_7, D_n for
+    n <= 6 in a random labelling, and 50 random posets."""
+    rng = random.Random(8)
+    records = [posets(n) for n in range(8)]
+    for n in range(7):
+        order = rng.sample(range(posets(n).size), posets(n).size)
+        records.append(_relabel_record(posets(n), order))
+    return records + [poset_record(_seeded_up_sets(rng, rng.randrange(13)))
+                      for _ in range(50)]
 
 
 def _is_run(mask):
@@ -745,6 +764,26 @@ class TestPosetCensus:
         census = poset_census(posets(n))
         assert (census.rank_sizes, census.order_ideals, census.cover_edges,
                 census.width, census.antichain_cover) == POSET_CENSUS[n]
+
+    def test_each_piece_of_work_runs_once(self, posets, monkeypatch):
+        # the rank sizes feed both the census's width check and their own
+        # check against the rank histogram, and the cover edges are listed
+        # once, for the antichain cover; the edge count reads the cover
+        # lists
+        calls = Counter()
+
+        def counted(owner, attr):
+            function = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return function(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(poset, "rank_sizes")
+        counted(DyckPoset, "cover_edges")
+        assert poset_census(posets(5)) == POSET_CENSUS[5]
+        assert calls == {"rank_sizes": 1, "cover_edges": 1}
 
     def test_refused_before_any_count(self, posets, monkeypatch):
         # the order ideal count and the antichains both stop at 6
