@@ -25,10 +25,16 @@ class LimitExceededError(Exception):
 #                       measured alongside)
 #   paths               scope: no order past 8 is in the project's scope.
 #                       qt --n 9 takes 9-14 ms and 17 MB; at n = 8, chains
-#                       7.4-8.0 ms on its first call in a process and
-#                       3.8-4.3 ms after, and 17.2-17.3 MB, the parking
-#                       census 24-38 ms and 17 MB; the two parking listers
-#                       no command runs take 38 s and 25 s, each near 860 MB
+#                       8.9-14.4 ms on its first call in a process and
+#                       4.7-8.0 ms after, and 17.3-17.4 MB (at n = 6,
+#                       3.4-4.9 ms and 0.57-0.90 ms, 16.4-16.5 MB), in 30
+#                       processes whose times swing about 1.8x between a
+#                       fast and a slow state of the VM (9.2-14.5 and
+#                       5.0-8.6 ms at n = 8 before the build read each
+#                       row's cell list once, measured alongside); the
+#                       parking census 24-38 ms and 17 MB; the two parking
+#                       listers no command runs take 38 s and 25 s, each
+#                       near 860 MB
 #   antichains          cost: antichains --n 7 exhausted memory with the
 #                       tuple-valued size-polynomial memo, a 4 GB address
 #                       limit after 47 s (3.5 GB RSS); split a chain at a

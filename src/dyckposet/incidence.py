@@ -136,8 +136,10 @@ def chain_polynomial(p: DyckPoset) -> UniPoly:
     ascending, is a linear extension of P_n, where (j', y') lies below
     (j, y) iff j' >= j and y' <= y.  A cover list that sends a read off
     the end of a prefix list, or to an element not yet reached, is
-    refused with ValueError; covers listed in another order give wrong
-    counts, for the k-fan check of chain_census to refuse.
+    refused with ValueError.  The reverse order, which a walk of the rows
+    from the bottom up gives, reads the same counts (the tests check it at
+    n <= 8); covers listed in another order give wrong counts, for the
+    k-fan check of chain_census to refuse.
 
     A cover joins adjacent ranks, so only the elements of the rank just
     above read a prefix list.  The elements must be listed by rank, as

@@ -150,19 +150,21 @@ def build_poset(n: int) -> DyckPoset:
     # cells[y][e]: the cell (e + 1, y + 1), last of row y + 1 at offset e
     cells = [[masks[e] ^ masks[e + 1] for e in range(y)]
              for y, masks in enumerate(rows)]
+    # rows from the top down give each element's covers in ascending order,
+    # each below it and so closed already
+    top_down = [(y, cells[y]) for y in range(n - 1, 0, -1)]
     lower, down = [], []
     for j, (mask, offsets) in enumerate(joined):
-        # rows from the top down give the covers in ascending order, each
-        # below j and so closed already; after is the offset of the row above
-        covers, below, after = (), 1 << j, n
-        for y in range(n - 1, 0, -1):
+        # after is the offset of the row above
+        covers, below, after = [], 1 << j, n
+        for y, row in top_down:
             e = offsets[y]
             if e < y and e < after:
-                c = index[mask ^ cells[y][e]]
-                covers += (c,)
+                c = index[mask ^ row[e]]
+                covers.append(c)
                 below |= down[c]
             after = e
-        lower.append(covers)
+        lower.append(tuple(covers))
         down.append(below)
     return DyckPoset(n=n, ideals=ideals, lower=tuple(lower), down=tuple(down))
 

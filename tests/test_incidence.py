@@ -242,6 +242,16 @@ class TestChainCounts:
         assert main(["chains", "--n", "4"]) == EXIT_INTERNAL
         assert capsys.readouterr().out == ""
 
+    def test_covers_in_reverse_extension_order_read_the_same_counts(
+            self, posets):
+        # every cover list reversed, as a walk of the rows from the bottom
+        # up lists them: no read leaves its prefix list, so no ValueError,
+        # and the counts are the same
+        for n in range(9):
+            p = posets(n)
+            flipped = p._replace(lower=tuple(c[::-1] for c in p.lower))
+            assert chain_polynomial(flipped) == chain_polynomial(p)
+
     def test_cover_two_ranks_down_must_fail(self, posets, monkeypatch,
                                             capsys):
         # element 10 of D_4 (rank 4) also lists element 4 (rank 2) as a
